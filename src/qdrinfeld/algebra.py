@@ -5,13 +5,18 @@ abelian group acting diagonally through characters, a matrix of commutation
 units q_ij, and a bilinear map kappa landing in V tensor kG.  Elements are
 kept with all group letters pushed to the right, so a term is a triple
 (word, group element, scalar) and multiplication only needs character
-values.  The normal form sorts words by repeatedly rewriting descending
-adjacent pairs through the defining relations.
+values.  :class:`LinearCombination` is the one sparse vector type, which
+:class:`NCElement` and the braided tensors of the Hopf module extend, and
+:func:`rewrite` is the one rewriting engine, a worklist loop that takes the
+rule as a callback.  The normal form sorts words by rewriting descending
+adjacent pairs through the defining relations; enveloping algebras of
+generic rings plug their own rule into the same loop.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import SpecError
 from .groups import AbelianGroup, Character, GroupElement, char_eval
@@ -145,18 +150,103 @@ class AlgebraSpec:
         return f"AlgebraSpec(n={self.n}, group={self.group!r}, name={self.name!r})"
 
 
-class NCElement:
+def accumulate(terms: dict, key, coeff: Scalar) -> None:
+    """Add coeff to terms[key] in place, dropping the key when the sum is zero."""
+    acc = terms.get(key)
+    total = coeff if acc is None else acc + coeff
+    if total.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = total
+
+
+class LinearCombination:
+    """A finite sum of hashable keys with nonzero scalar coefficients.
+
+    Subclasses fix what a key means and, through _space, the space the
+    terms live in; plain instances are combinations of basis indices.  No
+    zero coefficient stays in terms, so equal combinations have equal dicts.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None) -> None:
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
+
+    def _space(self) -> tuple:
+        """Constructor arguments before terms, shared by combinable elements."""
+        return ()
+
+    def _like(self, terms) -> LinearCombination:
+        return type(self)(*self._space(), terms)
+
+    def _check(self, other: LinearCombination) -> None:
+        if type(other) is not type(self) or other._space() != self._space():
+            raise SpecError("elements belong to different algebras or tensor powers")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: LinearCombination) -> LinearCombination:
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            accumulate(terms, key, coeff)
+        return self._like(terms)
+
+    def __sub__(self, other: LinearCombination) -> LinearCombination:
+        return self + (-other)
+
+    def __neg__(self) -> LinearCombination:
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, s: Scalar) -> LinearCombination:
+        return self._like({k: s * c for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and other._space() == self._space()
+            and self.terms == other.terms
+        )
+
+    __hash__ = None
+
+    def sum_str(self, label, order=None) -> str:
+        """c1*label(k1) + c2*label(k2) + ... over the keys sorted by order."""
+        keys = sorted(self.terms, key=order)
+        return " + ".join(f"{self.terms[k].factor_str()}*{label(k)}" for k in keys) or "0"
+
+    def signed_str(self, label, order=None) -> str:
+        """Like sum_str, with unit coefficients left out and signs folded into ' - '."""
+        pieces = []
+        for key in sorted(self.terms, key=order):
+            body, cs = label(key), self.terms[key].factor_str()
+            if not body:
+                pieces.append(cs)
+            elif cs == "1":
+                pieces.append(body)
+            elif cs == "-1":
+                pieces.append("-" + body)
+            else:
+                pieces.append(f"{cs}*{body}")
+        out = pieces[0] if pieces else "0"
+        for piece in pieces[1:]:
+            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+        return out
+
+
+class NCElement(LinearCombination):
     """A finite sum of terms coeff * v_word * g with the group on the right."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
 
     def __init__(self, spec: AlgebraSpec, terms) -> None:
         self.spec = spec
-        clean: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
-        for key, coeff in terms.items():
-            if not coeff.is_zero():
-                clean[key] = coeff
-        self.terms = clean
+        super().__init__(terms)
+
+    def _space(self) -> tuple:
+        return (self.spec,)
 
     @classmethod
     def zero(cls, spec: AlgebraSpec) -> NCElement:
@@ -178,26 +268,6 @@ class NCElement:
     def group_unit(cls, spec, g: GroupElement) -> NCElement:
         return cls.monomial(spec, (), g)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: NCElement) -> NCElement:
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
-        return NCElement(self.spec, terms)
-
-    def __sub__(self, other: NCElement) -> NCElement:
-        return self + (-other)
-
-    def __neg__(self) -> NCElement:
-        return NCElement(self.spec, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, s: Scalar) -> NCElement:
-        return NCElement(self.spec, {k: s * c for k, c in self.terms.items()})
-
     def __mul__(self, other: NCElement) -> NCElement:
         """Product in the free skew algebra: group letters hop over words."""
         self._check(other)
@@ -205,62 +275,32 @@ class NCElement:
         terms: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
         for (u, g), cu in self.terms.items():
             for (w, h), cw in other.terms.items():
-                coeff = cu * cw * spec.word_char(w, g)
-                key = (u + w, g * h)
-                acc = terms.get(key)
-                terms[key] = coeff if acc is None else acc + coeff
+                accumulate(terms, (u + w, g * h), cu * cw * spec.word_char(w, g))
         return NCElement(spec, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCElement)
-            and self.spec is other.spec
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def _check(self, other: NCElement) -> None:
-        if self.spec is not other.spec:
-            raise SpecError("elements belong to different algebras")
 
     def max_degree(self) -> int:
         return max((len(w) for (w, _g) in self.terms), default=0)
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (len(kv[0][0]), kv[0][0], kv[0][1].sort_key()),
-        )
+        return sorted(self.terms.items(), key=lambda kv: _nc_order(kv[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (word, g), coeff in self.sorted_terms():
-            factors = [f"v{j + 1}" for j in word]
-            if not g.is_identity():
-                factors.append(str(g))
-            body = "*".join(factors)
-            cs = coeff.factor_str()
-            if not body:
-                piece = cs
-            elif cs == "1":
-                piece = body
-            elif cs == "-1":
-                piece = "-" + body
-            else:
-                piece = f"{cs}*{body}"
-            pieces.append(piece)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return self.signed_str(_nc_label, _nc_order)
 
     __repr__ = __str__
+
+
+def _nc_order(key):
+    word, g = key
+    return (len(word), word, g.sort_key())
+
+
+def _nc_label(key) -> str:
+    word, g = key
+    factors = [f"v{j + 1}" for j in word]
+    if not g.is_identity():
+        factors.append(str(g))
+    return "*".join(factors)
 
 
 def inversions(word) -> int:
@@ -286,6 +326,27 @@ def _descent_position(word, strategy: str):
     return None
 
 
+def rewrite(terms: dict, rule) -> dict:
+    """Reduce a sum of keys until no key is reducible.
+
+    rule(key) is None for an irreducible key and otherwise the (key, factor)
+    pairs that replace it, each scaled by the coefficient of the rewritten
+    key.  The rule must strictly decrease a well-founded order on keys.
+    """
+    done: dict = {}
+    work = list(terms.items())
+    while work:
+        key, coeff = work.pop()
+        if coeff.is_zero():
+            continue
+        replacement = rule(key)
+        if replacement is None:
+            accumulate(done, key, coeff)
+        else:
+            work.extend((new_key, coeff * factor) for new_key, factor in replacement)
+    return done
+
+
 def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
     """Rewrite to the spanning set of nondecreasing words times group letters.
 
@@ -295,23 +356,20 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
     count) drops strictly, so the loop terminates for any strategy.
     """
     spec = element.spec
-    done: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
-    work = [(word, g, coeff) for (word, g), coeff in element.terms.items()]
-    while work:
-        word, g, coeff = work.pop()
-        if coeff.is_zero():
-            continue
+
+    def rule(key):
+        word, g = key
         p = _descent_position(word, strategy)
         if p is None:
-            acc = done.get((word, g))
-            done[(word, g)] = coeff if acc is None else acc + coeff
-            continue
+            return None
         a, b = word[p], word[p + 1]
         head, tail = word[:p], word[p + 2 :]
-        work.append((head + (b, a) + tail, g, coeff * spec.q_scalar(a, b)))
+        out = [((head + (b, a) + tail, g), spec.q_scalar(a, b))]
         for r, h, c in spec.kappa_pairs(a, b):
-            work.append((head + (r,) + tail, h * g, coeff * c * spec.word_char(tail, h)))
-    return NCElement(spec, done)
+            out.append(((head + (r,) + tail, h * g), c * spec.word_char(tail, h)))
+        return out
+
+    return NCElement(spec, rewrite(element.terms, rule))
 
 
 def h_multiply(x: NCElement, y: NCElement, strategy: str = "leftmost") -> NCElement:
@@ -324,11 +382,15 @@ def defining_relation(spec: AlgebraSpec, j: int, i: int) -> NCElement:
     if not (0 <= i < j < spec.n):
         raise SpecError("defining relations are indexed by j > i")
     e = spec.group.identity()
-    terms = {((j, i), e): Scalar.one(spec.ctx), ((i, j), e): -spec.q_scalar(j, i)}
-    for r, h, c in spec.kappa_pairs(j, i):
-        key = ((r,), h)
-        acc = terms.get(key)
-        terms[key] = -c if acc is None else acc - c
+    quadratic = {((j, i), e): Scalar.one(spec.ctx), ((i, j), e): -spec.q_scalar(j, i)}
+    return NCElement(spec, quadratic) - kappa_element(spec, j, i)
+
+
+def kappa_element(spec: AlgebraSpec, i: int, j: int) -> NCElement:
+    """kappa(v_i, v_j) as an element with length-one words."""
+    terms: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
+    for r, g, c in spec.kappa_pairs(i, j):
+        accumulate(terms, ((r,), g), c)
     return NCElement(spec, terms)
 
 
@@ -343,10 +405,7 @@ def extended_kappa(spec: AlgebraSpec, i: int, g: GroupElement, j: int, h: GroupE
     factor = spec.char_value(j, g)
     terms: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
     for r, w, c in spec.kappa_pairs(i, j):
-        key = ((r,), w * g * h)
-        acc = terms.get(key)
-        val = factor * c
-        terms[key] = val if acc is None else acc + val
+        accumulate(terms, ((r,), w * g * h), factor * c)
     return NCElement(spec, terms)
 
 
@@ -366,26 +425,21 @@ def pbw_monomial_count(spec: AlgebraSpec, max_degree: int) -> int:
     n = spec.n
     total = 0
     for d in range(max_degree + 1):
-        total += _binomial(n + d - 1, d)
+        total += math.comb(n + d - 1, d)
     return total * len(spec.group)
-
-
-def _binomial(a: int, b: int) -> int:
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    for t in range(b):
-        out = out * (a - t) // (t + 1)
-    return out
 
 
 __all__ = [
     "AlgebraSpec",
+    "LinearCombination",
     "NCElement",
     "KappaTerm",
+    "accumulate",
+    "rewrite",
     "normal_form",
     "h_multiply",
     "defining_relation",
+    "kappa_element",
     "extended_kappa",
     "inversions",
     "pbw_words",

@@ -3,7 +3,8 @@
 Every command takes a spec argument that is either a bundled fixture name
 (ex1, ex2, ex3, ex4, gl11, zero-kappa) or a path to a spec file.  Exit
 codes: 0 when every requested check passes, 2 when a mathematical check
-fails (certificates are printed or serialized), 1 on input errors.
+fails (certificates are printed or serialized), 1 on input errors, 3 when
+two computations that must agree did not (a bug in this package).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .colorlie import (
     check_color_axioms,
     generic_color_lie_ring,
 )
-from .errors import HypothesisNotMet, ParseError, QdrinfeldError
+from .errors import HypothesisNotMet, InternalInconsistency, ParseError, QdrinfeldError
 from .hopf import check_hopf_axioms
 from .pbw import check_pbw, check_vanishing
 from .scalar import parse_scalar
@@ -361,6 +362,9 @@ def main(argv=None) -> int:
     except HypothesisNotMet as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except QdrinfeldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

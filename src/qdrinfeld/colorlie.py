@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, extended_kappa
-from .errors import HypothesisNotMet, NonUnitEpsilon, SpecError, ValueNotSign
+from .algebra import AlgebraSpec, LinearCombination, accumulate, extended_kappa
+from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
 from .groups import ADegree, AbelianGroup, GroupElement, SubgroupN
 from .pbw import check_pbw, check_vanishing
 from .scalar import Scalar, ScalarContext
@@ -112,44 +112,6 @@ class Bicharacter:
         return value
 
 
-def _combo_scale(combo: Combo, s: Scalar) -> Combo:
-    out = {}
-    for u, c in combo.items():
-        v = c * s
-        if not v.is_zero():
-            out[u] = v
-    return out
-
-
-def _combo_add(a: Combo, b: Combo) -> Combo:
-    out = dict(a)
-    for u, c in b.items():
-        cur = out.get(u)
-        v = c if cur is None else cur + c
-        if v.is_zero():
-            out.pop(u, None)
-        else:
-            out[u] = v
-    return out
-
-
-def _combo_eq(a: Combo, b: Combo) -> bool:
-    return _combo_is_zero(_combo_add(a, {u: -c for u, c in b.items()}))
-
-
-def _combo_is_zero(a: Combo) -> bool:
-    return not a
-
-
-def _combo_str(combo: Combo, ring: ColorLieRing) -> str:
-    if not combo:
-        return "0"
-    parts = []
-    for u in sorted(combo):
-        parts.append(f"{combo[u].factor_str()}*{ring.label_str(u)}")
-    return " + ".join(parts)
-
-
 class ColorLieRing:
     """Finite-basis bracketed module graded by A.
 
@@ -184,6 +146,9 @@ class ColorLieRing:
 
     def bracket(self, s: int, t: int) -> Combo:
         return self.table.get((s, t), {})
+
+    def bracket_combo(self, s: int, t: int) -> LinearCombination:
+        return LinearCombination(self.bracket(s, t))
 
     def index_of(self, label) -> int:
         return self._index[label]
@@ -248,22 +213,21 @@ def generic_color_lie_ring(data: GenericLieData) -> ColorLieRing:
     for (a, b), terms in data.brackets.items():
         combo: Combo = {}
         for u, c in terms:
-            if not c.is_zero():
-                combo = _combo_add(combo, {u: c})
+            accumulate(combo, u, c)
         if combo:
             table[(a, b)] = combo
     for (a, b) in list(data.brackets):
         if (b, a) in data.brackets:
             continue
         factor = -epsilon.eval(data.degrees[b], data.degrees[a])
-        derived = _combo_scale(table.get((a, b), {}), factor)
-        if derived:
-            table[(b, a)] = derived
+        derived = LinearCombination(table.get((a, b))).scale(factor)
+        if not derived.is_zero():
+            table[(b, a)] = derived.terms
     for (a, b) in data.brackets:
         if (b, a) not in data.brackets or (a, b) < (b, a):
             continue
         factor = -epsilon.eval(data.degrees[a], data.degrees[b])
-        if not _combo_eq(table.get((a, b), {}), _combo_scale(table.get((b, a), {}), factor)):
+        if LinearCombination(table.get((a, b))) != LinearCombination(table.get((b, a))).scale(factor):
             raise SpecError(
                 f"brackets for ({data.basis[a]}, {data.basis[b]}) violate antisymmetry"
             )
@@ -304,11 +268,12 @@ class ColorAxiomReport:
         }
 
 
-def _bracket_with_combo(ring: ColorLieRing, s: int, combo: Combo) -> Combo:
+def _bracket_with_combo(ring: ColorLieRing, s: int, combo: Combo) -> LinearCombination:
     out: Combo = {}
     for u, c in combo.items():
-        out = _combo_add(out, _combo_scale(ring.bracket(s, u), c))
-    return out
+        for v, d in ring.bracket(s, u).items():
+            accumulate(out, v, d * c)
+    return LinearCombination(out)
 
 
 def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) -> ColorAxiomReport:
@@ -327,16 +292,17 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
     antisymmetry = True
     for s in range(size):
         for t in range(size):
-            expected = _combo_scale(ring.bracket(t, s), -pair[s][t])
-            if not _combo_eq(ring.bracket(s, t), expected):
+            got = ring.bracket_combo(s, t)
+            expected = ring.bracket_combo(t, s).scale(-pair[s][t])
+            if got != expected:
                 antisymmetry = False
                 certificates.append(
                     {
                         "axiom": "antisymmetry",
                         "x": ring.label_str(s),
                         "y": ring.label_str(t),
-                        "got": _combo_str(ring.bracket(s, t), ring),
-                        "expected": _combo_str(expected, ring),
+                        "got": got.sum_str(ring.label_str),
+                        "expected": expected.sum_str(ring.label_str),
                     }
                 )
 
@@ -344,15 +310,13 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
     for s in range(size):
         for t in range(size):
             for u in range(size):
-                total: Combo = {}
+                total = LinearCombination()
                 for x, y, z in ((s, t, u), (t, u, s), (u, s, t)):
                     inner = ring.bracket(y, z)
                     if not inner:
                         continue
-                    total = _combo_add(
-                        total, _combo_scale(_bracket_with_combo(ring, x, inner), pair[z][x])
-                    )
-                if not _combo_is_zero(total):
+                    total = total + _bracket_with_combo(ring, x, inner).scale(pair[z][x])
+                if not total.is_zero():
                     jacobi = False
                     certificates.append(
                         {
@@ -360,7 +324,7 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
                             "x": ring.label_str(s),
                             "y": ring.label_str(t),
                             "z": ring.label_str(u),
-                            "residue": _combo_str(total, ring),
+                            "residue": total.sum_str(ring.label_str),
                         }
                     )
 
@@ -370,19 +334,19 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
         spec = ring.spec
         index = ring.index_of
 
-        def left(g: GroupElement, combo: Combo) -> Combo:
+        def left(g: GroupElement, combo: Combo) -> LinearCombination:
             out: Combo = {}
             for u, c in combo.items():
                 i, h = ring.labels[u]
-                out = _combo_add(out, {index((i, g * h)): c * spec.char_value(i, g)})
-            return out
+                accumulate(out, index((i, g * h)), c * spec.char_value(i, g))
+            return LinearCombination(out)
 
-        def right(combo: Combo, g: GroupElement) -> Combo:
+        def right(combo: Combo, g: GroupElement) -> LinearCombination:
             out: Combo = {}
             for u, c in combo.items():
                 i, h = ring.labels[u]
-                out = _combo_add(out, {index((i, h * g)): c})
-            return out
+                accumulate(out, index((i, h * g)), c)
+            return LinearCombination(out)
 
         bimodule = True
         for g in spec.group:
@@ -393,16 +357,14 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
                     plain = ring.bracket(s, t)
                     checks = (
                         ("left",
-                         _combo_scale(ring.bracket(index((i, g * h)), t),
-                                      spec.char_value(i, g)),
+                         ring.bracket_combo(index((i, g * h)), t).scale(spec.char_value(i, g)),
                          left(g, plain)),
-                        ("balanced", ring.bracket(index((i, h * g)), t),
-                         _combo_scale(ring.bracket(s, index((j, g * h2))),
-                                      spec.char_value(j, g))),
-                        ("right", ring.bracket(s, index((j, h2 * g))), right(plain, g)),
+                        ("balanced", ring.bracket_combo(index((i, h * g)), t),
+                         ring.bracket_combo(s, index((j, g * h2))).scale(spec.char_value(j, g))),
+                        ("right", ring.bracket_combo(s, index((j, h2 * g))), right(plain, g)),
                     )
                     for name, got, expected in checks:
-                        if not _combo_eq(got, expected):
+                        if got != expected:
                             bimodule = False
                             certificates.append(
                                 {
@@ -410,8 +372,8 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
                                     "g": str(g),
                                     "x": ring.label_str(s),
                                     "y": ring.label_str(t),
-                                    "got": _combo_str(got, ring),
-                                    "expected": _combo_str(expected, ring),
+                                    "got": got.sum_str(ring.label_str),
+                                    "expected": expected.sum_str(ring.label_str),
                                 }
                             )
 
@@ -544,7 +506,7 @@ def check_prop_positive(ring: ColorLieRing) -> bool | None:
     for i in range(spec.n):
         base = ring.index_of((i, identity))
         for g in spec.group:
-            if not _combo_is_zero(ring.bracket(base, ring.index_of((i, g)))):
+            if ring.bracket(base, ring.index_of((i, g))):
                 return False
     return True
 
@@ -572,7 +534,7 @@ def check_braiding_compatibility(spec: AlgebraSpec) -> bool:
                     ok = False
     strong, _ = check_vanishing(spec, strong=True)
     if ok != strong:
-        raise AssertionError(
+        raise InternalInconsistency(
             "pairing compatibility must match the strong character identity"
         )
     return ok

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InternalInconsistency
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -72,7 +74,8 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
         if d == m:
             continue
         poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-        assert not rem, "x^m - 1 must factor exactly through Phi_d"
+        if rem:
+            raise InternalInconsistency("x^m - 1 must factor exactly through Phi_d")
     return poly
 
 
@@ -202,7 +205,8 @@ class CyclotomicNumber:
             q, r2 = _poly_divmod(r0, r1)
             s2 = _poly_sub(s0, _poly_mul(q, s1))
             r0, s0, r1, s1 = r1, s1, r2, s2
-        assert len(r0) == 1, "Phi_m must be coprime to any nonzero element"
+        if len(r0) != 1:
+            raise InternalInconsistency("Phi_m must be coprime to any nonzero element")
         c = 1 / r0[0]
         phi = euler_phi(self.m)
         inv = [c * s0[i] if i < len(s0) else _ZERO for i in range(phi)]

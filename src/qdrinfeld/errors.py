@@ -50,3 +50,7 @@ class SymbolicParameter(QdrinfeldError):
 
 class ValueNotSign(QdrinfeldError):
     """epsilon(d, d) must be +1 or -1 for an antisymmetric bicharacter."""
+
+
+class InternalInconsistency(QdrinfeldError):
+    """Two computations that must agree on every input disagreed: a bug, not bad input."""

@@ -213,10 +213,6 @@ class ADegree:
         return list(self.free) + list(self.tors.exps)
 
 
-def degree_op(a: ADegree, b: ADegree) -> ADegree:
-    return a * b
-
-
 def _xgcd(a: int, b: int):
     old_r, r = a, b
     old_s, s = 1, 0
@@ -310,26 +306,6 @@ class SubgroupN:
         return self.contains(a * b.inverse())
 
 
-def n_membership(subgroup: SubgroupN, deg: ADegree) -> bool:
-    return subgroup.contains(deg)
-
-
-def group_op(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def conductor_for(group: AbelianGroup, requested: int | None = None) -> int:
-    """Smallest usable conductor, or a larger explicitly requested one."""
-    base = group.exponent
-    if requested is None:
-        return base
-    if requested % base != 0:
-        raise SpecError(
-            f"conductor {requested} is not a multiple of the group exponent {base}"
-        )
-    return requested
-
-
 __all__ = [
     "AbelianGroup",
     "GroupElement",
@@ -338,8 +314,4 @@ __all__ = [
     "SubgroupN",
     "IntegerLattice",
     "char_eval",
-    "degree_op",
-    "group_op",
-    "n_membership",
-    "conductor_for",
 ]

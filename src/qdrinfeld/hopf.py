@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraSpec,
+    LinearCombination,
     NCElement,
+    accumulate,
     all_words,
     defining_relation,
     h_multiply,
@@ -42,7 +44,7 @@ def _monomial_degree(spec: AlgebraSpec, word, g: GroupElement) -> ADegree:
     return degree
 
 
-class BraidedTensorElement:
+class BraidedTensorElement(LinearCombination):
     """A sum of canonical tensors with two or three slots.
 
     Keys are (w1, ..., wk, g): group-free words for every slot and one
@@ -50,14 +52,17 @@ class BraidedTensorElement:
     coefficient field.
     """
 
-    __slots__ = ("spec", "slots", "terms")
+    __slots__ = ("spec", "slots")
 
     def __init__(self, spec: AlgebraSpec, slots: int, terms) -> None:
         if slots not in (2, 3):
             raise SpecError("tensor elements carry two or three slots")
         self.spec = spec
         self.slots = slots
-        self.terms = {key: c for key, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
+
+    def _space(self) -> tuple:
+        return (self.spec, self.slots)
 
     @classmethod
     def zero(cls, spec: AlgebraSpec, slots: int = 2) -> BraidedTensorElement:
@@ -76,50 +81,11 @@ class BraidedTensorElement:
         for (xw, xg), xc in x.terms.items():
             for (yw, yg), yc in y.terms.items():
                 coeff = xc * yc * spec.word_char(yw, xg)
-                _stack(terms, (xw, yw, xg * yg), coeff)
+                accumulate(terms, (xw, yw, xg * yg), coeff)
         return cls(spec, 2, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: BraidedTensorElement) -> BraidedTensorElement:
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _stack(terms, key, c)
-        return BraidedTensorElement(self.spec, self.slots, terms)
-
-    def __sub__(self, other: BraidedTensorElement) -> BraidedTensorElement:
-        return self + other.scale(-Scalar.one(self.spec.ctx))
-
-    def scale(self, s: Scalar) -> BraidedTensorElement:
-        return BraidedTensorElement(
-            self.spec, self.slots, {key: s * c for key, c in self.terms.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BraidedTensorElement)
-            and self.slots == other.slots
-            and self.terms == other.terms
-        )
-
-    def _check(self, other: BraidedTensorElement) -> None:
-        if self.spec is not other.spec or self.slots != other.slots:
-            raise SpecError("tensor elements live over different specs or slot counts")
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        spec = self.spec
-        pieces = []
-        for key in sorted(self.terms, key=_term_order):
-            words, g = key[:-1], key[-1]
-            slots = [_word_str(w) for w in words]
-            letter = f"g({','.join(str(e) for e in g.exps)})"
-            slots[-1] = letter if slots[-1] == "1" else slots[-1] + "*" + letter
-            pieces.append(self.terms[key].factor_str() + "*" + " (x) ".join(slots))
-        return " + ".join(pieces)
+        return self.sum_str(_tensor_label, _term_order)
 
 
 def _term_order(key):
@@ -127,19 +93,17 @@ def _term_order(key):
     return tuple((len(w), w) for w in words) + (g.exps,)
 
 
+def _tensor_label(key) -> str:
+    slots = [_word_str(w) for w in key[:-1]]
+    letter = f"g({','.join(str(e) for e in key[-1].exps)})"
+    slots[-1] = letter if slots[-1] == "1" else slots[-1] + "*" + letter
+    return " (x) ".join(slots)
+
+
 def _word_str(word) -> str:
     if not word:
         return "1"
     return "*".join(f"v{j + 1}" for j in word)
-
-
-def _stack(terms: dict, key, coeff: Scalar) -> None:
-    acc = terms.get(key)
-    total = coeff if acc is None else acc + coeff
-    if total.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = total
 
 
 def braided_product(
@@ -168,7 +132,7 @@ def braided_product(
             for (lw, lg), lc in left.terms.items():
                 for (rw, rg), rc in right.terms.items():
                     coeff = base * lc * rc * spec.word_char(rw, lg)
-                    _stack(result, (lw, rw, lg * rg), coeff)
+                    accumulate(result, (lw, rw, lg * rg), coeff)
     return BraidedTensorElement(spec, 2, result)
 
 
@@ -249,7 +213,7 @@ def _delta_on_left(bt: BraidedTensorElement) -> BraidedTensorElement:
         inner = coproduct(NCElement.monomial(spec, l), spec, strong=True)
         for (a, b, bg), c in inner.terms.items():
             migrate = spec.word_char(r, bg)
-            _stack(result, (a, b, r, bg * g), coeff * c * migrate)
+            accumulate(result, (a, b, r, bg * g), coeff * c * migrate)
     return BraidedTensorElement(spec, 3, result)
 
 
@@ -260,7 +224,7 @@ def _delta_on_right(bt: BraidedTensorElement) -> BraidedTensorElement:
     for (l, r, g), coeff in bt.terms.items():
         inner = coproduct(NCElement.monomial(spec, r, g), spec, strong=True)
         for (b, c, cg), value in inner.terms.items():
-            _stack(result, (l, b, c, cg), coeff * value)
+            accumulate(result, (l, b, c, cg), coeff * value)
     return BraidedTensorElement(spec, 3, result)
 
 

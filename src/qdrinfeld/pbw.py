@@ -13,28 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, NCElement, normal_form
+from .algebra import AlgebraSpec, NCElement, kappa_element, normal_form
+from .errors import InternalInconsistency
 from .groups import GroupElement
 from .scalar import Scalar
 
 
-def _kappa_element(spec: AlgebraSpec, i: int, j: int) -> NCElement:
-    """kappa(v_i, v_j) as an element with length-one words."""
-    terms: dict = {}
-    for r, g, c in spec.kappa_pairs(i, j):
-        key = ((r,), g)
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
-    return NCElement(spec, terms)
-
-
 def _kappa_coeff(spec: AlgebraSpec, i: int, j: int, r: int, g: GroupElement) -> Scalar:
     """Coefficient of v_r g in kappa(v_i, v_j)."""
-    total = Scalar.zero(spec.ctx)
-    for rr, gg, c in spec.kappa_pairs(i, j):
-        if rr == r and gg == g:
-            total = total + c
-    return total
+    return kappa_element(spec, i, j).terms.get(((r,), g), Scalar.zero(spec.ctx))
 
 
 def _support_elements(spec: AlgebraSpec) -> list[GroupElement]:
@@ -154,12 +141,12 @@ def check_condition3(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
                 head = (spec.char_value(c, g) - spec.q_scalar(b, c)) * _kappa_coeff(
                     spec, a, b, a, g
                 )
-                total = total + _kappa_element(spec, c, a).scale(head)
+                total = total + kappa_element(spec, c, a).scale(head)
                 qbc = spec.q_scalar(b, c)
                 for r, h, coeff in spec.kappa_pairs(a, b):
                     if h != g:
                         continue
-                    total = total + _kappa_element(spec, c, r).scale(qbc * coeff)
+                    total = total + kappa_element(spec, c, r).scale(qbc * coeff)
             if not total.is_zero():
                 violations.append(
                     {
@@ -210,8 +197,8 @@ def _remark3_holds(spec: AlgebraSpec) -> bool:
                 for r, h, coeff in spec.kappa_pairs(a, b):
                     if h != g:
                         continue
-                    total = total + _kappa_element(spec, r, c).scale(twist * coeff)
-                    total = total - _kappa_element(spec, c, r).scale(qbc * coeff)
+                    total = total + kappa_element(spec, r, c).scale(twist * coeff)
+                    total = total - kappa_element(spec, c, r).scale(qbc * coeff)
             if not total.is_zero():
                 return False
     return True
@@ -264,7 +251,7 @@ def check_jacobi_sum(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
             qbc = spec.q_scalar(b, c)
             for r, h, coeff in spec.kappa_pairs(a, b):
                 letter = NCElement.group_unit(spec, h)
-                total = total + (_kappa_element(spec, c, r) * letter).scale(qbc * coeff)
+                total = total + (kappa_element(spec, c, r) * letter).scale(qbc * coeff)
         if not total.is_zero():
             violations.append(
                 {"i": i + 1, "j": j + 1, "k": k + 1, "residue": str(total)}
@@ -367,7 +354,7 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
     remark3 = _remark3_holds(spec)
     verdict = cond1 and cond2 and cond3
     if (cond1 and remark2 and remark3) != verdict:
-        raise AssertionError(
+        raise InternalInconsistency(
             "alternative condition forms disagree with the primary forms on "
             f"{spec.name or 'an unnamed algebra'}"
         )

@@ -15,7 +15,7 @@ from importlib import resources
 from math import lcm
 from pathlib import Path
 
-from .algebra import AlgebraSpec, NCElement
+from .algebra import AlgebraSpec, LinearCombination, NCElement, accumulate
 from .errors import ParseError, SpecError
 from .groups import AbelianGroup, ADegree, Character, GroupElement
 from .scalar import Scalar, ScalarContext, _tokenize, parse_scalar
@@ -248,7 +248,9 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
             if r >= n:
                 raise ParseError(f"kappa target v{r + 1} out of range", lineno)
             rest = bits[1].strip()
-            close = rest.index(")")
+            close = rest.find(")")
+            if close < 0:
+                raise ParseError(f"unclosed group element in {chunk!r}", lineno)
             g = _group_element(group, rest[: close + 1], lineno)
             coeff = _scalar(rest[close + 1 :].strip(), ctx, lineno)
             terms.append((r, g, coeff))
@@ -268,8 +270,13 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
             key = (j, i)
             resolved = [(r, g, factor * c) for r, g, c in terms]
         if key in kappa:
-            stored = _normalize_kappa_terms(kappa[key])
-            incoming = _normalize_kappa_terms(resolved)
+            stored, incoming = (
+                sum(
+                    (NCElement.monomial(probe, (r,), g, c) for r, g, c in rows),
+                    NCElement.zero(probe),
+                )
+                for rows in (kappa[key], resolved)
+            )
             if stored != incoming:
                 raise SpecError(
                     f"kappa({key[0] + 1},{key[1] + 1}) given twice with values "
@@ -279,14 +286,6 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
             kappa[key] = tuple(resolved)
 
     return AlgebraSpec(ctx, group, chars, q_entries, kappa, name=name)
-
-
-def _normalize_kappa_terms(terms):
-    merged: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-    for r, g, c in terms:
-        key = (r, g.exps)
-        merged[key] = merged[key] + c if key in merged else c
-    return {k: v for k, v in merged.items() if not v.is_zero()}
 
 
 def _parse_generic(sections, name: str) -> GenericLieData:
@@ -398,10 +397,8 @@ def _parse_combination(text, ctx, label_index, lineno):
     parser = _ComboParser(ctx, tokens, label_index, lineno)
     acc: dict[int, Scalar] = {}
     for index, coeff in parser.parse():
-        acc[index] = acc[index] + coeff if index in acc else coeff
-    return tuple(
-        (index, coeff) for index, coeff in sorted(acc.items()) if not coeff.is_zero()
-    )
+        accumulate(acc, index, coeff)
+    return tuple(sorted(acc.items()))
 
 
 class _ComboParser:
@@ -583,18 +580,7 @@ def _format_generic(data: GenericLieData) -> str:
     for (a, b), terms in sorted(data.brackets.items()):
         if not terms:
             continue
-        pieces = []
-        for index, coeff in terms:
-            cs = coeff.factor_str()
-            if cs == "1":
-                pieces.append(data.basis[index])
-            elif cs == "-1":
-                pieces.append("-" + data.basis[index])
-            else:
-                pieces.append(f"{cs}*{data.basis[index]}")
-        rhs = pieces[0]
-        for piece in pieces[1:]:
-            rhs += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+        rhs = LinearCombination(dict(terms)).signed_str(lambda index: data.basis[index])
         lines.append(f"bracket {data.basis[a]} {data.basis[b]} = {rhs}")
     return "\n".join(lines) + "\n"
 

@@ -6,7 +6,8 @@ by generator/group-letter pairs the group letters can be pushed to the
 right of every word, which turns the enveloping algebra into the same
 word-times-letter calculus used for the deformations themselves; reduction
 is then delegated to the normal-form routine over a derived spec.  Generic
-rings (no group structure) get a small standalone rewriting engine instead.
+rings (no group structure) reduce words in their own basis indices with a
+swap-and-square rule run by the same rewriting engine.
 
 The reverse direction recovers a deformation spec from a purely positive
 ring: commutation scalars from the degree pairing, correction terms from
@@ -22,13 +23,22 @@ from fractions import Fraction
 from .algebra import (
     AlgebraSpec,
     NCElement,
+    accumulate,
     all_words,
     defining_relation,
     normal_form,
     pbw_monomial_count,
+    rewrite,
 )
 from .colorlie import Combo, ColorLieRing, check_color_axioms, split_parts
-from .errors import AxiomsFailed, NotPurelyPositive, NonUnitEpsilon, SpecError, SymbolicParameter
+from .errors import (
+    AxiomsFailed,
+    InternalInconsistency,
+    NotPurelyPositive,
+    NonUnitEpsilon,
+    SpecError,
+    SymbolicParameter,
+)
 from .groups import ADegree
 from .pbw import check_invariance, check_jacobi_sum, check_pbw, check_vanishing
 from .scalar import Scalar, ScalarContext
@@ -59,45 +69,23 @@ class UEAPresentation:
         """Normal form of a sum of words in the ring's basis (generic mode)."""
         if self.base != "field":
             raise SpecError("reduce() works on generic presentations; use the engine spec otherwise")
-        return _generic_normal_form(self, terms)
+        return rewrite(terms, self._rule)
 
-
-def _generic_descent(pres: UEAPresentation, word: tuple[int, ...]) -> int:
-    for p in range(len(word) - 1):
-        a, b = word[p], word[p + 1]
-        if a > b or (a == b and a in pres.square_rules):
-            return p
-    return -1
-
-
-def _generic_normal_form(pres, terms):
-    ctx = pres.ring.epsilon.ctx
-    result: dict[tuple[int, ...], Scalar] = {}
-    work = [(word, coeff) for word, coeff in terms.items()]
-    while work:
-        word, coeff = work.pop()
-        if coeff.is_zero():
-            continue
-        p = _generic_descent(pres, word)
-        if p < 0:
-            acc = result.get(word)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                result.pop(word, None)
-            else:
-                result[word] = total
-            continue
-        head, tail = word[:p], word[p + 2:]
-        a, b = word[p], word[p + 1]
-        if a == b:
-            for u, c in pres.square_rules[a].items():
-                work.append((head + (u,) + tail, coeff * c))
+    def _rule(self, word: tuple[int, ...]):
+        """Replacement terms at the leftmost descent or negative square, or None."""
+        for p in range(len(word) - 1):
+            a, b = word[p], word[p + 1]
+            if a > b or (a == b and a in self.square_rules):
+                break
         else:
-            factor, bracket = pres.swap_rules[(a, b)]
-            work.append((head + (b, a) + tail, coeff * factor))
-            for u, c in bracket.items():
-                work.append((head + (u,) + tail, coeff * c))
-    return result
+            return None
+        head, tail = word[:p], word[p + 2:]
+        if a == b:
+            return [(head + (u,) + tail, c) for u, c in self.square_rules[a].items()]
+        factor, bracket = self.swap_rules[(a, b)]
+        return [(head + (b, a) + tail, factor)] + [
+            (head + (u,) + tail, c) for u, c in bracket.items()
+        ]
 
 
 def _spec_from_ring(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
@@ -180,21 +168,11 @@ def j_generator_image(spec: AlgebraSpec, ring: ColorLieRing, s: int, t: int) -> 
     j, h = ring.labels[t]
     factor = ring.epsilon.eval(ring.degrees[s], ring.degrees[t])
     terms: dict[tuple[tuple[int, ...], object], Scalar] = {}
-
-    def stack(word, letter, coeff):
-        key = (word, letter)
-        acc = terms.get(key)
-        total = coeff if acc is None else acc + coeff
-        if total.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = total
-
-    stack((i, j), g * h, spec.char_value(j, g))
-    stack((j, i), h * g, -(factor * spec.char_value(i, h)))
+    accumulate(terms, ((i, j), g * h), spec.char_value(j, g))
+    accumulate(terms, ((j, i), h * g), -(factor * spec.char_value(i, h)))
     for u, c in ring.bracket(s, t).items():
         r, w = ring.labels[u]
-        stack((r,), w, -c)
+        accumulate(terms, ((r,), w), -c)
     return NCElement(spec, terms)
 
 
@@ -376,7 +354,7 @@ def converse_construct(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
     vanishing, _ = check_vanishing(rebuilt)
     cyclic, _ = check_jacobi_sum(rebuilt)
     if not (invariant and vanishing and cyclic):
-        raise AssertionError(
+        raise InternalInconsistency(
             "the rebuilt spec must inherit the compatibility conditions from "
             f"the bracket axioms on {ring!r}"
         )

@@ -2,6 +2,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+from qdrinfeld import pbw
 from qdrinfeld.cli import main
 from qdrinfeld.specfile import format_spec, load_fixture, parse_spec_text
 
@@ -160,3 +161,21 @@ def test_converse_round_trip():
         data = json.loads(out)
         assert data["round_trip"] is True
         assert data["canonical"] == format_spec(load_fixture(name))
+
+
+def test_unclosed_group_element_is_an_input_error(tmp_path):
+    path = tmp_path / "unclosed.qdo"
+    path.write_text(format_spec(load_fixture("ex2")).replace("3 (1) lam", "3 (1 lam"))
+    code, _, err = run(["check", str(path)])
+    assert code == 1
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
+def test_internal_inconsistency_exits_with_3(monkeypatch):
+    monkeypatch.setattr(pbw, "_remark3_holds", lambda spec: False)
+    code, out, err = run(["check", "ex2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err

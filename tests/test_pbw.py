@@ -186,15 +186,15 @@ def test_corpus_exposes_mixed_condition_failures():
 def test_verdict_matches_rewriting_oracle_on_corpus():
     for spec in corpus(120):
         report = check_pbw(spec)
-        assert report.verdict == report.oracle_confluent, name
+        assert report.verdict == report.oracle_confluent, spec.name
 
 
 def test_alternative_forms_agree_on_corpus():
     for spec in corpus(100):
         report = check_pbw(spec)
-        assert report.remark_cond2 == report.cond2, name
+        assert report.remark_cond2 == report.cond2, spec.name
         if report.cond2:
-            assert report.remark_cond3 == report.cond3, name
+            assert report.remark_cond3 == report.cond3, spec.name
 
 
 def test_fixed_point_free_collapses_cond2_to_vanishing():
@@ -204,7 +204,7 @@ def test_fixed_point_free_collapses_cond2_to_vanishing():
         if not report.fixed_point_free or not spec.has_kappa():
             continue
         seen += 1
-        assert report.cond2 == report.vanishing, name
+        assert report.cond2 == report.vanishing, spec.name
     assert seen >= 5
 
 
@@ -214,7 +214,7 @@ def test_replacement_conditions_imply_the_verdict():
         van_ok, _ = check_vanishing(spec)
         jac_ok, _ = check_jacobi_sum(spec)
         if inv_ok and van_ok and jac_ok:
-            assert check_pbw(spec).verdict, name
+            assert check_pbw(spec).verdict, spec.name
 
 
 def test_jacobi_sum_on_fixtures():

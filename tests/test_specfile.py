@@ -116,3 +116,10 @@ def test_generic_lie_round_trip_preserves_tables():
     assert again.basis == gl11.basis
     assert again.epsilon_table == gl11.epsilon_table
     assert again.brackets == gl11.brackets
+
+
+def test_unclosed_group_element_in_kappa_is_a_parse_error():
+    bad = MINIMAL.replace("[[1], [1]]", "[[1], [1], [0]]") + "\n[kappa]\n1 2 -> 3 (1\n"
+    with pytest.raises(ParseError) as info:
+        parse_spec_text(bad)
+    assert info.value.line == bad.splitlines().index("1 2 -> 3 (1") + 1
