@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qdrinfeld.algebra import (
+    LinearCombination,
     NCElement,
     all_words,
     defining_relation,
@@ -151,3 +152,15 @@ def test_parse_nc_expression_matches_manual_element():
 def test_elements_refuse_mixed_specs():
     with pytest.raises(SpecError):
         NCElement.monomial(EX1, (0,)) + NCElement.monomial(EX2, (0,))
+
+
+def test_plain_combinations_drop_zeros_and_refuse_elements():
+    one = Scalar.one(EX2.ctx)
+    a = LinearCombination({0: one, 1: one, 2: one - one})
+    assert a.terms == {0: one, 1: one}
+    b = LinearCombination({1: -one, 3: one})
+    assert (a + b).terms == {0: one, 3: one}
+    assert (a - a).is_zero() and a - a == LinearCombination()
+    assert -a == a.scale(-one) != a
+    with pytest.raises(SpecError):
+        a + NCElement.monomial(EX2, (0,))
