@@ -38,6 +38,11 @@ COMMANDS = {
     "fmt": ("fmt", ()),
 }
 
+# case name -> (subcommand, extra options, fixtures): slower runs on a few fixtures
+SELECTED = {
+    "hopf-d3": ("hopf", ("--degree", "3"), ("ex1", "ex2")),
+}
+
 # one descending word of degree >= 3 with a group letter per algebra fixture
 NORMAL_FORMS = {
     "ex1": "v3*v2*v1*g(1,2)",
@@ -70,6 +75,14 @@ def cli_outputs() -> dict[str, str]:
     return outputs
 
 
+def selected_outputs() -> dict[str, str]:
+    outputs = {}
+    for case, (command, options, fixtures) in SELECTED.items():
+        for fixture in fixtures:
+            outputs[f"{case}__{fixture}"] = _run([command, fixture, *options, "--json"])
+    return outputs
+
+
 def pbw_corpus_output() -> str:
     lines = [json.dumps(check_pbw(spec).as_dict()) for spec in corpus(60)]
     return "\n".join(lines) + "\n"
@@ -88,6 +101,7 @@ def generic_reduce_output() -> str:
 
 def all_outputs() -> dict[str, str]:
     outputs = {f"cli/{case}.txt": text for case, text in cli_outputs().items()}
+    outputs.update({f"cli/{case}.txt": text for case, text in selected_outputs().items()})
     outputs["pbw_corpus.txt"] = pbw_corpus_output()
     outputs["gl11_reduce.txt"] = generic_reduce_output()
     return outputs
@@ -101,6 +115,13 @@ def _assert_golden(relative: str, text: str) -> None:
 def test_cli_outputs_match_golden():
     outputs = cli_outputs()
     assert len(outputs) == len(COMMANDS) * len(fixture_names()) + len(NORMAL_FORMS)
+    for case, text in outputs.items():
+        _assert_golden(f"cli/{case}.txt", text)
+
+
+def test_degree_three_hopf_sweeps_match_golden():
+    outputs = selected_outputs()
+    assert len(outputs) == sum(len(fixtures) for _, _, fixtures in SELECTED.values())
     for case, text in outputs.items():
         _assert_golden(f"cli/{case}.txt", text)
 
