@@ -55,6 +55,10 @@ class AlgebraSpec:
         self._q = self._build_q(n, q)
         self._kappa = self._build_kappa(n, kappa)
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+        # Delta of monomials (hopf.coproduct) and pairing values
+        # (colorlie.Bicharacter.eval), each computed once per spec
+        self._delta_cache: dict = {}
+        self._pairing_cache: dict = {}
 
     def _build_q(self, n: int, q_in) -> dict[tuple[int, int], Scalar]:
         one = Scalar.one(self.ctx)
@@ -277,9 +281,6 @@ class NCElement(LinearCombination):
             for (w, h), cw in other.terms.items():
                 accumulate(terms, (u + w, g * h), cu * cw * spec.word_char(w, g))
         return NCElement(spec, terms)
-
-    def max_degree(self) -> int:
-        return max((len(w) for (w, _g) in self.terms), default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _nc_order(kv[0]))

@@ -78,9 +78,19 @@ class Bicharacter:
         return cls(data.ctx, table=table, gen_count=count)
 
     def eval(self, a: ADegree, b: ADegree) -> Scalar:
-        if self._spec is not None:
-            return self._eval_spec(a, b)
-        return self._eval_table(a, b)
+        """The pairing value on (a, b).
+
+        A spec-backed pairing caches its values in the spec's
+        _pairing_cache, shared by every from_spec instance of that spec.
+        """
+        if self._spec is None:
+            return self._eval_table(a, b)
+        cache = self._spec._pairing_cache
+        value = cache.get((a, b))
+        if value is None:
+            value = self._eval_spec(a, b)
+            cache[(a, b)] = value
+        return value
 
     def _eval_spec(self, a: ADegree, b: ADegree) -> Scalar:
         spec = self._spec

@@ -8,10 +8,12 @@ twists by the degree pairing whenever the right slot of the first factor
 moves past the left slot of the second.
 
 The coproduct sends each generator to v (x) 1 + 1 (x) v and each group
-letter to 1 (x) g, extended multiplicatively.  Whether that is well
-defined on the quotient is checked on degree-bounded multiples of the
-defining relations; the verdict tracks the strong form of the character
-identity on correction terms.
+letter to 1 (x) g, extended multiplicatively.  Delta of a monomial is
+memoized on its spec and built from its prefix, Delta(w v_j) =
+Delta(w) Delta(v_j), so each monomial's value is computed once per spec.
+Whether that is well defined on the quotient is checked on
+degree-bounded multiples of the defining relations; the verdict tracks
+the strong form of the character identity on correction terms.
 """
 
 from __future__ import annotations
@@ -136,12 +138,48 @@ def braided_product(
     return BraidedTensorElement(spec, 2, result)
 
 
+def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement, eps: Bicharacter) -> dict:
+    """Terms of Delta(v_word g) from the spec's memo, computing missing entries.
+
+    Delta(w v_j) is the braided product of the memoized Delta(w) with
+    v_j (x) 1 + 1 (x) v_j, and Delta(w g) that of Delta(w) with 1 (x) g,
+    so the bracketing is left to right.  The memo keeps terms dicts, not
+    elements, so it holds no reference back to the spec and dies with it
+    without waiting for the cycle collector.  The dicts are shared and
+    must not be mutated.
+    """
+    memo = spec._delta_cache
+    key = (word, g)
+    terms = memo.get(key)
+    if terms is not None:
+        return terms
+    identity = spec.group.identity()
+    if not word and g == identity:
+        terms = BraidedTensorElement.unit(spec, 2).terms
+    else:
+        one = Scalar.one(spec.ctx)
+        if g != identity:
+            prefix = _monomial_delta(spec, word, identity, eps)
+            factor = {((), (), g): one}
+        else:
+            prefix = _monomial_delta(spec, word[:-1], identity, eps)
+            factor = {((word[-1],), (), identity): one, ((), (word[-1],), identity): one}
+        product = braided_product(
+            BraidedTensorElement(spec, 2, prefix), BraidedTensorElement(spec, 2, factor), eps
+        )
+        terms = product.terms
+    memo[key] = terms
+    return terms
+
+
 def coproduct(x: NCElement, spec: AlgebraSpec | None = None, strong: bool | None = None) -> BraidedTensorElement:
     """Multiplicative extension of v -> v (x) 1 + 1 (x) v, g -> 1 (x) g.
 
-    Applied term by term to the free presentation of x.  The result only
-    descends to the quotient when the strong character identity holds;
-    otherwise a warning is emitted and the value is exploratory.
+    Applied term by term to the free presentation of x.  Delta of each
+    monomial is memoized per spec and built from its prefix; the result is
+    always a fresh element.  It only descends to the quotient when the
+    strong character identity holds; otherwise a warning is emitted and
+    the value is exploratory.
     """
     spec = x.spec if spec is None else spec
     if strong is None:
@@ -153,25 +191,11 @@ def coproduct(x: NCElement, spec: AlgebraSpec | None = None, strong: bool | None
             stacklevel=2,
         )
     eps = Bicharacter.from_spec(spec)
-    identity = spec.group.identity()
-    one = Scalar.one(spec.ctx)
-    letter_deltas = [
-        BraidedTensorElement(
-            spec,
-            2,
-            {((j,), (), identity): one, ((), (j,), identity): one},
-        )
-        for j in range(spec.n)
-    ]
-    total = BraidedTensorElement.zero(spec, 2)
+    total: dict = {}
     for (word, g), coeff in x.terms.items():
-        value = BraidedTensorElement.unit(spec, 2)
-        for j in word:
-            value = braided_product(value, letter_deltas[j], eps)
-        tail = BraidedTensorElement(spec, 2, {((), (), g): one})
-        value = braided_product(value, tail, eps)
-        total = total + value.scale(coeff)
-    return total
+        for key, c in _monomial_delta(spec, word, g, eps).items():
+            accumulate(total, key, coeff * c)
+    return BraidedTensorElement(spec, 2, total)
 
 
 def counit(x: NCElement) -> NCElement:

@@ -123,18 +123,23 @@ def _spec_from_ring(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
     return AlgebraSpec(base.ctx, base.group, base.chars, q, kappa, name=base.name)
 
 
-def build_uea(ring: ColorLieRing, epsilon=None) -> UEAPresentation:
-    """Presentation of the enveloping algebra, one rule per basis pair.
-
-    Raises AxiomsFailed when the ring does not satisfy the bracket axioms.
-    Negative generators of generic rings get the self-rule v*v -> [v,v]/2.
-    """
+def _require_axioms(ring: ColorLieRing) -> None:
+    """Raise AxiomsFailed when the ring does not satisfy the bracket axioms."""
     report = check_color_axioms(ring)
     if not report.passed:
         raise AxiomsFailed(
             "the enveloping algebra needs a ring satisfying the bracket axioms; "
             f"first violation: {report.certificates[0] if report.certificates else 'unknown'}"
         )
+
+
+def build_uea(ring: ColorLieRing, epsilon=None) -> UEAPresentation:
+    """Presentation of the enveloping algebra, one rule per basis pair.
+
+    Raises AxiomsFailed when the ring does not satisfy the bracket axioms.
+    Negative generators of generic rings get the self-rule v*v -> [v,v]/2.
+    """
+    _require_axioms(ring)
     eps = ring.epsilon if epsilon is None else epsilon
     size = ring.size
     pair_count = size * (size - 1) // 2
@@ -363,12 +368,7 @@ def converse_construct(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
 
 def pbw_for_uea(ring: ColorLieRing, epsilon=None) -> bool:
     """PBW verdict for the enveloping algebra of a purely positive ring."""
-    report = check_color_axioms(ring)
-    if not report.passed:
-        raise AxiomsFailed(
-            "the enveloping algebra needs a ring satisfying the bracket axioms; "
-            f"first violation: {report.certificates[0] if report.certificates else 'unknown'}"
-        )
+    _require_axioms(ring)
     return check_pbw(converse_construct(ring, epsilon)).verdict
 
 

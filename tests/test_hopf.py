@@ -1,11 +1,15 @@
 """Braided tensor square, coproduct, counit, antipode, and the axiom sweep."""
 
+import gc
 import random
 import warnings
+import weakref
 
 import pytest
 
-from qdrinfeld.algebra import NCElement, normal_form
+from qdrinfeld import hopf
+from qdrinfeld.algebra import NCElement, all_words, normal_form
+from qdrinfeld.colorlie import Bicharacter
 from qdrinfeld.hopf import (
     BraidedTensorElement,
     antipode,
@@ -16,6 +20,7 @@ from qdrinfeld.hopf import (
 )
 from qdrinfeld.errors import SpecError
 from qdrinfeld.pbw import check_pbw, check_vanishing
+from qdrinfeld.scalar import Scalar
 from qdrinfeld.specfile import load_fixture
 
 from randspec import corpus
@@ -88,6 +93,91 @@ def test_braided_product_is_associative():
             assert braided_product(braided_product(x, y), z) == braided_product(
                 x, braided_product(y, z)
             )
+
+
+def _letter_delta(spec, j):
+    e = spec.group.identity()
+    one = Scalar.one(spec.ctx)
+    return BraidedTensorElement(spec, 2, {((j,), (), e): one, ((), (j,), e): one})
+
+
+def _group_delta(spec, g):
+    return BraidedTensorElement(spec, 2, {((), (), g): Scalar.one(spec.ctx)})
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "zero-kappa"])
+def test_memoized_coproduct_matches_the_left_to_right_product(name):
+    spec = load_fixture(name)
+    for word in all_words(spec.n, 3):
+        product = BraidedTensorElement.unit(spec)
+        for j in word:
+            product = braided_product(product, _letter_delta(spec, j))
+        for g in spec.group:
+            expected = braided_product(product, _group_delta(spec, g))
+            assert coproduct(mono(spec, word, g), strong=True) == expected, (name, word, g)
+
+
+def test_coproduct_is_linear_and_returns_fresh_elements():
+    spec = load_fixture("ex4")
+    letters = list(spec.group)
+    parts = [
+        (mono(spec, (3, 0), letters[1]), Scalar.rational(spec.ctx, 2)),
+        (mono(spec, (1,)), Scalar.param(spec.ctx, spec.ctx.params[0])),
+        (mono(spec, (0, 2, 1), letters[3]), Scalar.rational(spec.ctx, -1)),
+    ]
+    x = NCElement.zero(spec)
+    expected = BraidedTensorElement.zero(spec)
+    for part, coeff in parts:
+        x = x + part.scale(coeff)
+        expected = expected + coproduct(part, strong=True).scale(coeff)
+    assert coproduct(x, strong=True) == expected
+
+    monomial = parts[2][0]
+    first = coproduct(monomial, strong=True)
+    kept = BraidedTensorElement(spec, 2, first.terms)
+    first.terms.clear()
+    assert not kept.is_zero()
+    assert coproduct(monomial, strong=True) == kept
+
+
+def test_the_memo_dies_with_its_spec():
+    # the memo must not form a reference cycle through the spec, or every
+    # spec of a long run would wait for the cycle collector
+    spec = load_fixture("ex4")
+    coproduct(mono(spec, (3, 2, 1), spec.group.generator(0)), strong=True)
+    ref = weakref.ref(spec)
+    gc.disable()
+    try:
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
+    # without the per-spec memo the sweep makes 1308 braided products and
+    # 4462 pairing evaluations; the memo must keep a fourth of them or less,
+    # and no degree pair may be evaluated twice
+    counts = {"braided_product": 0, "_eval_spec": 0}
+    pairs = set()
+    braided = hopf.braided_product
+    evaluate = Bicharacter._eval_spec
+
+    def counted_braided(*args, **kwargs):
+        counts["braided_product"] += 1
+        return braided(*args, **kwargs)
+
+    def counted_eval(self, a, b):
+        counts["_eval_spec"] += 1
+        pairs.add((a, b))
+        return evaluate(self, a, b)
+
+    monkeypatch.setattr(hopf, "braided_product", counted_braided)
+    monkeypatch.setattr(Bicharacter, "_eval_spec", counted_eval)
+    assert check_hopf_axioms(load_fixture("ex4"), 2).passed
+    assert counts["braided_product"] <= 1308 // 4
+    assert counts["_eval_spec"] <= 4462 // 4
+    assert counts["_eval_spec"] == len(pairs)
 
 
 def test_tensor_element_arithmetic():
