@@ -290,9 +290,12 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     """Verify the coalgebra laws on a degree-bounded spanning set.
 
     Well-definedness reduces the coproduct of every relation multiple
-    u * rel * w with flank words of combined length < d.  The remaining
-    laws sweep sorted monomials of degree <= d against every group
-    letter; linearity extends all of them to the full slice.
+    u * rel * w with flank words of combined length < d.  The flanks stay
+    because the bare relation does not stand in for its multiples where
+    strong vanishing fails: on ex1, Delta(rel_12) = 0 but
+    Delta(v1 * rel_12) != 0.  The remaining laws sweep sorted monomials of
+    degree <= d against every group letter; linearity extends all of them
+    to the full slice.
     """
     if d < 1:
         raise SpecError("the degree bound must be at least 1")

@@ -4,10 +4,13 @@ A ``Scalar`` maps integer exponent vectors (one slot per declared parameter)
 to nonzero cyclotomic coefficients.  Units are exactly the one-term scalars,
 which is what the deformation data needs: every q entry and every character
 value must be invertible, while coefficients of the bracket may be arbitrary.
+The module also holds the one expression grammar of the package; spec rows
+and element expressions extend it with their own atoms.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,142 +226,180 @@ def _format_term(ctx: ScalarContext, exps, coeff: CyclotomicNumber) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: the one expression grammar of the package
 #
 #   expr   := term (('+' | '-') term)*
 #   term   := factor ('*' factor)*
 #   factor := atom ('^' ['-'] INT)?
-#   atom   := INT ('/' INT)? | 'zeta' '(' INT ')' | IDENT | '(' expr ')' | '-' factor
+#   atom   := INT ('/' INT)? | 'zeta' '(' INT ')' | PARAM | '(' expr ')' | '-' factor
+#           | an atom of the entry point
 #
 # A bare '/' between anything but two integer literals is rejected: the
 # coefficient ring has Laurent monomial units only, not general fractions.
+# Values are scalars unless an entry point passes ``one``, the unit of a
+# linear combination type whose scalars sit on the single key of ``one``,
+# together with its product ``mul`` and an ``atom`` hook for its own names
+# (basis labels, vK, g(e1,...)), tried on a name before zeta and the
+# parameters.  Negative powers exist for scalar values only, where they
+# invert a unit.
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match or match.end() == match.start():
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in {text!r}")
-        pos = match.end()
-        if match.group("int") is not None:
-            tokens.append(("int", int(match.group("int"))))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
-    return tokens
+# integers take digit groups (1_000) as int() does, which kappa group
+# exponents have always accepted
+_TOKEN_RE = re.compile(r"(\d+(?:_\d+)*)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),])|(\S)")
+_END = (None, None)
 
 
-class _ScalarParser:
-    def __init__(self, ctx: ScalarContext, tokens, source: str) -> None:
+class _ExprParser:
+    def __init__(self, text: str, ctx: ScalarContext, line=None, one=None,
+                 mul=operator.mul, atom=None) -> None:
+        self.source = text
         self.ctx = ctx
-        self.tokens = tokens
+        self.line = line
+        self.one = one
+        self.unit_key = None if one is None else next(iter(one.terms))
+        self.mul = mul
+        self.entry_atom = atom
+        self.tokens = []
+        for number, name, op, bad in _TOKEN_RE.findall(text):
+            if bad:
+                self.error(f"unexpected character {bad!r}")
+            self.tokens.append(
+                ("int", int(number)) if number else ("name", name) if name else ("op", op)
+            )
+        self.tokens.append(_END)
         self.pos = 0
-        self.source = source
+
+    def error(self, message: str):
+        raise ParseError(f"{message} in {self.source!r}", self.line)
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
-        self.pos += 1
+        tok = self.tokens[self.pos]
+        if tok is not _END:
+            self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value = self.take()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r} in {self.source!r}")
+    def expect(self, op: str) -> None:
+        if self.take() != ("op", op):
+            self.error(f"expected {op!r}")
 
-    def parse(self) -> Scalar:
+    def lift(self, value: Scalar):
+        return value if self.one is None else self.one.scale(value)
+
+    def scalar_of(self, value):
+        """The scalar a value stands for, or None when it holds more."""
+        if self.one is None:
+            return value
+        if value.terms.keys() <= {self.unit_key}:
+            return value.terms.get(self.unit_key, Scalar.zero(self.ctx))
+        return None
+
+    def parse(self):
         value = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input in {self.source!r}")
+        if self.peek() is not _END:
+            self.error("trailing input")
         return value
 
-    def expr(self) -> Scalar:
+    def expr(self):
         value = self.term()
         while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "+-":
-                self.take()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+            tok = self.peek()
+            if tok == ("op", "+"):
+                self.pos += 1
+                value = value + self.term()
+            elif tok == ("op", "-"):
+                self.pos += 1
+                value = value - self.term()
             else:
                 return value
 
-    def term(self) -> Scalar:
+    def term(self):
         value = self.factor()
         while True:
-            kind, op = self.peek()
-            if kind == "op" and op == "*":
-                self.take()
-                value = value * self.factor()
-            elif kind == "op" and op == "/":
-                raise ParseError(f"general division is not supported in {self.source!r}")
+            tok = self.peek()
+            if tok == ("op", "*"):
+                self.pos += 1
+                value = self.mul(value, self.factor())
+            elif tok == ("op", "/"):
+                self.error("general division is not supported")
             else:
                 return value
 
-    def factor(self) -> Scalar:
+    def factor(self):
         value = self.atom()
-        kind, op = self.peek()
-        if kind == "op" and op == "^":
-            self.take()
-            value = value ** self.signed_int()
-        return value
+        if self.peek() != ("op", "^"):
+            return value
+        self.pos += 1
+        k = self.signed_int()
+        scalar = self.scalar_of(value)
+        if scalar is not None:
+            return self.lift(scalar ** k)
+        if k < 0:
+            self.error("a negative power needs a scalar base")
+        power = self.one
+        for _ in range(k):
+            power = self.mul(power, value)
+        return power
 
-    def signed_int(self) -> int:
+    def signed_int(self, signs: str = "-") -> int:
         kind, value = self.take()
         sign = 1
-        if kind == "op" and value == "-":
-            sign = -1
+        if kind == "op" and value in signs:
+            sign = -1 if value == "-" else 1
             kind, value = self.take()
         if kind != "int":
-            raise ParseError(f"expected integer exponent in {self.source!r}")
+            self.error("expected an integer")
         return sign * value
 
-    def atom(self) -> Scalar:
+    def group_element(self, group):
+        """Read '(e1, ..., er)' as an element of the group of rank r."""
+        self.expect("(")
+        exps = [self.signed_int("+-")]
+        while self.peek() == ("op", ","):
+            self.pos += 1
+            exps.append(self.signed_int("+-"))
+        self.expect(")")
+        if len(exps) != group.rank:
+            self.error(f"group element needs {group.rank} exponents, got {len(exps)}")
+        return group.element(exps)
+
+    def atom(self):
         kind, value = self.take()
         if kind == "int":
-            nxt_kind, nxt = self.peek()
-            if nxt_kind == "op" and nxt == "/":
-                self.take()
+            if self.peek() == ("op", "/"):
+                self.pos += 1
                 dkind, denom = self.take()
                 if dkind != "int" or denom == 0:
-                    raise ParseError(f"bad rational literal in {self.source!r}")
-                return Scalar.rational(self.ctx, Fraction(value, denom))
-            return Scalar.rational(self.ctx, value)
+                    self.error("bad rational literal")
+                return self.lift(Scalar.rational(self.ctx, Fraction(value, denom)))
+            return self.lift(Scalar.rational(self.ctx, value))
         if kind == "name":
+            if self.entry_atom is not None:
+                found = self.entry_atom(self, value)
+                if found is not None:
+                    return found
             if value == "zeta":
-                self.expect_op("(")
+                self.expect("(")
                 dkind, d = self.take()
                 if dkind != "int":
-                    raise ParseError(f"zeta needs an integer order in {self.source!r}")
-                self.expect_op(")")
+                    self.error("zeta needs an integer order")
+                self.expect(")")
                 if d < 1 or self.ctx.conductor % d != 0:
-                    raise ParseError(
-                        f"zeta({d}) does not exist at conductor {self.ctx.conductor}"
-                    )
-                return Scalar.zeta(self.ctx, d)
+                    self.error(f"zeta({d}) does not exist at conductor {self.ctx.conductor}")
+                return self.lift(Scalar.zeta(self.ctx, d))
             if value in self.ctx.params:
-                return Scalar.param(self.ctx, value)
-            raise ParseError(f"unknown identifier {value!r} in {self.source!r}")
+                return self.lift(Scalar.param(self.ctx, value))
+            self.error(f"unknown identifier {value!r}")
         if kind == "op" and value == "(":
             inner = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         if kind == "op" and value == "-":
             return -self.factor()
-        raise ParseError(f"unexpected token in {self.source!r}")
+        self.error("unexpected end of input" if kind is None else f"unexpected token {value!r}")
 
 
 def parse_scalar(text: str, ctx: ScalarContext) -> Scalar:
-    return _ScalarParser(ctx, _tokenize(text), text).parse()
+    return _ExprParser(text, ctx).parse()

@@ -15,10 +15,10 @@ from importlib import resources
 from math import lcm
 from pathlib import Path
 
-from .algebra import AlgebraSpec, LinearCombination, NCElement, accumulate
+from .algebra import AlgebraSpec, LinearCombination, NCElement
 from .errors import ParseError, SpecError
-from .groups import AbelianGroup, ADegree, Character, GroupElement
-from .scalar import Scalar, ScalarContext, _tokenize, parse_scalar
+from .groups import AbelianGroup, ADegree, Character
+from .scalar import Scalar, ScalarContext, _ExprParser
 
 _ALGEBRA_SECTIONS = {"field", "group", "action", "q", "kappa"}
 _GENERIC_SECTIONS = {"field", "generic-lie"}
@@ -145,30 +145,6 @@ def _build_context(field_kv, default_conductor: int) -> ScalarContext:
         raise ParseError(str(exc), field_kv.get("params", (0, ""))[0]) from None
 
 
-def _scalar(text: str, ctx: ScalarContext, lineno: int) -> Scalar:
-    try:
-        return parse_scalar(text, ctx)
-    except ParseError as exc:
-        raise ParseError(exc.message, lineno) from None
-
-
-def _group_element(group: AbelianGroup, text: str, lineno: int) -> GroupElement:
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ParseError(f"expected group exponents '(e1,...)', got {text!r}", lineno)
-    inner = body[1:-1].strip()
-    parts = [p.strip() for p in inner.split(",")] if inner else []
-    if len(parts) != group.rank:
-        raise ParseError(
-            f"group element needs {group.rank} exponents, got {len(parts)}", lineno
-        )
-    try:
-        exps = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"non-integer group exponent in {text!r}", lineno) from None
-    return group.element(exps)
-
-
 def _parse_algebra(sections, name: str) -> AlgebraSpec:
     for required in ("group", "action"):
         if required not in sections:
@@ -216,7 +192,7 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
             raise ParseError(f"q index out of range ({i + 1}, {j + 1})", lineno)
         if (i, j) in q_entries:
             raise ParseError(f"duplicate q entry ({i + 1}, {j + 1})", lineno)
-        q_entries[(i, j)] = _scalar(expr.strip(), ctx, lineno)
+        q_entries[(i, j)] = _ExprParser(expr.strip(), ctx, lineno).parse()
         q_lines[(i, j)] = lineno
 
     kappa_raw: dict[tuple[int, int], tuple[int, list]] = {}
@@ -242,18 +218,14 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
             if not chunk:
                 raise ParseError("empty kappa term", lineno)
             bits = chunk.split(None, 1)
-            if len(bits) != 2 or "(" not in bits[1]:
+            if len(bits) != 2:
                 raise ParseError(f"expected 'r (exps) expr', got {chunk!r}", lineno)
             r = _parse_int(bits[0], lineno, 1) - 1
             if r >= n:
                 raise ParseError(f"kappa target v{r + 1} out of range", lineno)
-            rest = bits[1].strip()
-            close = rest.find(")")
-            if close < 0:
-                raise ParseError(f"unclosed group element in {chunk!r}", lineno)
-            g = _group_element(group, rest[: close + 1], lineno)
-            coeff = _scalar(rest[close + 1 :].strip(), ctx, lineno)
-            terms.append((r, g, coeff))
+            parser = _ExprParser(bits[1], ctx, lineno)
+            g = parser.group_element(group)
+            terms.append((r, g, parser.parse()))
         kappa_raw[(i, j)] = (lineno, terms)
 
     # Resolve transposed kappa entries through quantum antisymmetry before
@@ -359,7 +331,7 @@ def _parse_generic(sections, name: str) -> GenericLieData:
             raise ParseError(f"epsilon index out of range ({s + 1}, {t + 1})", lineno)
         if (s, t) in epsilon_table:
             raise ParseError(f"duplicate epsilon entry ({s + 1}, {t + 1})", lineno)
-        epsilon_table[(s, t)] = _scalar(expr.strip(), ctx, lineno)
+        epsilon_table[(s, t)] = _ExprParser(expr.strip(), ctx, lineno).parse()
 
     label_index = {label: a for a, label in enumerate(basis)}
     brackets: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
@@ -389,119 +361,28 @@ def _parse_generic(sections, name: str) -> GenericLieData:
 
 
 def _parse_combination(text, ctx, label_index, lineno):
-    """Parse 'c1*X + c2*Y - Z' into ((index, Scalar), ...)."""
-    try:
-        tokens = _tokenize(text)
-    except ParseError as exc:
-        raise ParseError(exc.message, lineno) from None
-    parser = _ComboParser(ctx, tokens, label_index, lineno)
-    acc: dict[int, Scalar] = {}
-    for index, coeff in parser.parse():
-        accumulate(acc, index, coeff)
-    return tuple(sorted(acc.items()))
+    """Parse 'c1*X + c2*Y - Z' into ((index, Scalar), ...): the expression
+    grammar with the basis labels as extra atoms, at most one per product."""
+    one = LinearCombination({None: Scalar.one(ctx)})
 
+    def label(parser, name):
+        index = label_index.get(name)
+        return None if index is None else LinearCombination({index: one.terms[None]})
 
-class _ComboParser:
-    """Sum of products where each product holds at most one basis label."""
+    def product(x, y):
+        scalar = parser.scalar_of(y)
+        if scalar is not None:
+            return x.scale(scalar)
+        scalar = parser.scalar_of(x)
+        if scalar is None:
+            parser.error("a bracket term may hold only one basis label")
+        return y.scale(scalar)
 
-    def __init__(self, ctx, tokens, label_index, lineno) -> None:
-        self.ctx = ctx
-        self.tokens = tokens
-        self.pos = 0
-        self.labels = label_index
-        self.lineno = lineno
-
-    def error(self, message):
-        raise ParseError(message, self.lineno)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of bracket expression")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        terms = [self.term()]
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok == ("op", "+"):
-                self.take()
-                terms.append(self.term())
-            elif tok == ("op", "-"):
-                self.take()
-                index, coeff = self.term()
-                terms.append((index, -coeff))
-            else:
-                self.error(f"unexpected token {tok[1]!r}")
-        out = []
-        for index, coeff in terms:
-            if index is None:
-                if not coeff.is_zero():
-                    self.error("a bracket term needs exactly one basis label")
-                continue
-            out.append((index, coeff))
-        return out
-
-    def term(self):
-        sign = Scalar.one(self.ctx)
-        while self.peek() == ("op", "-"):
-            self.take()
-            sign = -sign
-        index, coeff = self.factor()
-        coeff = sign * coeff
-        while self.peek() == ("op", "*"):
-            self.take()
-            index2, coeff2 = self.factor()
-            if index is not None and index2 is not None:
-                self.error("a bracket term may hold only one basis label")
-            index = index if index is not None else index2
-            coeff = coeff * coeff2
-        return index, coeff
-
-    def factor(self):
-        tok = self.peek()
-        if tok is not None and tok[0] == "name" and tok[1] in self.labels:
-            self.take()
-            return self.labels[tok[1]], Scalar.one(self.ctx)
-        # fall back to a scalar factor: delegate a minimal slice to the
-        # scalar parser by consuming a balanced token run
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.tokens):
-            kind, value = self.tokens[self.pos]
-            if kind == "op" and value == "(":
-                depth += 1
-            elif kind == "op" and value == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif kind == "op" and value in "+-*" and depth == 0 and self.pos > start:
-                # a '-' directly after '^' is a negative exponent, not a sum
-                if not (value == "-" and self.tokens[self.pos - 1] == ("op", "^")):
-                    break
-            elif kind == "name" and value in self.labels and depth == 0:
-                break
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a scalar factor or basis label")
-        piece = self.tokens[start : self.pos]
-        return None, _scalar_from_tokens(piece, self.ctx, self.lineno)
-
-
-def _scalar_from_tokens(tokens, ctx, lineno):
-    from .scalar import _ScalarParser
-
-    parser = _ScalarParser(ctx, tokens, "")
-    try:
-        return parser.parse()
-    except ParseError as exc:
-        raise ParseError(exc.message, lineno) from None
+    parser = _ExprParser(text, ctx, lineno, one=one, mul=product, atom=label)
+    value = parser.parse()
+    if None in value.terms:
+        parser.error("a bracket term needs exactly one basis label")
+    return tuple(sorted(value.terms.items()))
 
 
 def parse_spec_text(text: str, name: str = ""):
@@ -590,162 +471,19 @@ def _format_generic(data: GenericLieData) -> str:
 
 
 def parse_nc_expression(text: str, spec: AlgebraSpec) -> NCElement:
-    tokens = _tokenize(text)
-    parser = _NCParser(spec, tokens, text)
-    return parser.parse()
+    """Read an element: the expression grammar with the generators vK and
+    the group letters g(e1,...) as extra atoms."""
 
+    def atom(parser, name):
+        if name == "g" and parser.peek() == ("op", "("):
+            return NCElement.group_unit(spec, parser.group_element(spec.group))
+        if name[:1] == "v" and name[1:].isdigit():
+            if not 0 < int(name[1:]) <= spec.n:
+                parser.error(f"generator {name!r} out of range")
+            return NCElement.monomial(spec, (int(name[1:]) - 1,))
+        return None
 
-class _NCParser:
-    """Grammar: sums of products of factors; a factor is a generator 'vK',
-    a group letter 'g(e1,...)', a scalar atom, or a parenthesized expression,
-    optionally raised to a nonnegative power with '^'."""
-
-    def __init__(self, spec: AlgebraSpec, tokens, source: str) -> None:
-        self.spec = spec
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
-
-    def error(self, message: str):
-        raise ParseError(f"{message} in {self.source!r}")
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> NCElement:
-        value = self.expr()
-        if self.peek() is not None:
-            self.error(f"trailing input at {self.peek()[1]!r}")
-        return value
-
-    def expr(self) -> NCElement:
-        value = self.term()
-        while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
-                value = value + self.term()
-            elif tok == ("op", "-"):
-                self.take()
-                value = value - self.term()
-            else:
-                return value
-
-    def term(self) -> NCElement:
-        value = self.factor()
-        while self.peek() == ("op", "*"):
-            self.take()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> NCElement:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            tok = self.take()
-            if tok[0] != "int":
-                self.error("exponent must be a nonnegative integer")
-            power = int(tok[1])
-            out = NCElement.monomial(self.spec, ())
-            for _ in range(power):
-                out = out * base
-            return out
-        return base
-
-    def atom(self) -> NCElement:
-        tok = self.take()
-        kind, value = tok
-        if kind == "op" and value == "-":
-            return -self.factor()
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            if self.take() != ("op", ")"):
-                self.error("expected ')'")
-            return inner
-        if kind == "name" and value.startswith("v") and value[1:].isdigit():
-            index = int(value[1:]) - 1
-            if not (0 <= index < self.spec.n):
-                self.error(f"generator {value!r} out of range")
-            return NCElement.monomial(self.spec, (index,))
-        if kind == "name" and value == "g" and self.peek() == ("op", "("):
-            exps = self.group_exps()
-            return NCElement.group_unit(self.spec, self.spec.group.element(exps))
-        # anything else must be a scalar atom (rational, zeta, parameter)
-        self.pos -= 1
-        scalar = self.scalar_atom()
-        return NCElement.monomial(self.spec, (), coeff=scalar)
-
-    def group_exps(self) -> list[int]:
-        self.take()  # '('
-        exps = []
-        group_rank = self.spec.group.rank
-        while True:
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            tok = self.take()
-            if tok[0] != "int":
-                self.error("group exponents must be integers")
-            exps.append(sign * int(tok[1]))
-            tok = self.take()
-            if tok == ("op", ")"):
-                break
-            if tok != ("op", ","):
-                self.error("expected ',' or ')' in group element")
-        if len(exps) != group_rank:
-            self.error(f"group element needs {group_rank} exponents")
-        return exps
-
-    def scalar_atom(self) -> Scalar:
-        tok = self.take()
-        kind, value = tok
-        ctx = self.spec.ctx
-        if kind == "int":
-            if self.peek() == ("op", "/"):
-                self.take()
-                den = self.take()
-                if den[0] != "int" or int(den[1]) == 0:
-                    self.error("expected a nonzero integer denominator")
-                from fractions import Fraction
-
-                base = Scalar.rational(ctx, Fraction(int(value), int(den[1])))
-            else:
-                base = Scalar.rational(ctx, int(value))
-        elif kind == "name" and value == "zeta":
-            if self.take() != ("op", "("):
-                self.error("expected '(' after zeta")
-            d = self.take()
-            if d[0] != "int":
-                self.error("expected an integer order in zeta(...)")
-            if self.take() != ("op", ")"):
-                self.error("expected ')' after zeta order")
-            try:
-                base = Scalar.zeta(ctx, int(d[1]))
-            except SpecError as exc:
-                self.error(str(exc))
-        elif kind == "name" and value in ctx.params:
-            base = Scalar.param(ctx, value)
-        else:
-            self.error(f"unknown symbol {value!r}")
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            tok = self.take()
-            if tok[0] != "int":
-                self.error("exponent must be an integer")
-            base = base ** (sign * int(tok[1]))
-        return base
+    return _ExprParser(text, spec.ctx, one=NCElement.monomial(spec, ()), atom=atom).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,15 @@ def test_unclosed_group_element_is_an_input_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_unknown_root_of_unity_in_an_expression_is_an_input_error():
+    for expr in ("zeta(5)*v1", "zeta(0)"):
+        code, out, err = run(["normal-form", "ex2", expr])
+        assert code == 1, expr
+        assert out == ""
+        assert err.startswith("input error:") and "zeta(" in err
+        assert "Traceback" not in err
+
+
 def test_internal_inconsistency_exits_with_3(monkeypatch):
     monkeypatch.setattr(pbw, "_remark3_holds", lambda spec: False)
     code, out, err = run(["check", "ex2"])

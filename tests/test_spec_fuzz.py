@@ -103,7 +103,7 @@ def _fixed_point(text):
 
 
 @settings(
-    max_examples=300,
+    max_examples=250,
     derandomize=True,
     deadline=None,
     database=None,

@@ -9,6 +9,7 @@ from qdrinfeld.specfile import (
     fixture_path,
     format_spec,
     load_fixture,
+    parse_nc_expression,
     parse_spec_text,
 )
 
@@ -123,3 +124,36 @@ def test_unclosed_group_element_in_kappa_is_a_parse_error():
     with pytest.raises(ParseError) as info:
         parse_spec_text(bad)
     assert info.value.line == bad.splitlines().index("1 2 -> 3 (1") + 1
+
+
+def test_bracket_row_errors_quote_the_row_and_its_line():
+    text = format_spec(load_fixture("gl11")).replace(
+        "bracket E12 E21 = E11 + E22", "bracket E12 E21 = E11 + 2*(F - E22)"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_spec_text(text)
+    assert info.value.line == text.splitlines().index("bracket E12 E21 = E11 + 2*(F - E22)") + 1
+    assert str(info.value) == (
+        f"line {info.value.line}: unknown identifier 'F' in 'E11 + 2*(F - E22)'"
+    )
+
+
+def test_bracket_rows_read_labels_anywhere_in_the_grammar():
+    gl11 = load_fixture("gl11")
+    source = format_spec(gl11)
+    for rhs in ("(E11 + E22)", "-(-E11) + E22", "(E11 + E22)*2*1/2", "E11 - 1 + 1 + E22"):
+        again = parse_spec_text(source.replace("= E11 + E22", "= " + rhs))
+        assert again.brackets == gl11.brackets, rhs
+    for rhs in ("(E11 + 1)*E22", "E11^2", "(E11 + E22)^-1", "E11 + 1"):
+        with pytest.raises(ParseError):
+            parse_spec_text(source.replace("= E11 + E22", "= " + rhs))
+
+
+def test_negative_powers_invert_scalar_values_only():
+    ex2 = load_fixture("ex2")
+    assert parse_nc_expression("(q)^-1*v1", ex2) == parse_nc_expression("q^-1*v1", ex2)
+    assert str(parse_nc_expression("(q*lam)^-1*v1", ex2)) == "q^-1*lam^-1*v1"
+    with pytest.raises(ParseError):
+        parse_nc_expression("(q*v1)^-1", ex2)
+    with pytest.raises(SpecError):
+        parse_nc_expression("(1 + q)^-1*v1", ex2)
