@@ -38,6 +38,15 @@ COMMANDS = {
     "fmt": ("fmt", ()),
 }
 
+# case name -> (subcommand, extra options); human-readable stdout on every fixture
+HUMAN = {
+    "human-check": ("check", ()),
+    "human-lie": ("lie", ()),
+    "human-uea-d2": ("uea", ("--degree", "2")),
+    "human-hopf-d2": ("hopf", ("--degree", "2")),
+    "human-all-d2": ("all", ("--degree", "2")),
+}
+
 # case name -> (subcommand, extra options, fixtures): slower runs on a few fixtures
 SELECTED = {
     "hopf-d3": ("hopf", ("--degree", "3"), ("ex1", "ex2")),
@@ -75,6 +84,25 @@ def cli_outputs() -> dict[str, str]:
     return outputs
 
 
+def human_outputs() -> dict[str, str]:
+    outputs = {}
+    for case, (command, options) in HUMAN.items():
+        for fixture in fixture_names():
+            outputs[f"{case}__{fixture}"] = _run([command, fixture, *options])
+    return outputs
+
+
+def all_json_outputs() -> dict[str, str]:
+    """all --json --degree 2 per fixture, without the wall-clock timing key."""
+    outputs = {}
+    for fixture in fixture_names():
+        head, body = _run(["all", fixture, "--degree", "2", "--json"]).split("\n", 1)
+        report = json.loads(body)
+        del report["timing"]
+        outputs[f"all-d2__{fixture}"] = f"{head}\n{json.dumps(report, indent=2)}\n"
+    return outputs
+
+
 def selected_outputs() -> dict[str, str]:
     outputs = {}
     for case, (command, options, fixtures) in SELECTED.items():
@@ -102,6 +130,8 @@ def generic_reduce_output() -> str:
 def all_outputs() -> dict[str, str]:
     outputs = {f"cli/{case}.txt": text for case, text in cli_outputs().items()}
     outputs.update({f"cli/{case}.txt": text for case, text in selected_outputs().items()})
+    outputs.update({f"cli/{case}.txt": text for case, text in human_outputs().items()})
+    outputs.update({f"cli/{case}.txt": text for case, text in all_json_outputs().items()})
     outputs["pbw_corpus.txt"] = pbw_corpus_output()
     outputs["gl11_reduce.txt"] = generic_reduce_output()
     return outputs
@@ -115,6 +145,20 @@ def _assert_golden(relative: str, text: str) -> None:
 def test_cli_outputs_match_golden():
     outputs = cli_outputs()
     assert len(outputs) == len(COMMANDS) * len(fixture_names()) + len(NORMAL_FORMS)
+    for case, text in outputs.items():
+        _assert_golden(f"cli/{case}.txt", text)
+
+
+def test_human_outputs_match_golden():
+    outputs = human_outputs()
+    assert len(outputs) == len(HUMAN) * len(fixture_names())
+    for case, text in outputs.items():
+        _assert_golden(f"cli/{case}.txt", text)
+
+
+def test_all_json_outputs_match_golden():
+    outputs = all_json_outputs()
+    assert len(outputs) == len(fixture_names())
     for case, text in outputs.items():
         _assert_golden(f"cli/{case}.txt", text)
 
