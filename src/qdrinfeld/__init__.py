@@ -14,7 +14,6 @@ from .colorlie import (
     build_N_and_quotient,
     check_braiding_compatibility,
     check_color_axioms,
-    check_prop_positive,
     generic_color_lie_ring,
     split_parts,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "check_color_axioms",
     "check_hopf_axioms",
     "check_pbw",
-    "check_prop_positive",
     "check_vanishing",
     "converse_construct",
     "coproduct",

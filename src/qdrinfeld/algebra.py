@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from .cyclotomic import join_signed, times
 from .errors import SpecError
 from .groups import AbelianGroup, Character, GroupElement, char_eval
 from .scalar import Scalar, ScalarContext
@@ -55,10 +56,10 @@ class AlgebraSpec:
         self._q = self._build_q(n, q)
         self._kappa = self._build_kappa(n, kappa)
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-        # Delta of monomials (hopf.coproduct) and pairing values
-        # (colorlie.Bicharacter.eval), each computed once per spec
+        # Delta of monomials (hopf.coproduct) and the pairing
+        # (colorlie.Bicharacter.from_spec), each computed once per spec
         self._delta_cache: dict = {}
-        self._pairing_cache: dict = {}
+        self._pairing = None
 
     def _build_q(self, n: int, q_in) -> dict[tuple[int, int], Scalar]:
         one = Scalar.one(self.ctx)
@@ -147,9 +148,6 @@ class AlgebraSpec:
             val = val * self.char_value(j, g)
         return val
 
-    def has_kappa(self) -> bool:
-        return bool(self._kappa)
-
     def __repr__(self) -> str:
         return f"AlgebraSpec(n={self.n}, group={self.group!r}, name={self.name!r})"
 
@@ -226,18 +224,8 @@ class LinearCombination:
         pieces = []
         for key in sorted(self.terms, key=order):
             body, cs = label(key), self.terms[key].factor_str()
-            if not body:
-                pieces.append(cs)
-            elif cs == "1":
-                pieces.append(body)
-            elif cs == "-1":
-                pieces.append("-" + body)
-            else:
-                pieces.append(f"{cs}*{body}")
-        out = pieces[0] if pieces else "0"
-        for piece in pieces[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
+            pieces.append(times(cs, body) if body else cs)
+        return join_signed(pieces)
 
 
 class NCElement(LinearCombination):
@@ -282,9 +270,6 @@ class NCElement(LinearCombination):
                 accumulate(terms, (u + w, g * h), cu * cw * spec.word_char(w, g))
         return NCElement(spec, terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _nc_order(kv[0]))
-
     def __str__(self) -> str:
         return self.signed_str(_nc_label, _nc_order)
 
@@ -293,7 +278,7 @@ class NCElement(LinearCombination):
 
 def _nc_order(key):
     word, g = key
-    return (len(word), word, g.sort_key())
+    return (len(word), word, g.exps)
 
 
 def _nc_label(key) -> str:

@@ -22,17 +22,36 @@ Combo = dict[int, Scalar]
 
 
 class Bicharacter:
-    """Multiplicative antisymmetric pairing on the grading group."""
+    """Multiplicative antisymmetric pairing on the grading group.
 
-    def __init__(self, ctx: ScalarContext, spec=None, table=None, gen_count=0):
+    The table holds the values on pairs of generators of Z^n x G, indexed
+    as in ADegree.as_int_vector (free generators first); a pair missing
+    from it pairs to 1.  Values are memoized per degree pair.
+    """
+
+    def __init__(self, ctx: ScalarContext, table: dict[tuple[int, int], Scalar]):
         self.ctx = ctx
-        self._spec = spec
         self._table = table
-        self._gen_count = gen_count
+        self._memo: dict[tuple[ADegree, ADegree], Scalar] = {}
 
     @classmethod
     def from_spec(cls, spec: AlgebraSpec) -> Bicharacter:
-        return cls(spec.ctx, spec=spec)
+        """The spec's pairing, built once and kept on the spec.
+
+        eps(e_i, e_j) = q_ij, eps(g_t, e_j) = chi_j(g_t) and
+        eps(e_i, g_t) = chi_i(g_t^-1) on the group generators g_t, which
+        pair to 1 with each other.
+        """
+        if spec._pairing is None:
+            n = spec.n
+            table = {(i, j): spec.q_scalar(i, j) for i in range(n) for j in range(n)}
+            for t in range(spec.group.rank):
+                g = spec.group.generator(t)
+                for i in range(n):
+                    table[(n + t, i)] = spec.char_value(i, g)
+                    table[(i, n + t)] = spec.char_value(i, g.inverse())
+            spec._pairing = cls(spec.ctx, table)
+        return spec._pairing
 
     @classmethod
     def from_table(cls, data: GenericLieData) -> Bicharacter:
@@ -75,50 +94,22 @@ class Bicharacter:
                         f"epsilon entries for generator {s + 1} must have order "
                         f"dividing {order}"
                     )
-        return cls(data.ctx, table=table, gen_count=count)
+        return cls(data.ctx, table)
 
     def eval(self, a: ADegree, b: ADegree) -> Scalar:
-        """The pairing value on (a, b).
-
-        A spec-backed pairing caches its values in the spec's
-        _pairing_cache, shared by every from_spec instance of that spec.
-        """
-        if self._spec is None:
-            return self._eval_table(a, b)
-        cache = self._spec._pairing_cache
-        value = cache.get((a, b))
+        """The product of table[s, t]^(a_s * b_t) over the generator pairs."""
+        value = self._memo.get((a, b))
         if value is None:
-            value = self._eval_spec(a, b)
-            cache[(a, b)] = value
-        return value
-
-    def _eval_spec(self, a: ADegree, b: ADegree) -> Scalar:
-        spec = self._spec
-        value = Scalar.one(spec.ctx)
-        for i, ai in enumerate(a.free):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b.free):
-                if bj:
-                    value = value * spec.q_scalar(i, j) ** (ai * bj)
-        for j, bj in enumerate(b.free):
-            if bj:
-                value = value * spec.char_value(j, a.tors) ** bj
-        for i, ai in enumerate(a.free):
-            if ai:
-                value = value * spec.char_value(i, b.tors) ** (-ai)
-        return value
-
-    def _eval_table(self, a: ADegree, b: ADegree) -> Scalar:
-        va = a.as_int_vector()
-        vb = b.as_int_vector()
-        value = Scalar.one(self.ctx)
-        for s, xs in enumerate(va):
-            if xs == 0:
-                continue
-            for t, yt in enumerate(vb):
-                if yt:
-                    value = value * self._table[(s, t)] ** (xs * yt)
+            value = Scalar.one(self.ctx)
+            vb = b.as_int_vector()
+            for s, xs in enumerate(a.as_int_vector()):
+                if xs == 0:
+                    continue
+                for t, yt in enumerate(vb):
+                    unit = self._table.get((s, t))
+                    if yt and unit is not None:
+                        value = value * unit ** (xs * yt)
+            self._memo[(a, b)] = value
         return value
 
 
@@ -499,26 +490,6 @@ def split_parts(ring: ColorLieRing) -> GradedDecomposition:
                 f"self-pairing of {ring.label_str(s)} is {value}, not a sign"
             )
     return GradedDecomposition(tuple(positive), tuple(negative))
-
-
-def check_prop_positive(ring: ColorLieRing) -> bool | None:
-    """[v_i (x) 1, v_i (x) g] = 0 for all i and g.
-
-    Applies to rings from a spec whose basis is purely positive; for
-    anything else the check is skipped and None is returned.
-    """
-    if ring.mode != "from_spec":
-        return None
-    if split_parts(ring).negative:
-        return None
-    spec = ring.spec
-    identity = spec.group.identity()
-    for i in range(spec.n):
-        base = ring.index_of((i, identity))
-        for g in spec.group:
-            if ring.bracket(base, ring.index_of((i, g))):
-                return False
-    return True
 
 
 def check_braiding_compatibility(spec: AlgebraSpec) -> bool:

@@ -9,13 +9,62 @@ floating point ever enter.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, ParseError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Powers in user input are refused past these bounds instead of computed.
+MAX_POWER = 1000
+MAX_POWER_TERMS = 10000
+
+
+def power(base, k: int, one, mul=operator.mul):
+    """base^k for 0 <= k <= MAX_POWER by square-and-multiply.
+
+    Every product is refused before it is formed when its operands' term
+    counts multiply past MAX_POWER_TERMS, the most terms it can have;
+    values without a terms dict (cyclotomic numbers) have a fixed size.
+    Both refusals raise ParseError.
+    """
+    if k > MAX_POWER:
+        raise ParseError(f"exponent {k} exceeds the bound {MAX_POWER}")
+
+    def product(x, y):
+        if len(getattr(x, "terms", ())) * len(getattr(y, "terms", ())) > MAX_POWER_TERMS:
+            raise ParseError(f"a power may exceed {MAX_POWER_TERMS} terms")
+        return mul(x, y)
+
+    result = one
+    while k:
+        if k & 1:
+            result = product(result, base)
+        k >>= 1
+        if k:
+            base = product(base, base)
+    return result
+
+
+def times(coeff: str, body: str) -> str:
+    """coeff*body from rendered parts, with a coefficient of 1 or -1 left out."""
+    if coeff == "1":
+        return body
+    if coeff == "-1":
+        return "-" + body
+    return f"{coeff}*{body}"
+
+
+def join_signed(pieces) -> str:
+    """Join rendered summands with ' + ', folding a leading '-' into ' - '."""
+    out = pieces[0] if pieces else "0"
+    for piece in pieces[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
+
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Q, coefficient of x^k at index k
@@ -213,16 +262,8 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.m, inv)
 
     def __pow__(self, k: int) -> CyclotomicNumber:
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = CyclotomicNumber.one(self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        base = self.inverse() if k < 0 else self
+        return power(base, abs(k), CyclotomicNumber.one(self.m))
 
     # -- predicates and views -------------------------------------------------
 
@@ -231,11 +272,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return all(a == 0 for a in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,18 +295,8 @@ class CyclotomicNumber:
                 terms.append(str(a))
             else:
                 base = f"zeta({self.m})" if k == 1 else f"zeta({self.m})^{k}"
-                if a == 1:
-                    terms.append(base)
-                elif a == -1:
-                    terms.append(f"-{base}")
-                else:
-                    terms.append(f"{a}*{base}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+                terms.append(times(str(a), base))
+        return join_signed(terms)
 
     def term_count(self) -> int:
         return sum(1 for a in self.coeffs if a != 0)

@@ -66,82 +66,63 @@ class AbelianGroup:
         return f"AbelianGroup({list(self.orders)})"
 
 
-class GroupElement:
+class _ExponentVector:
+    """Exponents modulo the cyclic orders of a group.
+
+    Group elements and characters are both such vectors; equality needs
+    the same subclass as well as the same group and exponents.
+    """
+
     __slots__ = ("group", "exps")
+    _noun = "element"
 
     def __init__(self, group: AbelianGroup, exps) -> None:
         exps = tuple(int(e) for e in exps)
         if len(exps) != group.rank:
-            raise SpecError(f"element needs {group.rank} exponents, got {len(exps)}")
+            raise SpecError(f"{self._noun} needs {group.rank} exponents, got {len(exps)}")
         self.group = group
         self.exps = tuple(e % m for e, m in zip(exps, group.orders))
 
-    def __mul__(self, other: GroupElement) -> GroupElement:
+    def __mul__(self, other):
         if self.group != other.group:
             raise SpecError("group mismatch")
-        return GroupElement(self.group, (a + b for a, b in zip(self.exps, other.exps)))
+        return type(self)(self.group, (a + b for a, b in zip(self.exps, other.exps)))
 
-    def inverse(self) -> GroupElement:
-        return GroupElement(self.group, (-e for e in self.exps))
+    def inverse(self):
+        return type(self)(self.group, (-e for e in self.exps))
 
     def is_identity(self) -> bool:
         return all(e == 0 for e in self.exps)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, GroupElement)
+            type(other) is type(self)
             and self.group == other.group
             and self.exps == other.exps
         )
 
     def __hash__(self) -> int:
         return hash((self.group.orders, self.exps))
+
+
+class GroupElement(_ExponentVector):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "g(" + ",".join(str(e) for e in self.exps) + ")"
 
     __repr__ = __str__
 
-    def sort_key(self):
-        return self.exps
 
-
-class Character:
+class Character(_ExponentVector):
     """A linear character given by its exponents on the cyclic generators.
 
     The value on generator t is the primitive root zeta_(m_t) raised to
     exps[t], embedded into Q(zeta_m) of the ambient scalar context.
     """
 
-    __slots__ = ("group", "exps")
-
-    def __init__(self, group: AbelianGroup, exps) -> None:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != group.rank:
-            raise SpecError(f"character needs {group.rank} exponents, got {len(exps)}")
-        self.group = group
-        self.exps = tuple(e % m for e, m in zip(exps, group.orders))
-
-    def __mul__(self, other: Character) -> Character:
-        if self.group != other.group:
-            raise SpecError("group mismatch")
-        return Character(self.group, (a + b for a, b in zip(self.exps, other.exps)))
-
-    def inverse(self) -> Character:
-        return Character(self.group, (-e for e in self.exps))
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Character)
-            and self.group == other.group
-            and self.exps == other.exps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group.orders, self.exps))
+    __slots__ = ()
+    _noun = "character"
 
     def __repr__(self) -> str:
         return f"Character{self.exps}"

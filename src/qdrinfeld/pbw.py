@@ -369,7 +369,7 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
         vanishing_violations=vanishing_violations,
         strong_vanishing=strong,
         strong_vanishing_violations=strong_violations,
-        fixed_point_free=all(not chi.is_trivial() for chi in spec.chars),
+        fixed_point_free=all(not chi.is_identity() for chi in spec.chars),
         oracle_confluent=overlap_oracle(spec),
         remark_cond2=remark2,
         remark_cond3=remark3,

@@ -506,10 +506,6 @@ def load_fixture(name: str):
     return parse_spec_file(fixture_path(name))
 
 
-def fixture_corpus() -> dict[str, object]:
-    return {name: load_fixture(name) for name in _FIXTURE_NAMES}
-
-
 __all__ = [
     "GenericLieData",
     "parse_spec_text",
@@ -519,5 +515,4 @@ __all__ = [
     "fixture_names",
     "fixture_path",
     "load_fixture",
-    "fixture_corpus",
 ]

@@ -223,28 +223,19 @@ def iso_check(spec: AlgebraSpec, ring: ColorLieRing):
 # graded dimension counts
 
 
-def default_instantiation(ctx: ScalarContext, target: ScalarContext) -> dict[str, Scalar]:
-    """Concrete values for free parameters: roots of unity for the
-    commutation parameters q and p, 1 for every other coefficient."""
-    values = {}
-    for name in ctx.params:
-        if name in ("q", "p"):
-            values[name] = Scalar.zeta(target, ctx.conductor, 1)
-        else:
-            values[name] = Scalar.one(target)
-    return values
-
-
 def instantiate_spec(spec: AlgebraSpec, values: dict[str, Scalar] | None = None) -> AlgebraSpec:
     """Copy of the spec with every parameter replaced by a concrete scalar.
 
-    Entries of ``values`` override the defaults.  Raises SymbolicParameter
-    when an override itself still contains a free parameter.
+    The defaults are a primitive root of unity for the commutation
+    parameters q and p and 1 for every other coefficient; entries of
+    ``values`` override them.  Raises SymbolicParameter when an override
+    itself still contains a free parameter.
     """
     if not spec.ctx.params:
         return spec
     target = ScalarContext(spec.ctx.conductor)
-    table = default_instantiation(spec.ctx, target)
+    zeta, one = Scalar.zeta(target, target.conductor), Scalar.one(target)
+    table = {name: zeta if name in ("q", "p") else one for name in spec.ctx.params}
     for name, value in (values or {}).items():
         if name not in spec.ctx.params:
             raise SpecError(f"unknown parameter {name!r}")
@@ -316,9 +307,9 @@ def dimension_oracle(spec: AlgebraSpec, d: int, instantiate: dict[str, Scalar] |
     flank = d - 2
     for relation in relations:
         for lu in range(flank + 1):
-            for u in _words_of_length(n, lu):
+            for u in itertools.product(range(n), repeat=lu):
                 for lw in range(flank - lu + 1):
-                    for w in _words_of_length(n, lw):
+                    for w in itertools.product(range(n), repeat=lw):
                         for g1 in inst.group:
                             left = NCElement.monomial(inst, u, g1)
                             middle = left * relation
@@ -331,10 +322,6 @@ def dimension_oracle(spec: AlgebraSpec, d: int, instantiate: dict[str, Scalar] |
                                 if row:
                                     rows.append(row)
     return pbw_monomial_count(inst, d), len(columns) - _rank(rows)
-
-
-def _words_of_length(n: int, length: int):
-    return itertools.product(range(n), repeat=length)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +364,6 @@ __all__ = [
     "build_uea",
     "j_generator_image",
     "iso_check",
-    "default_instantiation",
     "instantiate_spec",
     "dimension_oracle",
     "converse_construct",

@@ -33,9 +33,9 @@ def test_q_transposes_are_inverses():
         for i in range(spec.n):
             for j in range(spec.n):
                 if i == j:
-                    assert q(spec, i, j).is_one()
+                    assert q(spec, i, j) == Scalar.one(spec.ctx)
                 else:
-                    assert (q(spec, i, j) * q(spec, j, i)).is_one()
+                    assert q(spec, i, j) * q(spec, j, i) == Scalar.one(spec.ctx)
 
 
 def test_kappa_transpose_sign():

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from qdrinfeld import pbw
@@ -188,3 +189,34 @@ def test_internal_inconsistency_exits_with_3(monkeypatch):
     assert out == ""
     assert err.startswith("internal error:")
     assert "Traceback" not in err
+
+
+def test_oversized_powers_are_input_errors(tmp_path):
+    # refused by the exponent bound, by the term bound, and in a spec row
+    path = tmp_path / "power.qdo"
+    path.write_text(format_spec(load_fixture("ex2")).replace("2 3 = -q\n", "2 3 = -q^5000\n"))
+    for argv in (
+        ["normal-form", "ex2", "v1^200000"],
+        ["normal-form", "ex2", "(1+lam)^200000"],
+        ["normal-form", "ex2", "(1+lam)^1000"],
+        ["check", str(path)],
+    ):
+        started = time.monotonic()
+        code, out, err = run(argv)
+        assert time.monotonic() - started < 1, argv
+        assert code == 1 and not out, argv
+        assert err.startswith("input error:") and "exceed" in err, argv
+    assert "line " in err
+
+
+def test_oversized_conductor_is_an_input_error(tmp_path):
+    path = tmp_path / "conductor.qdo"
+    path.write_text(
+        "[field]\nconductor = 1000000\n[group]\norders = [1]\n"
+        "[action]\ncharacters = [[0], [0]]\n[q]\n1 2 = -1\n"
+    )
+    started = time.monotonic()
+    code, out, err = run(["check", str(path)])
+    assert time.monotonic() - started < 1
+    assert code == 1 and not out
+    assert err.startswith("input error:") and "conductor 1000000" in err

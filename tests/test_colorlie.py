@@ -9,7 +9,6 @@ from qdrinfeld.colorlie import (
     build_N_and_quotient,
     check_braiding_compatibility,
     check_color_axioms,
-    check_prop_positive,
     generic_color_lie_ring,
     split_parts,
 )
@@ -93,16 +92,10 @@ def test_split_parts_rejects_non_sign_pairings():
     # A validated table always has +-1 self-pairings, so rig one by hand.
     ring = ring_for("gl11")
     ctx = ScalarContext(4)
-    rigged = Bicharacter(ctx, table={(0, 0): parse_scalar("zeta(4)", ctx)}, gen_count=1)
+    rigged = Bicharacter(ctx, table={(0, 0): parse_scalar("zeta(4)", ctx)})
     bent = ColorLieRing("generic", ring.labels, ring.degrees, ring.table, rigged)
     with pytest.raises(ValueNotSign):
         split_parts(bent)
-
-
-def test_prop_positive():
-    assert check_prop_positive(ring_for("ex3")) is True
-    assert check_prop_positive(ring_for("ex4")) is True
-    assert check_prop_positive(ring_for("gl11")) is None
 
 
 def test_bicharacter_is_antisymmetric_and_bimultiplicative():

@@ -201,7 +201,7 @@ def test_fixed_point_free_collapses_cond2_to_vanishing():
     seen = 0
     for spec in corpus(150):
         report = check_pbw(spec)
-        if not report.fixed_point_free or not spec.has_kappa():
+        if not report.fixed_point_free or not spec.kappa_support():
             continue
         seen += 1
         assert report.cond2 == report.vanishing, spec.name

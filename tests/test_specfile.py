@@ -4,7 +4,6 @@ from qdrinfeld.algebra import AlgebraSpec
 from qdrinfeld.errors import ParseError, SpecError
 from qdrinfeld.specfile import (
     GenericLieData,
-    fixture_corpus,
     fixture_names,
     fixture_path,
     format_spec,
@@ -29,7 +28,7 @@ characters = [[1], [1]]
 
 
 def test_corpus_has_exactly_six_named_fixtures():
-    corpus = fixture_corpus()
+    corpus = {name: load_fixture(name) for name in fixture_names()}
     assert sorted(corpus) == sorted(fixture_names())
     assert len(corpus) == 6
 
@@ -52,7 +51,6 @@ def test_unknown_fixture_name():
 def test_minimal_spec_parses_with_empty_kappa():
     spec = parse_spec_text(MINIMAL)
     assert isinstance(spec, AlgebraSpec)
-    assert not spec.has_kappa()
     assert spec.kappa_support() == []
 
 
