@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, LinearCombination, accumulate, extended_kappa
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
-from .groups import ADegree, AbelianGroup, GroupElement, SubgroupN
+from .groups import ADegree, GroupElement, SubgroupN
 from .pbw import check_pbw, check_vanishing
 from .scalar import Scalar, ScalarContext
 from .specfile import GenericLieData

@@ -9,7 +9,7 @@ m_t * e_(n+t) is adjoined as an extra lattice generator.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import lcm
 
 from .cyclotomic import CyclotomicNumber
 from .errors import SpecError

@@ -27,8 +27,3 @@ def test_package_exports_are_their_modules_objects():
         module = importlib.import_module(obj.__module__)
         assert module.__name__.startswith("qdrinfeld."), name
         assert getattr(module, name) is obj, name
-
-
-def test_modules_are_all_imported():
-    names = {module.__name__ for module in MODULES}
-    assert {"qdrinfeld.colorlie", "qdrinfeld.groups", "qdrinfeld.uea"} <= names
