@@ -106,9 +106,8 @@ class Bicharacter:
                 if xs == 0:
                     continue
                 for t, yt in enumerate(vb):
-                    unit = self._table.get((s, t))
-                    if yt and unit is not None:
-                        value = value * unit ** (xs * yt)
+                    if yt and (s, t) in self._table:
+                        value = value * self._table[(s, t)] ** (xs * yt)
             self._memo[(a, b)] = value
         return value
 
