@@ -234,7 +234,8 @@ def instantiate_spec(spec: AlgebraSpec, values: dict[str, Scalar] | None = None)
     if not spec.ctx.params:
         return spec
     target = ScalarContext(spec.ctx.conductor)
-    zeta, one = Scalar.zeta(target, target.conductor), Scalar.one(target)
+    zeta = Scalar.zeta(target, target.conductor)
+    one = Scalar.one(target)
     table = {name: zeta if name in ("q", "p") else one for name in spec.ctx.params}
     for name, value in (values or {}).items():
         if name not in spec.ctx.params:
