@@ -13,39 +13,20 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalInconsistency, ParseError
+from .errors import InternalInconsistency
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Powers in user input are refused past these bounds instead of computed.
-MAX_POWER = 1000
-MAX_POWER_TERMS = 10000
-
-
 def power(base, k: int, one, mul=operator.mul):
-    """base^k for 0 <= k <= MAX_POWER by square-and-multiply.
-
-    Every product is refused before it is formed when its operands' term
-    counts multiply past MAX_POWER_TERMS, the most terms it can have;
-    values without a terms dict (cyclotomic numbers) have a fixed size.
-    Both refusals raise ParseError.
-    """
-    if k > MAX_POWER:
-        raise ParseError(f"exponent {k} exceeds the bound {MAX_POWER}")
-
-    def product(x, y):
-        if len(getattr(x, "terms", ())) * len(getattr(y, "terms", ())) > MAX_POWER_TERMS:
-            raise ParseError(f"a power may exceed {MAX_POWER_TERMS} terms")
-        return mul(x, y)
-
+    """base^k for k >= 0 by square-and-multiply."""
     result = one
     while k:
         if k & 1:
-            result = product(result, base)
+            result = mul(result, base)
         k >>= 1
         if k:
-            base = product(base, base)
+            base = mul(base, base)
     return result
 
 

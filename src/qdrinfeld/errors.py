@@ -18,7 +18,7 @@ class NotAUnit(SpecError):
 
 
 class ParseError(QdrinfeldError):
-    """Malformed or oversized scalar expression or spec file."""
+    """Malformed scalar expression or spec file."""
 
     def __init__(self, message, line=None):
         self.message = message

@@ -24,6 +24,10 @@ _ALGEBRA_SECTIONS = {"field", "group", "action", "q", "kappa"}
 _GENERIC_SECTIONS = {"field", "generic-lie"}
 _KNOWN_SECTIONS = _ALGEBRA_SECTIONS | _GENERIC_SECTIONS
 
+# The field's tables grow with the conductor: at 113 a PBW check takes
+# 0.23 s, at the prime 199 about 1 s (one core).
+MAX_CONDUCTOR = 120
+
 
 @dataclass
 class GenericLieData:
@@ -124,8 +128,9 @@ def _parse_params(value: str, lineno: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _build_context(field_kv, default_conductor: int) -> ScalarContext:
-    conductor = default_conductor
+def _build_context(field_kv, default_conductor: int, default_line: int) -> ScalarContext:
+    """The spec's field; the default conductor comes from the orders row."""
+    lineno, conductor = default_line, default_conductor
     if "conductor" in field_kv:
         lineno, value = field_kv["conductor"]
         conductor = _parse_int(value, lineno, 1)
@@ -135,6 +140,8 @@ def _build_context(field_kv, default_conductor: int) -> ScalarContext:
                 f"{default_conductor}",
                 lineno,
             )
+    if conductor > MAX_CONDUCTOR:
+        raise ParseError(f"conductor {conductor} exceeds the bound {MAX_CONDUCTOR}", lineno)
     params: tuple[str, ...] = ()
     if "params" in field_kv:
         lineno, value = field_kv["params"]
@@ -161,7 +168,7 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
         raise ParseError("orders must be positive integers", lineno)
     group = AbelianGroup(orders)
 
-    ctx = _build_context(field_kv, group.exponent)
+    ctx = _build_context(field_kv, group.exponent, lineno)
 
     if "characters" not in action_kv:
         raise ParseError("missing 'characters' in [action]", 0)
@@ -291,7 +298,7 @@ def _parse_generic(sections, name: str) -> GenericLieData:
         raise ParseError("the grading group needs at least one generator", 0)
 
     field_kv = _key_values(sections.get("field", []), {"conductor", "params"})
-    ctx = _build_context(field_kv, lcm(*orders) if orders else 1)
+    ctx = _build_context(field_kv, lcm(*orders) if orders else 1, kv.get("orders", (0,))[0])
 
     if "basis" not in kv:
         raise ParseError("missing 'basis' in [generic-lie]", 0)

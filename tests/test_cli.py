@@ -220,3 +220,39 @@ def test_oversized_conductor_is_an_input_error(tmp_path):
     assert time.monotonic() - started < 1
     assert code == 1 and not out
     assert err.startswith("input error:") and "conductor 1000000" in err
+    assert "line 2:" in err and "Traceback" not in err
+    # a conductor taken from the group's orders is bounded on the orders row
+    path.write_text(
+        "[group]\norders = [1000]\n[action]\ncharacters = [[0], [0]]\n[q]\n1 2 = -1\n"
+    )
+    code, out, err = run(["check", str(path)])
+    assert code == 1 and not out
+    assert err.startswith("input error: line 2:") and "conductor 1000 exceeds" in err
+
+
+GENERIC_WIDE = """\
+[generic-lie]
+free_rank = 1
+orders = [40]
+basis = x, y
+degrees = [[40, 39], [-40, 1]]
+epsilon 1 1 = -1
+epsilon 2 2 = -1
+"""
+
+
+def test_power_bounds_leave_internal_arithmetic_alone(tmp_path):
+    # the pairing raises table entries to 40*40 and 39*39, and instantiation
+    # raises q to 1200: only powers written in the input are bounded
+    path = tmp_path / "wide.qdo"
+    path.write_text(GENERIC_WIDE)
+    code, out, err = run(["lie", str(path)])
+    assert code == 0 and err == "", err
+    path.write_text(
+        format_spec(load_fixture("ex2"))
+        .replace("1 3 = -q^-1\n", "1 3 = -q^-600*q^-600\n")
+        .replace("2 3 = -q\n", "2 3 = -q^600*q^600\n")
+    )
+    code, out, err = run(["uea", str(path), "--degree", "2"])
+    assert code == 0 and err == "", err
+    assert "closed-form count 20, quotient slice 20" in out

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.errors import NotAUnit, ParseError, SpecError
 from qdrinfeld.scalar import Scalar, ScalarContext, parse_scalar
 
@@ -65,7 +66,8 @@ def test_substitute_keeps_unmentioned_parameters():
 def test_constant_value_refuses_parameters():
     with pytest.raises(SpecError):
         Scalar.param(CTX, "q").constant_value()
-    Scalar.rational(PLAIN, Fraction(1, 2)).constant_value()
+    half = Scalar.rational(PLAIN, Fraction(1, 2)).constant_value()
+    assert half == CyclotomicNumber.from_rational(PLAIN.conductor, Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
