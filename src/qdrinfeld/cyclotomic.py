@@ -18,6 +18,7 @@ from .errors import InternalInconsistency
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+
 def power(base, k: int, one, mul=operator.mul):
     """base^k for k >= 0 by square-and-multiply."""
     result = one
