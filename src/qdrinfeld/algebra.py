@@ -53,6 +53,10 @@ class AlgebraSpec:
         for chi in self.chars:
             if not isinstance(chi, Character) or chi.group != group:
                 raise SpecError("every generator needs a character of the acting group")
+        if ctx.conductor % group.exponent != 0:
+            raise SpecError(
+                f"conductor {ctx.conductor} is not a multiple of the group exponent {group.exponent}"
+            )
         self._q = self._build_q(n, q)
         self._kappa = self._build_kappa(n, kappa)
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
@@ -289,16 +293,6 @@ def _nc_label(key) -> str:
     return "*".join(factors)
 
 
-def inversions(word) -> int:
-    word = tuple(word)
-    return sum(
-        1
-        for p in range(len(word))
-        for s in range(p + 1, len(word))
-        if word[p] > word[s]
-    )
-
-
 def _descent_position(word, strategy: str):
     if strategy == "leftmost":
         indices = range(len(word) - 1)
@@ -356,11 +350,6 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
         return out
 
     return NCElement(spec, rewrite(element.terms, rule))
-
-
-def h_multiply(x: NCElement, y: NCElement, strategy: str = "leftmost") -> NCElement:
-    """Multiply two elements and return the normal form of the product."""
-    return normal_form(x * y, strategy)
 
 
 def defining_relation(spec: AlgebraSpec, j: int, i: int) -> NCElement:
@@ -423,11 +412,9 @@ __all__ = [
     "accumulate",
     "rewrite",
     "normal_form",
-    "h_multiply",
     "defining_relation",
     "kappa_element",
     "extended_kappa",
-    "inversions",
     "pbw_words",
     "all_words",
     "pbw_monomial_count",

@@ -129,7 +129,6 @@ class ColorLieRing:
         table: dict[tuple[int, int], Combo],
         epsilon: Bicharacter,
         spec: AlgebraSpec | None = None,
-        exploratory: bool = False,
     ) -> None:
         self.mode = mode
         self.labels = tuple(labels)
@@ -137,7 +136,6 @@ class ColorLieRing:
         self.table = table
         self.epsilon = epsilon
         self.spec = spec
-        self.exploratory = exploratory
         self._index = {label: s for s, label in enumerate(self.labels)}
 
     @property
@@ -168,15 +166,16 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
     """Bracket table over the basis v_i (x) g from the correction map.
 
     Requires the PBW verdict and the vanishing condition; force=True
-    builds anyway and marks the ring exploratory.
+    builds without deciding them, for callers that already hold the PBW
+    report or want to explore anyway.
     """
-    report = check_pbw(spec)
-    hypothesis = report.verdict and report.vanishing
-    if not hypothesis and not force:
-        raise HypothesisNotMet(
-            "bracket construction needs the PBW property and the vanishing "
-            "condition; pass force=True to explore anyway"
-        )
+    if not force:
+        report = check_pbw(spec)
+        if not (report.verdict and report.vanishing):
+            raise HypothesisNotMet(
+                "bracket construction needs the PBW property and the vanishing "
+                "condition; pass force=True to explore anyway"
+            )
     n = spec.n
     labels = [(i, g) for i in range(n) for g in spec.group]
     index = {label: s for s, label in enumerate(labels)}
@@ -202,7 +201,6 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
         table,
         Bicharacter.from_spec(spec),
         spec=spec,
-        exploratory=not hypothesis,
     )
 
 

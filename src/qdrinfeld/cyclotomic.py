@@ -252,9 +252,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coeffs[1:])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CyclotomicNumber)

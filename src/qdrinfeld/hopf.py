@@ -28,7 +28,6 @@ from .algebra import (
     accumulate,
     all_words,
     defining_relation,
-    h_multiply,
     normal_form,
     pbw_words,
 )
@@ -67,13 +66,12 @@ class BraidedTensorElement(LinearCombination):
         return (self.spec, self.slots)
 
     @classmethod
-    def zero(cls, spec: AlgebraSpec, slots: int = 2) -> BraidedTensorElement:
-        return cls(spec, slots, {})
+    def zero(cls, spec: AlgebraSpec) -> BraidedTensorElement:
+        return cls(spec, 2, {})
 
     @classmethod
-    def unit(cls, spec: AlgebraSpec, slots: int = 2) -> BraidedTensorElement:
-        key = ((),) * slots + (spec.group.identity(),)
-        return cls(spec, slots, {key: Scalar.one(spec.ctx)})
+    def unit(cls, spec: AlgebraSpec) -> BraidedTensorElement:
+        return cls(spec, 2, {((), (), spec.group.identity()): Scalar.one(spec.ctx)})
 
     @classmethod
     def from_pair(cls, x: NCElement, y: NCElement) -> BraidedTensorElement:
@@ -108,9 +106,7 @@ def _word_str(word) -> str:
     return "*".join(f"v{j + 1}" for j in word)
 
 
-def braided_product(
-    x: BraidedTensorElement, y: BraidedTensorElement, epsilon: Bicharacter | None = None
-) -> BraidedTensorElement:
+def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> BraidedTensorElement:
     """(a (x) b)(c (x) d) = pairing(|b|, |c|) (ac (x) bd), slots reduced.
 
     The left slots multiply as plain words but their reduction can emit
@@ -121,7 +117,7 @@ def braided_product(
     if x.slots != 2 or y.slots != 2:
         raise SpecError("the braided product is defined on two-slot tensors")
     x._check(y)
-    eps = Bicharacter.from_spec(spec) if epsilon is None else epsilon
+    eps = Bicharacter.from_spec(spec)
     identity = spec.group.identity()
     result: dict = {}
     for (al, ar, ag), ac in x.terms.items():
@@ -129,7 +125,7 @@ def braided_product(
         for (bl, br, bg), bc in y.terms.items():
             twist = eps.eval(_monomial_degree(spec, ar, ag), _monomial_degree(spec, bl, identity))
             left = normal_form(NCElement.monomial(spec, al + bl, identity))
-            right = h_multiply(right_a, NCElement.monomial(spec, br, bg))
+            right = normal_form(right_a * NCElement.monomial(spec, br, bg))
             base = ac * bc * twist
             for (lw, lg), lc in left.terms.items():
                 for (rw, rg), rc in right.terms.items():
@@ -138,7 +134,7 @@ def braided_product(
     return BraidedTensorElement(spec, 2, result)
 
 
-def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement, eps: Bicharacter) -> dict:
+def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement) -> dict:
     """Terms of Delta(v_word g) from the spec's memo, computing missing entries.
 
     Delta(w v_j) is the braided product of the memoized Delta(w) with
@@ -155,33 +151,34 @@ def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement, eps: Bicharacter) 
         return terms
     identity = spec.group.identity()
     if not word and g == identity:
-        terms = BraidedTensorElement.unit(spec, 2).terms
+        terms = BraidedTensorElement.unit(spec).terms
     else:
         one = Scalar.one(spec.ctx)
         if g != identity:
-            prefix = _monomial_delta(spec, word, identity, eps)
+            prefix = _monomial_delta(spec, word, identity)
             factor = {((), (), g): one}
         else:
-            prefix = _monomial_delta(spec, word[:-1], identity, eps)
+            prefix = _monomial_delta(spec, word[:-1], identity)
             factor = {((word[-1],), (), identity): one, ((), (word[-1],), identity): one}
         product = braided_product(
-            BraidedTensorElement(spec, 2, prefix), BraidedTensorElement(spec, 2, factor), eps
+            BraidedTensorElement(spec, 2, prefix), BraidedTensorElement(spec, 2, factor)
         )
         terms = product.terms
     memo[key] = terms
     return terms
 
 
-def coproduct(x: NCElement, spec: AlgebraSpec | None = None, strong: bool | None = None) -> BraidedTensorElement:
+def coproduct(x: NCElement, strong: bool | None = None) -> BraidedTensorElement:
     """Multiplicative extension of v -> v (x) 1 + 1 (x) v, g -> 1 (x) g.
 
     Applied term by term to the free presentation of x.  Delta of each
     monomial is memoized per spec and built from its prefix; the result is
     always a fresh element.  It only descends to the quotient when the
     strong character identity holds; otherwise a warning is emitted and
-    the value is exploratory.
+    the value is exploratory.  Callers that have already decided strong
+    vanishing pass it as ``strong``.
     """
-    spec = x.spec if spec is None else spec
+    spec = x.spec
     if strong is None:
         strong, _ = check_vanishing(spec, strong=True)
     if not strong:
@@ -190,10 +187,9 @@ def coproduct(x: NCElement, spec: AlgebraSpec | None = None, strong: bool | None
             "values are exploratory",
             stacklevel=2,
         )
-    eps = Bicharacter.from_spec(spec)
     total: dict = {}
     for (word, g), coeff in x.terms.items():
-        for key, c in _monomial_delta(spec, word, g, eps).items():
+        for key, c in _monomial_delta(spec, word, g).items():
             accumulate(total, key, coeff * c)
     return BraidedTensorElement(spec, 2, total)
 
@@ -205,7 +201,7 @@ def counit(x: NCElement) -> NCElement:
     return NCElement(spec, kept)
 
 
-def antipode(x: NCElement, epsilon: Bicharacter | None = None) -> NCElement:
+def antipode(x: NCElement) -> NCElement:
     """S(v) = -v, S(g) = g, twisted anti-multiplicative on words.
 
     S(uv) = pairing(|u|,|v|) S(v)S(u) on homogeneous factors, so a word
@@ -213,7 +209,6 @@ def antipode(x: NCElement, epsilon: Bicharacter | None = None) -> NCElement:
     its group letter stays on the right.  The result is normal-formed.
     """
     spec = x.spec
-    eps = Bicharacter.from_spec(spec) if epsilon is None else epsilon
     total = NCElement.zero(spec)
     for (word, g), coeff in x.terms.items():
         factor = coeff
@@ -234,7 +229,7 @@ def _delta_on_left(bt: BraidedTensorElement) -> BraidedTensorElement:
     spec = bt.spec
     result: dict = {}
     for (l, r, g), coeff in bt.terms.items():
-        inner = coproduct(NCElement.monomial(spec, l), spec, strong=True)
+        inner = coproduct(NCElement.monomial(spec, l), strong=True)
         for (a, b, bg), c in inner.terms.items():
             migrate = spec.word_char(r, bg)
             accumulate(result, (a, b, r, bg * g), coeff * c * migrate)
@@ -246,7 +241,7 @@ def _delta_on_right(bt: BraidedTensorElement) -> BraidedTensorElement:
     spec = bt.spec
     result: dict = {}
     for (l, r, g), coeff in bt.terms.items():
-        inner = coproduct(NCElement.monomial(spec, r, g), spec, strong=True)
+        inner = coproduct(NCElement.monomial(spec, r, g), strong=True)
         for (b, c, cg), value in inner.terms.items():
             accumulate(result, (l, b, c, cg), coeff * value)
     return BraidedTensorElement(spec, 3, result)
@@ -306,14 +301,8 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
             "the axiom sweep is exploratory",
             stacklevel=2,
         )
-    eps = Bicharacter.from_spec(spec)
     n = spec.n
-    identity = spec.group.identity()
     certificates = []
-
-    def delta(x: NCElement) -> BraidedTensorElement:
-        return coproduct(x, spec, strong=True)
-
     well_defined = True
     flank = d - 1
     for i in range(n):
@@ -326,7 +315,7 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
                         * relation
                         * NCElement.monomial(spec, w)
                     )
-                    residue = delta(multiple)
+                    residue = coproduct(multiple, strong=True)
                     if not residue.is_zero():
                         well_defined = False
                         certificates.append(
@@ -346,7 +335,7 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     for word in pbw_words(n, d):
         for g in spec.group:
             monomial = NCElement.monomial(spec, word, g)
-            image = delta(monomial)
+            image = coproduct(monomial, strong=True)
 
             left3 = _delta_on_left(image)
             right3 = _delta_on_right(image)
@@ -382,13 +371,13 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
             fold_left = NCElement.zero(spec)
             fold_right = NCElement.zero(spec)
             for (l, r, rg), coeff in image.terms.items():
-                left_part = antipode(NCElement.monomial(spec, l), eps)
-                fold_left = fold_left + h_multiply(
-                    left_part, NCElement.monomial(spec, r, rg)
+                left_part = antipode(NCElement.monomial(spec, l))
+                fold_left = fold_left + normal_form(
+                    left_part * NCElement.monomial(spec, r, rg)
                 ).scale(coeff)
-                right_part = antipode(NCElement.monomial(spec, r, rg), eps)
-                fold_right = fold_right + h_multiply(
-                    NCElement.monomial(spec, l), right_part
+                right_part = antipode(NCElement.monomial(spec, r, rg))
+                fold_right = fold_right + normal_form(
+                    NCElement.monomial(spec, l) * right_part
                 ).scale(coeff)
             if fold_left != expected or fold_right != expected:
                 antipode_ok = False

@@ -11,7 +11,7 @@ The two verdicts must agree on every valid input; tests enforce that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .algebra import AlgebraSpec, NCElement, kappa_element, normal_form
 from .errors import InternalInconsistency
@@ -263,10 +263,11 @@ def overlap_oracle(spec: AlgebraSpec) -> bool:
     """Resolve every overlapping reduction directly.
 
     Independent of the closed-form conditions: descending chains
-    v_k v_j v_i are reduced through both association orders, group
-    products acting on a generator are compared against the action of
-    each factor, and a group element is pushed through a reduction
-    before and after reducing.  True iff everything matches.
+    v_k v_j v_i are reduced through both association orders, and a
+    group element is pushed through a reduction before and after
+    reducing.  True iff everything matches.  The group acts through
+    characters, which are homomorphisms by construction, so products of
+    group elements need no check of their own.
     """
     n = spec.n
     for k in range(2, n):
@@ -276,14 +277,6 @@ def overlap_oracle(spec: AlgebraSpec) -> bool:
                 left = normal_form(chain, "leftmost")
                 right = normal_form(chain, "rightmost")
                 if left != right:
-                    return False
-    for g in spec.group:
-        for h in spec.group:
-            gh = g * h
-            for i in range(n):
-                joint = spec.char_value(i, gh)
-                split = spec.char_value(i, g) * spec.char_value(i, h)
-                if joint != split:
                     return False
     for g in spec.group:
         unit = NCElement.group_unit(spec, g)
@@ -318,23 +311,9 @@ class PBWReport:
     verdict: bool
 
     def as_dict(self) -> dict:
-        return {
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "cond3": self.cond3,
-            "cond1_violations": list(self.cond1_violations),
-            "cond2_violations": list(self.cond2_violations),
-            "cond3_violations": list(self.cond3_violations),
-            "vanishing": self.vanishing,
-            "vanishing_violations": list(self.vanishing_violations),
-            "strong_vanishing": self.strong_vanishing,
-            "strong_vanishing_violations": list(self.strong_vanishing_violations),
-            "fixed_point_free": self.fixed_point_free,
-            "oracle_confluent": self.oracle_confluent,
-            "remark_cond2": self.remark_cond2,
-            "remark_cond3": self.remark_cond3,
-            "verdict": self.verdict,
-        }
+        """Fields in declaration order, which is the key order of `check --json`."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
 def check_pbw(spec: AlgebraSpec) -> PBWReport:

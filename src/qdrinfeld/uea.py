@@ -60,7 +60,6 @@ class UEAPresentation:
 
     ring: ColorLieRing
     base: str
-    pair_count: int
     engine_spec: AlgebraSpec | None
     swap_rules: dict[tuple[int, int], tuple[Scalar, Combo]]
     square_rules: dict[int, Combo]
@@ -88,7 +87,7 @@ class UEAPresentation:
         ]
 
 
-def _spec_from_ring(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
+def _spec_from_ring(ring: ColorLieRing) -> AlgebraSpec:
     """Deformation data read off a group-labelled ring.
 
     Commutation scalars are the pairings of generator degrees and the
@@ -97,7 +96,6 @@ def _spec_from_ring(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
     """
     if ring.mode != "from_spec" or ring.spec is None:
         raise SpecError("this construction needs a ring with a group-labelled basis")
-    eps = ring.epsilon if epsilon is None else epsilon
     base = ring.spec
     n = base.n
     identity = base.group.identity()
@@ -105,7 +103,7 @@ def _spec_from_ring(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
     q: dict[tuple[int, int], Scalar] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            value = eps.eval(gen_degrees[i], gen_degrees[j])
+            value = ring.epsilon.eval(gen_degrees[i], gen_degrees[j])
             if not value.is_unit():
                 raise NonUnitEpsilon(
                     f"pairing of generators {i + 1} and {j + 1} is {value}, not a unit"
@@ -133,29 +131,25 @@ def _require_axioms(ring: ColorLieRing) -> None:
         )
 
 
-def build_uea(ring: ColorLieRing, epsilon=None) -> UEAPresentation:
+def build_uea(ring: ColorLieRing) -> UEAPresentation:
     """Presentation of the enveloping algebra, one rule per basis pair.
 
     Raises AxiomsFailed when the ring does not satisfy the bracket axioms.
     Negative generators of generic rings get the self-rule v*v -> [v,v]/2.
     """
     _require_axioms(ring)
-    eps = ring.epsilon if epsilon is None else epsilon
-    size = ring.size
-    pair_count = size * (size - 1) // 2
     if ring.mode == "from_spec":
-        return UEAPresentation(ring, "group-algebra", pair_count, _spec_from_ring(ring, eps), {}, {})
-    ctx = eps.ctx
-    half = Scalar.rational(ctx, Fraction(1, 2))
+        return UEAPresentation(ring, "group-algebra", _spec_from_ring(ring), {}, {})
+    half = Scalar.rational(ring.epsilon.ctx, Fraction(1, 2))
     swap_rules: dict[tuple[int, int], tuple[Scalar, Combo]] = {}
-    for s in range(size):
+    for s in range(ring.size):
         for t in range(s):
-            factor = eps.eval(ring.degrees[s], ring.degrees[t])
+            factor = ring.epsilon.eval(ring.degrees[s], ring.degrees[t])
             swap_rules[(s, t)] = (factor, dict(ring.bracket(s, t)))
     square_rules: dict[int, Combo] = {}
     for s in split_parts(ring).negative:
         square_rules[s] = {u: half * c for u, c in ring.bracket(s, s).items()}
-    return UEAPresentation(ring, "field", pair_count, None, swap_rules, square_rules)
+    return UEAPresentation(ring, "field", None, swap_rules, square_rules)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +323,7 @@ def dimension_oracle(spec: AlgebraSpec, d: int, instantiate: dict[str, Scalar] |
 # the reverse construction
 
 
-def converse_construct(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
+def converse_construct(ring: ColorLieRing) -> AlgebraSpec:
     """Deformation spec recovered from a purely positive ring.
 
     Commutation scalars come from the degree pairing and correction terms
@@ -342,7 +336,7 @@ def converse_construct(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
     if parts.negative:
         labels = ", ".join(ring.label_str(s) for s in parts.negative)
         raise NotPurelyPositive(f"basis elements with self-pairing -1: {labels}")
-    rebuilt = _spec_from_ring(ring, epsilon)
+    rebuilt = _spec_from_ring(ring)
     invariant, _ = check_invariance(rebuilt)
     vanishing, _ = check_vanishing(rebuilt)
     cyclic, _ = check_jacobi_sum(rebuilt)
@@ -354,10 +348,10 @@ def converse_construct(ring: ColorLieRing, epsilon=None) -> AlgebraSpec:
     return rebuilt
 
 
-def pbw_for_uea(ring: ColorLieRing, epsilon=None) -> bool:
+def pbw_for_uea(ring: ColorLieRing) -> bool:
     """PBW verdict for the enveloping algebra of a purely positive ring."""
     _require_axioms(ring)
-    return check_pbw(converse_construct(ring, epsilon)).verdict
+    return check_pbw(converse_construct(ring)).verdict
 
 
 __all__ = [

@@ -3,8 +3,8 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from qdrinfeld import pbw
-from qdrinfeld.cli import main
+from qdrinfeld import cli, colorlie, pbw, uea
+from qdrinfeld.cli import main, run_all
 from qdrinfeld.specfile import format_spec, load_fixture, parse_spec_text
 
 
@@ -107,6 +107,19 @@ def test_run_all_on_ex1_is_exploratory_for_the_coproduct():
     assert data["passed"] is False
 
 
+def test_run_all_decides_pbw_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.name)
+        return pbw.check_pbw(spec)
+
+    for module in (cli, colorlie, uea):
+        monkeypatch.setattr(module, "check_pbw", counted)
+    assert run_all("ex2", 2)["passed"]
+    assert calls == ["ex2"]
+
+
 def test_lie_on_the_generic_fixture():
     code, _, _ = run(["lie", "gl11"])
     assert code == 0
@@ -207,6 +220,19 @@ def test_oversized_powers_are_input_errors(tmp_path):
         assert code == 1 and not out, argv
         assert err.startswith("input error:") and "exceed" in err, argv
     assert "line " in err
+
+
+def test_check_on_a_large_group_answers_quickly(tmp_path):
+    # 576 group elements: no check may sweep all pairs of them
+    path = tmp_path / "z24.qdo"
+    path.write_text(
+        "[group]\norders = [24, 24]\n[action]\ncharacters = [[1, 0], [0, 1]]\n"
+        "[q]\n1 2 = zeta(24)\n"
+    )
+    started = time.monotonic()
+    code, out, err = run(["check", str(path)])
+    assert time.monotonic() - started < 5
+    assert code == 0 and "verdict: PBW" in out, err
 
 
 def test_oversized_conductor_is_an_input_error(tmp_path):

@@ -41,6 +41,14 @@ def test_character_evaluation():
     assert char_eval(chi, g, ctx) == Scalar.zeta(ctx, 3)
     assert char_eval(chi, g * g, ctx) == Scalar.zeta(ctx, 3, 2)
     assert char_eval(chi.inverse(), g, ctx) * char_eval(chi, g, ctx) == Scalar.one(ctx)
+    # every character is a homomorphism, so no spec needs to check it again
+    for orders in ((2, 2), (3, 3), (2, 4), (6,)):
+        G = AbelianGroup(orders)
+        ctx = ScalarContext(G.exponent)
+        for chi in (Character(G, g.exps) for g in G):
+            for g in G:
+                for h in G:
+                    assert char_eval(chi, g * h, ctx) == char_eval(chi, g, ctx) * char_eval(chi, h, ctx)
 
 
 def test_character_needs_compatible_conductor():
