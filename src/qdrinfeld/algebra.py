@@ -122,6 +122,10 @@ class AlgebraSpec:
     def q_scalar(self, i: int, j: int) -> Scalar:
         return self._q[(i, j)]
 
+    def q_table(self) -> dict[tuple[int, int], Scalar]:
+        """Every q_ij, transposes included: a spec built from it inverts none."""
+        return dict(self._q)
+
     def kappa_pairs(self, i: int, j: int) -> tuple[KappaTerm, ...]:
         """kappa(v_i, v_j) for any pair, transposes derived by antisymmetry."""
         if i == j:

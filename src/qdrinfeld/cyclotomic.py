@@ -1,10 +1,13 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
-Elements are stored on the power basis 1, zeta, ..., zeta^(phi(m)-1) with
-rational coordinates, reduced modulo the m-th cyclotomic polynomial.  The
-cyclotomic polynomial itself is obtained from x^m - 1 by exact division by
-the polynomials of the proper divisors, so no factorization routine and no
-floating point ever enter.
+Elements are stored on the power basis 1, zeta, ..., zeta^(phi(m)-1) as
+integer numerators over one positive common denominator, in lowest terms,
+reduced modulo the m-th cyclotomic polynomial.  That polynomial is monic
+with integer coefficients, so sums and products stay on integers and only
+the denominators multiply.  It is obtained from x^m - 1 by exact division
+by the polynomials of the proper divisors, so no factorization routine and
+no floating point ever enter; that division and the field inverse are the
+only places that compute over Q.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import InternalInconsistency
 
@@ -116,21 +120,22 @@ def euler_phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Row k holds the power-basis coordinates of zeta_m^k, for 0 <= k < m.
 
-    Any exponent reduces into this range because zeta_m^m = 1, which also
-    covers the degrees up to 2*phi - 2 produced by multiplication.
+    Phi_m is monic with integer coefficients, so every row is an integer
+    vector.  Any exponent reduces into this range because zeta_m^m = 1,
+    which also covers the degrees up to 2*phi - 2 produced by
+    multiplication.
     """
     phi = euler_phi(m)
-    phim = cyclotomic_polynomial(m)
     # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1}), Phi monic
-    zeta_phi = tuple(-c for c in phim[:-1])
-    rows: list[tuple[Fraction, ...]] = []
+    zeta_phi = [-int(c) for c in cyclotomic_polynomial(m)[:-1]]
+    rows: list[tuple[int, ...]] = []
     for k in range(m):
         if k < phi:
-            row = [_ZERO] * phi
-            row[k] = _ONE
+            row = [0] * phi
+            row[k] = 1
         else:
             prev = rows[k - 1]
             top = prev[phi - 1]
@@ -141,26 +146,48 @@ def _power_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-class CyclotomicNumber:
-    """An element of Q(zeta_m) on the power basis."""
+def _number(m: int, nums: tuple[int, ...], den: int) -> CyclotomicNumber:
+    """The element nums/den of Q(zeta_m), brought to lowest terms; den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(a // g for a in nums)
+            den //= g
+    x = object.__new__(CyclotomicNumber)
+    x.m, x.nums, x.den = m, nums, den
+    return x
 
-    __slots__ = ("m", "coeffs")
+
+class CyclotomicNumber:
+    """An element of Q(zeta_m) on the power basis: integer numerators ``nums``
+    over one denominator ``den`` > 0, in lowest terms, so equal values match."""
+
+    __slots__ = ("m", "nums", "den")
 
     def __init__(self, m: int, coeffs) -> None:
+        """From rational coordinates on the power basis."""
+        coeffs = [Fraction(c) for c in coeffs]
         phi = euler_phi(m)
-        coeffs = tuple(coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {m}, got {len(coeffs)}")
+        # over the lcm of the reduced denominators the numerators share no
+        # factor with it, so this is already lowest terms
+        den = lcm(*(c.denominator for c in coeffs))
         self.m = m
-        self.coeffs = coeffs
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates on the power basis."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, m: int, value) -> CyclotomicNumber:
         value = Fraction(value)
-        phi = euler_phi(m)
-        return cls(m, (value,) + (_ZERO,) * (phi - 1))
+        return _number(m, (value.numerator,) + (0,) * (euler_phi(m) - 1), value.denominator)
 
     @classmethod
     def zero(cls, m: int) -> CyclotomicNumber:
@@ -173,7 +200,7 @@ class CyclotomicNumber:
     @classmethod
     def zeta_power(cls, m: int, k: int) -> CyclotomicNumber:
         """zeta_m^k, any integer k."""
-        return cls(m, _power_rows(m)[k % m])
+        return _number(m, _power_rows(m)[k % m], 1)
 
     @classmethod
     def root_of_unity(cls, m: int, d: int, power: int = 1) -> CyclotomicNumber:
@@ -188,40 +215,43 @@ class CyclotomicNumber:
         if self.m != other.m:
             raise ValueError(f"conductor mismatch: {self.m} vs {other.m}")
 
-    def __add__(self, other: CyclotomicNumber) -> CyclotomicNumber:
+    def _combine(self, other: CyclotomicNumber, op) -> CyclotomicNumber:
+        """op (add or sub) coordinatewise over the common denominator."""
         self._check(other)
-        return CyclotomicNumber(self.m, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _number(self.m, tuple(map(op, self.nums, other.nums)), d1)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        nums = tuple(op(a * f1, b * f2) for a, b in zip(self.nums, other.nums))
+        return _number(self.m, nums, d1 * f1)
+
+    def __add__(self, other: CyclotomicNumber) -> CyclotomicNumber:
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: CyclotomicNumber) -> CyclotomicNumber:
-        self._check(other)
-        return CyclotomicNumber(self.m, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> CyclotomicNumber:
-        return CyclotomicNumber(self.m, (-a for a in self.coeffs))
+        return _number(self.m, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other: CyclotomicNumber) -> CyclotomicNumber:
         self._check(other)
-        phi = euler_phi(self.m)
-        prod = [_ZERO] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        out = list(prod[:phi])
-        table = _power_rows(self.m)
+        m, a, b = self.m, self.nums, other.nums
+        phi = len(a)
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    prod[k] += x * y
+        out = prod[:phi]
+        table = _power_rows(m)
         for k in range(phi, 2 * phi - 1):
             c = prod[k]
-            if c == 0:
-                continue
-            row = table[k % self.m]
-            for i in range(phi):
-                out[i] += c * row[i]
-        return CyclotomicNumber(self.m, out)
-
-    def scale(self, q) -> CyclotomicNumber:
-        q = Fraction(q)
-        return CyclotomicNumber(self.m, (q * a for a in self.coeffs))
+            if c:
+                for i, r in enumerate(table[k % m]):
+                    out[i] += c * r
+        return _number(m, tuple(out), self.den * other.den)
 
     def inverse(self) -> CyclotomicNumber:
         """Field inverse via the extended Euclidean algorithm in Q[x]."""
@@ -229,19 +259,22 @@ class CyclotomicNumber:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         phim = cyclotomic_polynomial(self.m)
         # maintain r = s * self + t * Phi_m; Phi_m is irreducible over Q,
-        # so the gcd is a nonzero constant
+        # so the last nonzero remainder is a constant.  Each remainder is
+        # made monic, which keeps the coefficients near the size of the
+        # answer's: unscaled, they grow by thousands of digits at m = 113.
         r0, s0 = _trim(list(self.coeffs)), (_ONE,)
         r1, s1 = phim, ()
         while r1:
             q, r2 = _poly_divmod(r0, r1)
             s2 = _poly_sub(s0, _poly_mul(q, s1))
+            if r2:
+                c = 1 / r2[-1]
+                r2, s2 = tuple(c * a for a in r2), tuple(c * a for a in s2)
             r0, s0, r1, s1 = r1, s1, r2, s2
         if len(r0) != 1:
             raise InternalInconsistency("Phi_m must be coprime to any nonzero element")
-        c = 1 / r0[0]
-        phi = euler_phi(self.m)
-        inv = [c * s0[i] if i < len(s0) else _ZERO for i in range(phi)]
-        return CyclotomicNumber(self.m, inv)
+        # r0 == (1,), so s0 * self = 1 modulo Phi_m
+        return CyclotomicNumber(self.m, s0 + (_ZERO,) * (euler_phi(self.m) - len(s0)))
 
     def __pow__(self, k: int) -> CyclotomicNumber:
         base = self.inverse() if k < 0 else self
@@ -250,17 +283,15 @@ class CyclotomicNumber:
     # -- predicates and views -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CyclotomicNumber)
-            and self.m == other.m
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, CyclotomicNumber):
+            return False
+        return (self.m, self.den, self.nums) == (other.m, other.den, other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
+        return hash((self.m, self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.m}, {self.coeffs!r})"
@@ -278,7 +309,7 @@ class CyclotomicNumber:
         return join_signed(terms)
 
     def term_count(self) -> int:
-        return sum(1 for a in self.coeffs if a != 0)
+        return sum(1 for a in self.nums if a)
 
 
 def _poly_sub(a, b):

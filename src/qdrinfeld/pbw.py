@@ -166,7 +166,7 @@ def _remark2_holds(spec: AlgebraSpec) -> bool:
         spec.ctx,
         spec.group,
         spec.chars,
-        {(i, j): spec.q_scalar(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)},
+        spec.q_table(),
         {},
         name=spec.name + ":q-only" if spec.name else "q-only",
     )

@@ -24,8 +24,8 @@ _ALGEBRA_SECTIONS = {"field", "group", "action", "q", "kappa"}
 _GENERIC_SECTIONS = {"field", "generic-lie"}
 _KNOWN_SECTIONS = _ALGEBRA_SECTIONS | _GENERIC_SECTIONS
 
-# The field's tables grow with the conductor: at 113 a PBW check takes
-# 0.23 s, at the prime 199 about 1 s (one core).
+# The field's arithmetic grows with the conductor: at the prime 113 a PBW
+# check takes about 0.01 s, but inverting a dense element 0.5-2 s (one core).
 MAX_CONDUCTOR = 120
 
 
@@ -264,7 +264,7 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
         else:
             kappa[key] = tuple(resolved)
 
-    return AlgebraSpec(ctx, group, chars, q_entries, kappa, name=name)
+    return AlgebraSpec(ctx, group, chars, probe.q_table(), kappa, name=name)
 
 
 def _parse_generic(sections, name: str) -> GenericLieData:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from qdrinfeld.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
 )
+from qdrinfeld.specfile import MAX_CONDUCTOR
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -97,3 +99,125 @@ def test_str_is_reduced():
     # zeta(4)^2 must print as the rational -1, not as a power
     z = CyclotomicNumber.zeta_power(4, 1)
     assert str(z * z) == "-1"
+
+
+# -- the stored form: integer numerators over one denominator, lowest terms
+
+
+def _random_element(rng, m, width=None):
+    """Mixed denominators on ``width`` random coordinates (all by default)."""
+    phi = euler_phi(m)
+    coeffs = [Fraction(0)] * phi
+    for k in rng.sample(range(phi), phi if width is None else min(width, phi)):
+        coeffs[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return CyclotomicNumber(m, coeffs)
+
+
+def _same_value(x, y):
+    assert x == y
+    assert hash(x) == hash(y)
+    assert repr(x) == repr(y)
+    assert (x.m, x.nums, x.den) == (y.m, y.nums, y.den)
+
+
+def test_one_value_has_one_representation():
+    rng = random.Random(8)
+    m = 12
+    a, b, y = (_random_element(rng, m) for _ in range(3))
+    assert not a.is_zero() and not b.is_zero()
+    _same_value((a * b.inverse()) * (b * a.inverse()), CyclotomicNumber.one(m))
+    _same_value(a + y - y, a)
+    sixth = CyclotomicNumber(m, [Fraction(1, 6), Fraction(-5, 4), 0, Fraction(1, 10)])
+    third = CyclotomicNumber(m, [Fraction(1, 3), Fraction(1, 4), 0, Fraction(2, 5)])
+    half = CyclotomicNumber(m, [Fraction(1, 2), -1, 0, Fraction(1, 2)])
+    _same_value(sixth + third, half)
+    assert half.den == 2
+
+
+def test_rational_coordinates_round_trip_in_lowest_terms():
+    rng = random.Random(9)
+    for m in (1, 2, 5, 12, 105):
+        for _ in range(10):
+            x = _random_element(rng, m, width=6)
+            assert CyclotomicNumber(m, x.coeffs) == x
+            assert x.den > 0
+            assert gcd(x.den, *x.nums) == 1
+            assert all(isinstance(a, int) for a in x.nums)
+
+
+def test_zero_has_a_single_representation():
+    rng = random.Random(10)
+    m = 12
+    x = _random_element(rng, m)
+    zeros = [
+        CyclotomicNumber.zero(m),
+        CyclotomicNumber.from_rational(m, Fraction(0, 7)),
+        CyclotomicNumber(m, [Fraction(0, 5)] * euler_phi(m)),
+        x - x,
+        x * CyclotomicNumber.zero(m),
+        -CyclotomicNumber.zero(m),
+    ]
+    for z in zeros:
+        assert z.is_zero()
+        _same_value(z, zeros[0])
+    assert zeros[0].nums == (0,) * euler_phi(m) and zeros[0].den == 1
+
+
+def test_ring_laws_with_fractional_coordinates():
+    rng = random.Random(11)
+    for m in (3, 12, 15):
+        one, zero = CyclotomicNumber.one(m), CyclotomicNumber.zero(m)
+        for _ in range(20):
+            a, b, c = (_random_element(rng, m) for _ in range(3))
+            assert (a + b) * c == a * c + b * c
+            assert (a * b) * c == a * (b * c)
+            assert a * b == b * a
+            assert (a + b) + c == a + (b + c)
+            assert a - b == a + (-b)
+            assert a + zero == a and a * one == a
+            if not b.is_zero():
+                assert (a * b) * b.inverse() == a
+
+
+# -- cross-check against an independent implementation
+
+
+def test_cyclotomic_polynomials_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, MAX_CONDUCTOR + 1):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(Fraction(int(c)) for c in expected), m
+
+
+def test_products_and_inverses_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(113)
+    for m in (1, 2, 12, 105, 113, 120):
+        phim = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="QQ")
+        one = CyclotomicNumber.one(m).coeffs
+
+        def poly(value):
+            coeffs = [sympy.Rational(str(a)) for a in reversed(value.coeffs)]
+            return sympy.Poly(coeffs, x, domain="QQ")
+
+        def coords(p):
+            found = [Fraction(str(a)) for a in reversed(p.rem(phim).all_coeffs())]
+            return tuple(found + [Fraction(0)] * (euler_phi(m) - len(found)))
+
+        for _ in range(3):
+            # dense factors for the products; a dense inverse at m = 113 takes
+            # about 2 s here and minutes in sympy, so the inverse gets a sparse one
+            a = _random_element(rng, m, width=3)
+            b, c = _random_element(rng, m), _random_element(rng, m)
+            assert (b * c).coeffs == coords(poly(b) * poly(c)), m
+            assert (a * b).coeffs == coords(poly(a) * poly(b)), m
+            if a.is_zero():
+                continue
+            inverse = a.inverse()
+            assert coords(poly(a) * poly(inverse)) == one, m
+            # at m = 113 sympy.invert takes seconds even on a sparse element;
+            # the product above already pins the inverse down there
+            if m != 113:
+                assert inverse.coeffs == coords(sympy.invert(poly(a), phim)), m

@@ -12,6 +12,7 @@ import pkgutil
 from pathlib import Path
 
 import qdrinfeld
+from qdrinfeld import cyclotomic
 
 MODULES = [
     importlib.import_module(f"qdrinfeld.{info.name}")
@@ -51,3 +52,29 @@ def test_every_import_is_used():
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 assert name in used, f"{module.__name__} imports {name} without using it"
+
+
+def test_cyclotomic_arithmetic_never_names_fraction():
+    # Sums, products and comparisons run on integer numerators; Fraction is
+    # for the constructor, the inverse and building Phi_m.  Helpers these
+    # methods call are followed too, except per-conductor cached tables.
+    tree = ast.parse(Path(cyclotomic.__file__).read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "CyclotomicNumber"]
+    defs = {n.name: n for n in tree.body + cls.body if isinstance(n, ast.FunctionDef)}
+    cached = {
+        name for name, node in defs.items()
+        if any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+    }
+    todo = ["__add__", "__sub__", "__neg__", "__mul__", "is_zero", "__eq__", "__hash__"]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name in cached:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            word = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert word != "Fraction", f"{name} (reached from the arithmetic) names Fraction"
+            if word in defs:
+                todo.append(word)
+    assert {"_number", "_combine", "_check"} <= seen

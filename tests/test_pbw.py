@@ -15,7 +15,7 @@ from qdrinfeld.pbw import (
     overlap_oracle,
 )
 from qdrinfeld.scalar import Scalar, parse_scalar
-from qdrinfeld.specfile import load_fixture
+from qdrinfeld.specfile import load_fixture, parse_spec_text
 
 from randspec import corpus
 
@@ -238,3 +238,35 @@ def test_report_dict_is_insertion_stable():
     report = check_pbw(load_fixture("ex2")).as_dict()
     assert list(report)[:3] == ["cond1", "cond2", "cond3"]
     assert report["verdict"] is True
+
+
+def test_each_derived_q_transpose_is_inverted_once(monkeypatch):
+    # six nontrivial entries above the diagonal give six transposes below it;
+    # the parsed spec and check_pbw's q-only spec reuse the completed table
+    text = """
+[field]
+conductor = 6
+[group]
+orders = [3]
+[action]
+characters = [[1], [2], [0], [1]]
+[q]
+1 2 = zeta(6)
+1 3 = -1
+1 4 = zeta(3)
+2 3 = -zeta(6)
+2 4 = zeta(6)^2
+3 4 = -zeta(3)
+[kappa]
+1 2 -> 3 (1) 1
+"""
+    calls = []
+    inv = Scalar.inv
+
+    def counting_inv(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(Scalar, "inv", counting_inv)
+    check_pbw(parse_spec_text(text))
+    assert len(calls) == 6
