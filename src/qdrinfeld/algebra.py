@@ -59,6 +59,17 @@ class AlgebraSpec:
             )
         self._q = self._build_q(n, q)
         self._kappa = self._build_kappa(n, kappa)
+        # kappa on every ordered pair, each transpose multiplied by -q_ji
+        # once, and the same terms merged per word and letter
+        self._kappa_pairs = dict(self._kappa)
+        for (i, j), terms in self._kappa.items():
+            factor = -self._q[(j, i)]
+            self._kappa_pairs[(j, i)] = tuple((r, g, factor * c) for r, g, c in terms)
+        self._kappa_terms: dict[tuple[int, int], dict] = {}
+        for pair, terms in self._kappa_pairs.items():
+            merged = self._kappa_terms[pair] = {}
+            for r, g, c in terms:
+                accumulate(merged, ((r,), g), c)
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         # Delta of monomials (hopf.coproduct) and the pairing
         # (colorlie.Bicharacter.from_spec), each computed once per spec
@@ -128,14 +139,7 @@ class AlgebraSpec:
 
     def kappa_pairs(self, i: int, j: int) -> tuple[KappaTerm, ...]:
         """kappa(v_i, v_j) for any pair, transposes derived by antisymmetry."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._kappa.get((i, j), ())
-        factor = -self.q_scalar(i, j)
-        return tuple(
-            (r, g, factor * c) for r, g, c in self._kappa.get((j, i), ())
-        )
+        return self._kappa_pairs.get((i, j), ())
 
     def kappa_support(self):
         """Ordered pairs (i, j), i < j, on which kappa is nonzero."""
@@ -367,10 +371,7 @@ def defining_relation(spec: AlgebraSpec, j: int, i: int) -> NCElement:
 
 def kappa_element(spec: AlgebraSpec, i: int, j: int) -> NCElement:
     """kappa(v_i, v_j) as an element with length-one words."""
-    terms: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
-    for r, g, c in spec.kappa_pairs(i, j):
-        accumulate(terms, ((r,), g), c)
-    return NCElement(spec, terms)
+    return NCElement(spec, spec._kappa_terms.get((i, j)))
 
 
 def extended_kappa(spec: AlgebraSpec, i: int, g: GroupElement, j: int, h: GroupElement) -> NCElement:

@@ -21,7 +21,7 @@ from .scalar import Scalar
 
 def _kappa_coeff(spec: AlgebraSpec, i: int, j: int, r: int, g: GroupElement) -> Scalar:
     """Coefficient of v_r g in kappa(v_i, v_j)."""
-    return kappa_element(spec, i, j).terms.get(((r,), g), Scalar.zero(spec.ctx))
+    return spec._kappa_terms.get((i, j), {}).get(((r,), g), Scalar.zero(spec.ctx))
 
 
 def _support_elements(spec: AlgebraSpec) -> list[GroupElement]:

@@ -46,6 +46,23 @@ def test_kappa_transpose_sign():
     assert c == -q(EX2, 1, 0) * parse_scalar("lam", EX2.ctx)
 
 
+def test_kappa_transposes_are_computed_once_at_parse(monkeypatch):
+    spec = load_fixture("ex1")
+    expected = {
+        (j, i): [(r, g, -q(spec, j, i) * c) for r, g, c in spec.kappa_pairs(i, j)]
+        for i, j in spec.kappa_support()
+    }
+    assert expected
+    calls = []
+    multiply = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    for (j, i), terms in expected.items():
+        assert j > i
+        for _ in range(2):
+            assert list(spec.kappa_pairs(j, i)) == terms
+    assert not calls
+
+
 def test_group_letters_skew_past_generators():
     g = EX2.group.generator(0)
     x = NCElement.group_unit(EX2, g)

@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from qdrinfeld import cli, colorlie, pbw, uea
 from qdrinfeld.cli import main, run_all
+from qdrinfeld.scalar import Scalar
 from qdrinfeld.specfile import format_spec, load_fixture, parse_spec_text
 
 
@@ -233,6 +234,33 @@ def test_check_on_a_large_group_answers_quickly(tmp_path):
     code, out, err = run(["check", str(path)])
     assert time.monotonic() - started < 5
     assert code == 0 and "verdict: PBW" in out, err
+
+
+def _two_generator_spec(order):
+    return (
+        f"[group]\norders = [{order}, {order}]\n[action]\ncharacters = [[1, 0], [0, 1]]\n"
+        f"[q]\n1 2 = zeta({order})\n"
+    )
+
+
+def test_lie_on_a_large_group_answers_quickly(tmp_path):
+    # 288 basis elements and no bracket: no sweep may visit all triples
+    path = tmp_path / "z12.qdo"
+    path.write_text(_two_generator_spec(12))
+    started = time.monotonic()
+    code, out, err = run(["lie", str(path)])
+    assert time.monotonic() - started < 5
+    assert code == 0 and "jacobi: pass" in out, err
+
+
+def test_axiom_sweep_work_follows_the_bracket_table(monkeypatch):
+    ring = colorlie.build_color_lie_ring(parse_spec_text(_two_generator_spec(6)))
+    assert ring.size == 72 and not ring.table
+    calls = []
+    multiply = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    assert colorlie.check_color_axioms(ring).passed
+    assert len(calls) <= 1000
 
 
 def test_oversized_conductor_is_an_input_error(tmp_path):

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from qdrinfeld.algebra import LinearCombination, accumulate
 from qdrinfeld.colorlie import (
     Bicharacter,
+    ColorAxiomReport,
     ColorLieRing,
     build_color_lie_ring,
     build_N_and_quotient,
@@ -183,3 +186,149 @@ degrees = [[1], [1]]
         )
     ring = generic_color_lie_ring(parse_spec_text(base + "epsilon 1 1 = -1\n"))
     assert ring.epsilon.eval(ring.degrees[0], ring.degrees[1]) == -Scalar.one(ring.epsilon.ctx)
+
+
+def _dense_axioms(ring, quotient=None):
+    """Reference sweep over every basis pair and triple, as a report dict.
+
+    It visits the tuples whose brackets are all empty too, so it checks
+    that skipping them in check_color_axioms changes nothing.
+    """
+    eps, size, label = ring.epsilon, ring.size, ring.label_str
+    certificates = []
+    pair = [[eps.eval(d1, d2) for d2 in ring.degrees] for d1 in ring.degrees]
+
+    def combo(s, t):
+        return LinearCombination(ring.bracket(s, t))
+
+    def bracket_with(s, terms):
+        out = {}
+        for u, c in terms.items():
+            for v, d in ring.bracket(s, u).items():
+                accumulate(out, v, d * c)
+        return LinearCombination(out)
+
+    verdicts = dict.fromkeys(("antisymmetry", "jacobi"), True)
+    verdicts.update(dict.fromkeys(("bimodule", "yetter_drinfeld", "grading")))
+    for s in range(size):
+        for t in range(size):
+            got, expected = combo(s, t), combo(t, s).scale(-pair[s][t])
+            if got != expected:
+                verdicts["antisymmetry"] = False
+                certificates.append(
+                    {"axiom": "antisymmetry", "x": label(s), "y": label(t),
+                     "got": got.sum_str(label), "expected": expected.sum_str(label)}
+                )
+    for s, t, u in itertools.product(range(size), repeat=3):
+        total = LinearCombination()
+        for x, y, z in ((s, t, u), (t, u, s), (u, s, t)):
+            total = total + bracket_with(x, ring.bracket(y, z)).scale(pair[z][x])
+        if not total.is_zero():
+            verdicts["jacobi"] = False
+            certificates.append(
+                {"axiom": "jacobi", "x": label(s), "y": label(t), "z": label(u),
+                 "residue": total.sum_str(label)}
+            )
+    if ring.mode == "from_spec":
+        spec, index = ring.spec, ring.index_of
+        verdicts["bimodule"] = verdicts["yetter_drinfeld"] = True
+        for g in spec.group:
+            for s in range(size):
+                i, h = ring.labels[s]
+                for t in range(size):
+                    j, h2 = ring.labels[t]
+                    left, right = {}, {}
+                    for u, c in ring.bracket(s, t).items():
+                        k, h3 = ring.labels[u]
+                        accumulate(left, index((k, g * h3)), c * spec.char_value(k, g))
+                        accumulate(right, index((k, h3 * g)), c)
+                    checks = (
+                        ("left", combo(index((i, g * h)), t).scale(spec.char_value(i, g)),
+                         LinearCombination(left)),
+                        ("balanced", combo(index((i, h * g)), t),
+                         combo(s, index((j, g * h2))).scale(spec.char_value(j, g))),
+                        ("right", combo(s, index((j, h2 * g))), LinearCombination(right)),
+                    )
+                    for name, got, expected in checks:
+                        if got != expected:
+                            verdicts["bimodule"] = False
+                            certificates.append(
+                                {"axiom": f"bimodule-{name}", "g": str(g), "x": label(s),
+                                 "y": label(t), "got": got.sum_str(label),
+                                 "expected": expected.sum_str(label)}
+                            )
+        for g in spec.group:
+            gdeg = ADegree.group_degree(spec.n, g)
+            for s in range(size):
+                acted = spec.char_value(ring.labels[s][0], g)
+                paired = eps.eval(gdeg, ring.degrees[s])
+                if acted != paired:
+                    verdicts["yetter_drinfeld"] = False
+                    certificates.append(
+                        {"axiom": "yetter-drinfeld", "g": str(g), "v": label(s),
+                         "action": str(acted), "pairing": str(paired)}
+                    )
+    if quotient is not None or ring.mode == "generic":
+        verdicts["grading"] = True
+        for s, t in itertools.product(range(size), repeat=2):
+            target = ring.degrees[s] * ring.degrees[t]
+            for u in ring.bracket(s, t):
+                if quotient is not None:
+                    homogeneous = quotient.congruent(ring.degrees[u], target)
+                else:
+                    homogeneous = ring.degrees[u] == target
+                if not homogeneous:
+                    verdicts["grading"] = False
+                    certificates.append(
+                        {"axiom": "grading", "x": label(s), "y": label(t), "term": label(u),
+                         "term_degree": str(ring.degrees[u]), "product_degree": str(target)}
+                    )
+    return ColorAxiomReport(certificates=tuple(certificates), **verdicts).as_dict()
+
+
+def _perturbed(ring, rng, kind):
+    """The ring with one key dropped, one value doubled, one stray term added
+    or one pairing value of a group generator negated."""
+    table = {key: dict(value) for key, value in ring.table.items()}
+    keys = sorted(table)
+    if kind == "pairing":
+        values = dict(ring.epsilon._table)
+        free = ring.spec.n if ring.spec else 0
+        key = rng.choice([key for key in sorted(values) if key[0] >= free])
+        values[key] = -values[key]
+        epsilon = Bicharacter(ring.epsilon.ctx, values)
+        return ColorLieRing(ring.mode, ring.labels, ring.degrees, table, epsilon, spec=ring.spec)
+    if kind == "drop" and keys:
+        del table[rng.choice(keys)]
+    elif kind == "double" and keys:
+        key = rng.choice(keys)
+        table[key] = {u: c + c for u, c in table[key].items()}
+    else:
+        one = Scalar.one(ring.epsilon.ctx)
+        key = (rng.randrange(ring.size), rng.randrange(ring.size))
+        terms = table.setdefault(key, {})
+        accumulate(terms, rng.randrange(ring.size), -one if rng.random() < 0.5 else one)
+        if not terms:
+            del table[key]
+    return ColorLieRing(ring.mode, ring.labels, ring.degrees, table, ring.epsilon, spec=ring.spec)
+
+
+def test_sparse_sweep_matches_the_dense_reference_on_perturbed_rings():
+    # the unperturbed rings are pinned by the golden outputs
+    failed = 0
+    axioms = set()
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa", "gl11"):
+        ring = ring_for(name)
+        quotient = build_N_and_quotient(ring.spec)[0] if name in ("ex2", "ex3") else None
+        for trial, kind in enumerate(("drop", "double", "stray", "pairing")):
+            broken = _perturbed(ring, random.Random(f"{name}-{trial}"), kind)
+            report = check_color_axioms(broken).as_dict()
+            assert report == _dense_axioms(broken), (name, kind)
+            failed += not report["passed"]
+            axioms.update(cert["axiom"] for cert in report["certificates"])
+            if quotient is not None:
+                report = check_color_axioms(broken, quotient=quotient).as_dict()
+                assert report == _dense_axioms(broken, quotient), (name, kind)
+    # every perturbation breaks an axiom, so certificates are compared, not only verdicts
+    assert failed == 24
+    assert {"antisymmetry", "jacobi", "bimodule-left", "yetter-drinfeld", "grading"} <= axioms
