@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     degree = getattr(args, "degree", None)
     if degree is not None:
         if degree < 0:
-            print("the degree bound must be nonnegative", file=sys.stderr)
+            print("input error: the degree bound must be nonnegative", file=sys.stderr)
             return 1
         if degree > SOFT_DEGREE_LIMIT:
             print(

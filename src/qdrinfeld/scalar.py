@@ -14,6 +14,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import CyclotomicNumber, join_signed, power, times
 from .errors import NotAUnit, ParseError, SpecError
@@ -49,6 +50,16 @@ class ScalarContext:
     def rank(self) -> int:
         return len(self.params)
 
+    @cached_property
+    def _one_terms(self) -> dict:
+        """Terms of the scalar 1, built once and shared by every ``Scalar.one``.
+
+        The context keeps the terms, not a ``Scalar``, so it holds no
+        reference back to itself and dies without the cycle collector.
+        No scalar's terms are ever mutated, which makes the sharing safe.
+        """
+        return {(0,) * self.rank: CyclotomicNumber.one(self.conductor)}
+
 
 class Scalar:
     __slots__ = ("ctx", "terms")
@@ -61,11 +72,11 @@ class Scalar:
 
     @classmethod
     def zero(cls, ctx: ScalarContext) -> Scalar:
-        return cls(ctx, {})
+        return _scalar(ctx, {})
 
     @classmethod
     def one(cls, ctx: ScalarContext) -> Scalar:
-        return cls.rational(ctx, 1)
+        return _scalar(ctx, ctx._one_terms)
 
     @classmethod
     def rational(cls, ctx: ScalarContext, value) -> Scalar:
@@ -92,7 +103,7 @@ class Scalar:
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other: Scalar) -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise SpecError(f"scalar context mismatch: {self.ctx} vs {other.ctx}")
 
     def __add__(self, other: Scalar) -> Scalar:
@@ -111,6 +122,11 @@ class Scalar:
 
     def __mul__(self, other: Scalar) -> Scalar:
         self._check(other)
+        if len(self.terms) == 1 == len(other.terms):
+            # one multiply, and a product of nonzero field elements is nonzero
+            (e1, c1), = self.terms.items()
+            (e2, c2), = other.terms.items()
+            return _scalar(self.ctx, {tuple(map(operator.add, e1, e2)): c1 * c2})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -192,6 +208,13 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _scalar(ctx: ScalarContext, terms: dict) -> Scalar:
+    """A scalar on terms known to hold no zero coefficient, taken as they are."""
+    x = object.__new__(Scalar)
+    x.ctx, x.terms = ctx, terms
+    return x
 
 
 def _format_term(ctx: ScalarContext, exps, coeff: CyclotomicNumber) -> str:

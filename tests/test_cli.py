@@ -169,6 +169,12 @@ def test_degree_guards():
     assert "soft limit" in err and "input error" in err
 
 
+def test_negative_degree_is_an_input_error():
+    code, _, err = run(["all", "ex2", "--degree", "-1"])
+    assert code == 1
+    assert err == "input error: the degree bound must be nonnegative\n"
+
+
 def test_converse_round_trip():
     for name in ("ex2", "ex3"):
         code, out, _ = run(["converse", name, "--json"])

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from qdrinfeld import hopf
-from qdrinfeld.algebra import NCElement, all_words, normal_form
+from qdrinfeld.algebra import NCElement, all_words, defining_relation, normal_form
 from qdrinfeld.colorlie import Bicharacter
 from qdrinfeld.hopf import (
     BraidedTensorElement,
@@ -19,9 +19,9 @@ from qdrinfeld.hopf import (
     counit,
 )
 from qdrinfeld.errors import SpecError
-from qdrinfeld.pbw import check_pbw, check_vanishing
+from qdrinfeld.pbw import check_pbw, check_vanishing, overlap_oracle
 from qdrinfeld.scalar import Scalar
-from qdrinfeld.specfile import load_fixture
+from qdrinfeld.specfile import load_fixture, parse_spec_text
 
 from randspec import corpus
 
@@ -179,6 +179,95 @@ def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
     assert counts["braided_product"] <= 1308 // 4
     assert counts["uncached_eval"] <= 4462 // 4
     assert counts["uncached_eval"] == len(pairs)
+
+
+def test_bare_relation_sweep_bounds_the_braided_products_on_ex4(monkeypatch):
+    # ex4 is strong and confluent, so only the bare relations are swept:
+    # the flank sweep at degree 3 makes 501 braided products
+    count = 0
+    braided = hopf.braided_product
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return braided(*args, **kwargs)
+
+    monkeypatch.setattr(hopf, "braided_product", counted)
+    assert check_hopf_axioms(load_fixture("ex4"), 3).passed
+    assert count <= 160
+
+
+def _flank_residues(spec, d):
+    """Reference sweep: (i, j, u, w) of every multiple u * rel_ij * w with
+    flank words of combined length < d whose coproduct is nonzero."""
+    n = spec.n
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            relation = defining_relation(spec, j, i)
+            for u in all_words(n, d - 1):
+                for w in all_words(n, d - 1 - len(u)):
+                    multiple = mono(spec, u) * relation * mono(spec, w)
+                    if not coproduct(multiple, strong=True).is_zero():
+                        found.append((i, j, u, w))
+    return found
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3", "ex4", "zero-kappa"])
+def test_flank_residues_vanish_on_strong_confluent_fixtures(name):
+    spec = load_fixture(name)
+    assert check_vanishing(spec, strong=True)[0] and overlap_oracle(spec)
+    assert _flank_residues(spec, 3) == []
+
+
+def test_flank_residues_vanish_on_strong_confluent_random_specs():
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in corpus(60):
+            if check_vanishing(spec, strong=True)[0] and overlap_oracle(spec):
+                assert _flank_residues(spec, 2) == [], spec.name
+                checked += 1
+    assert checked >= 30
+
+
+# corpus(60)[22]: strong vanishing holds but the rewriting is not
+# confluent, and only the multiples of the bare relations show it
+STRONG_NOT_CONFLUENT = """
+[field]
+conductor = 6
+
+[group]
+orders = [2]
+
+[action]
+characters = [[0], [1], [0]]
+
+[q]
+1 2 = 1
+1 3 = 1
+2 3 = 1
+
+[kappa]
+1 2 -> 2 (0) -1 + zeta(6)
+1 3 -> 3 (0) 1 - zeta(6)
+2 3 -> 2 (0) -1 + zeta(6)
+"""
+
+
+def test_strong_vanishing_without_confluence_keeps_the_flank_sweep():
+    spec = parse_spec_text(STRONG_NOT_CONFLUENT, "strong-not-confluent")
+    assert check_vanishing(spec, strong=True)[0]
+    assert not overlap_oracle(spec)
+    assert _flank_residues(spec, 2)
+    report = check_hopf_axioms(spec, 2)
+    assert not report.delta_well_defined
+    flanked = [
+        cert
+        for cert in report.certificates
+        if cert["law"] == "coproduct on relations" and (cert["left"], cert["right"]) != ("1", "1")
+    ]
+    assert flanked
 
 
 def test_tensor_element_arithmetic():

@@ -1,8 +1,10 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from qdrinfeld import cli
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.errors import NotAUnit, ParseError, SpecError
 from qdrinfeld.scalar import Scalar, ScalarContext, parse_scalar
@@ -112,6 +114,58 @@ def test_field_laws_randomized():
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
+
+
+def _double_loop_product(x, y):
+    """The general product, term by term: the reference for the unit path."""
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return Scalar(x.ctx, out)
+
+
+@pytest.mark.parametrize("conductor", [1, 6, 12])
+@pytest.mark.parametrize("params", [(), ("t",)])
+def test_unit_product_matches_the_double_loop(conductor, params):
+    ctx = ScalarContext(conductor, params)
+    rng = random.Random(conductor * 10 + len(params))
+
+    def unit():
+        coeff = CyclotomicNumber.from_rational(
+            conductor, Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+        ) * CyclotomicNumber.zeta_power(conductor, rng.randrange(conductor))
+        exps = tuple(rng.randint(-2, 2) for _ in params)
+        return Scalar(ctx, {exps: coeff})
+
+    def rand():
+        total = Scalar.zero(ctx)
+        for _ in range(rng.randint(2, 3)):
+            total = total + unit()
+        return total
+
+    for _ in range(40):
+        for a, b in ((unit(), unit()), (unit(), rand()), (rand(), rand())):
+            product = a * b
+            assert product == _double_loop_product(a, b)
+            assert not any(c.is_zero() for c in product.terms.values())
+
+
+def test_shared_one_is_unchanged_by_a_run(monkeypatch):
+    loaded = []
+    load = cli._load
+
+    def keep(argument):
+        loaded.append(load(argument))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load", keep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cli.run_all("ex1", 2)
+    ctx = loaded[0].ctx
+    assert Scalar.one(ctx) == Scalar.rational(ctx, 1)
 
 
 def test_factor_str_parenthesizes_sums():
