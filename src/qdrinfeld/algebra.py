@@ -71,10 +71,13 @@ class AlgebraSpec:
             for r, g, c in terms:
                 accumulate(merged, ((r,), g), c)
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
-        # Delta of monomials (hopf.coproduct) and the pairing
-        # (colorlie.Bicharacter.from_spec), each computed once per spec
+        # Delta of monomials (hopf.coproduct), the pairing
+        # (colorlie.Bicharacter.from_spec) and the decided facts
+        # (pbw.decided_vanishing, pbw.decided_confluence), each computed
+        # once per spec
         self._delta_cache: dict = {}
         self._pairing = None
+        self._facts: dict = {}
 
     def _build_q(self, n: int, q_in) -> dict[tuple[int, int], Scalar]:
         one = Scalar.one(self.ctx)

@@ -290,6 +290,29 @@ def overlap_oracle(spec: AlgebraSpec) -> bool:
     return True
 
 
+def _decided(spec: AlgebraSpec, key, decide):
+    """decide() on the first call for key, the answer kept on the spec after.
+
+    The answers are booleans and tuples of plain dicts, with no reference
+    back to the spec, so the memo dies with it.  They are shared between
+    callers and must not be mutated.
+    """
+    facts = spec._facts
+    if key not in facts:
+        facts[key] = decide()
+    return facts[key]
+
+
+def decided_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tuple[dict, ...]]:
+    """``check_vanishing``, decided once per spec."""
+    return _decided(spec, ("vanishing", strong), lambda: check_vanishing(spec, strong=strong))
+
+
+def decided_confluence(spec: AlgebraSpec) -> bool:
+    """``overlap_oracle``, decided once per spec."""
+    return _decided(spec, "confluence", lambda: overlap_oracle(spec))
+
+
 @dataclass(frozen=True)
 class PBWReport:
     """Outcome of every PBW sub-check on one algebra."""
@@ -327,8 +350,8 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
     cond1, cond1_violations = check_invariance(spec)
     cond2, cond2_violations = check_condition2(spec)
     cond3, cond3_violations = check_condition3(spec)
-    vanishing, vanishing_violations = check_vanishing(spec, strong=False)
-    strong, strong_violations = check_vanishing(spec, strong=True)
+    vanishing, vanishing_violations = decided_vanishing(spec, strong=False)
+    strong, strong_violations = decided_vanishing(spec, strong=True)
     remark2 = _remark2_holds(spec)
     remark3 = _remark3_holds(spec)
     verdict = cond1 and cond2 and cond3
@@ -349,7 +372,7 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
         strong_vanishing=strong,
         strong_vanishing_violations=strong_violations,
         fixed_point_free=all(not chi.is_identity() for chi in spec.chars),
-        oracle_confluent=overlap_oracle(spec),
+        oracle_confluent=decided_confluence(spec),
         remark_cond2=remark2,
         remark_cond3=remark3,
         verdict=verdict,

@@ -1,6 +1,7 @@
 import io
 import json
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 from qdrinfeld import cli, colorlie, pbw, uea
@@ -119,6 +120,29 @@ def test_run_all_decides_pbw_once(monkeypatch):
         monkeypatch.setattr(module, "check_pbw", counted)
     assert run_all("ex2", 2)["passed"]
     assert calls == ["ex2"]
+
+
+def test_run_all_decides_each_spec_fact_once(monkeypatch):
+    # strong and weak vanishing and the overlap oracle, once each, whether
+    # the Hopf check takes the finite proof (ex2) or the sweep (ex1)
+    for name in ("ex1", "ex2"):
+        calls = []
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for fact in ("check_vanishing", "overlap_oracle"):
+                original = getattr(pbw, fact)
+
+                def counted(spec, *args, _fact=fact, _original=original, **kwargs):
+                    calls.append((_fact, kwargs.get("strong")))
+                    return _original(spec, *args, **kwargs)
+
+                patch.setattr(pbw, fact, counted)
+            run_all(name, 2)
+        assert sorted(calls, key=str) == [
+            ("check_vanishing", False),
+            ("check_vanishing", True),
+            ("overlap_oracle", None),
+        ], name
 
 
 def test_lie_on_the_generic_fixture():
@@ -257,6 +281,16 @@ def test_lie_on_a_large_group_answers_quickly(tmp_path):
     code, out, err = run(["lie", str(path)])
     assert time.monotonic() - started < 5
     assert code == 0 and "jacobi: pass" in out, err
+
+
+def test_hopf_on_a_large_group_answers_quickly(tmp_path):
+    # strong and confluent: the finite checks decide, whatever the degree
+    path = tmp_path / "z12.qdo"
+    path.write_text(_two_generator_spec(12))
+    started = time.monotonic()
+    code, out, err = run(["hopf", str(path), "--degree", "5"])
+    assert time.monotonic() - started < 5
+    assert code == 0 and "antipode_law: True" in out, err
 
 
 def test_axiom_sweep_work_follows_the_bracket_table(monkeypatch):

@@ -24,6 +24,7 @@ from qdrinfeld.scalar import Scalar
 from qdrinfeld.specfile import load_fixture, parse_spec_text
 
 from randspec import corpus
+from test_cli import _two_generator_spec
 
 
 def mono(spec, word, g=None):
@@ -141,10 +142,12 @@ def test_coproduct_is_linear_and_returns_fresh_elements():
 
 
 def test_the_memo_dies_with_its_spec():
-    # the memo must not form a reference cycle through the spec, or every
+    # the memos must not form a reference cycle through the spec, or every
     # spec of a long run would wait for the cycle collector
     spec = load_fixture("ex4")
     coproduct(mono(spec, (3, 2, 1), spec.group.generator(0)), strong=True)
+    check_pbw(spec)
+    assert len(spec._facts) == 3
     ref = weakref.ref(spec)
     gc.disable()
     try:
@@ -157,7 +160,11 @@ def test_the_memo_dies_with_its_spec():
 def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
     # without the per-spec memo the sweep makes 1308 braided products and
     # 4462 pairing evaluations; the memo must keep a fourth of them or less,
-    # and no degree pair may be evaluated twice, by any pairing instance
+    # and no degree pair may be evaluated twice, by any pairing instance.
+    # ex4 now takes the finite proof, so ex1 keeps the monomial sweep under
+    # the same guard: with the coproduct and pairing memos dropping every
+    # write, check_hopf_axioms(ex1, 2) makes 1011 braided products and 2732
+    # pairing evaluations
     counts = {"braided_product": 0, "uncached_eval": 0}
     pairs = set()
     braided = hopf.braided_product
@@ -180,6 +187,14 @@ def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
     assert counts["uncached_eval"] <= 4462 // 4
     assert counts["uncached_eval"] == len(pairs)
 
+    counts.update(braided_product=0, uncached_eval=0)
+    pairs.clear()
+    with pytest.warns(UserWarning):
+        assert not check_hopf_axioms(load_fixture("ex1"), 2).passed
+    assert counts["braided_product"] <= 1011 // 4
+    assert counts["uncached_eval"] <= 2732 // 4
+    assert counts["uncached_eval"] == len(pairs)
+
 
 def test_bare_relation_sweep_bounds_the_braided_products_on_ex4(monkeypatch):
     # ex4 is strong and confluent, so only the bare relations are swept:
@@ -195,6 +210,88 @@ def test_bare_relation_sweep_bounds_the_braided_products_on_ex4(monkeypatch):
     monkeypatch.setattr(hopf, "braided_product", counted)
     assert check_hopf_axioms(load_fixture("ex4"), 3).passed
     assert count <= 160
+
+
+def _hopf_work(monkeypatch, spec, d):
+    """Braided products and antipodes that check_hopf_axioms(spec, d) makes."""
+    counts = {"braided_product": 0, "antipode": 0}
+    with monkeypatch.context() as patch:
+        for name in counts:
+            original = getattr(hopf, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            patch.setattr(hopf, name, counted)
+        assert check_hopf_axioms(spec, d).passed
+    return counts
+
+
+def test_finite_proof_work_does_not_grow_with_the_degree(monkeypatch):
+    # the sweep makes 65 braided products and 360 antipodes at degree 2
+    # on ex4, and 145 and 1320 at degree 3
+    low = _hopf_work(monkeypatch, load_fixture("ex4"), 2)
+    assert low == _hopf_work(monkeypatch, load_fixture("ex4"), 5)
+    assert low["braided_product"] > 0 and low["antipode"] > 0
+
+
+def test_finite_proof_work_does_not_grow_with_the_group(monkeypatch):
+    # the sweep at degree 2 visits every one of the 36 or 144 group letters
+    small = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(6)), 2)
+    large = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(12)), 2)
+    assert small == large
+    assert small["braided_product"] > 0
+
+
+def _no_sweep(spec, d):
+    raise AssertionError(f"{spec.name} should be decided by the finite checks")
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3", "ex4", "zero-kappa"])
+def test_finite_proof_agrees_with_the_sweep_on_fixtures(name, monkeypatch):
+    reference = hopf._sweep(load_fixture(name), 3)
+    monkeypatch.setattr(hopf, "_sweep", _no_sweep)
+    report = check_hopf_axioms(load_fixture(name), 3)
+    assert report.as_dict() == reference.as_dict()
+    assert report == reference
+
+
+def test_finite_proof_agrees_with_the_sweep_on_random_specs():
+    checked = 0
+    sweep = hopf._sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in corpus(60):
+            if not (check_vanishing(spec, strong=True)[0] and overlap_oracle(spec)):
+                continue
+            assert hopf._finite_checks_pass(spec), spec.name
+            assert check_hopf_axioms(spec, 2) == sweep(spec, 2), spec.name
+            checked += 1
+    assert checked >= 30
+
+
+def test_a_failed_finite_check_falls_back_to_the_sweep(monkeypatch):
+    laws = hopf._law_certificates
+    planted = {"law": "counit", "monomial": "v1", "left": "planted", "right": "planted"}
+
+    def failing_on_v1(spec, monomial):
+        found = laws(spec, monomial)
+        return found + [planted] if monomial == mono(spec, (0,)) else found
+
+    monkeypatch.setattr(hopf, "_law_certificates", failing_on_v1)
+    report = check_hopf_axioms(load_fixture("ex4"), 2)
+    assert not report.passed and not report.counit_laws
+    assert report.certificates == (planted,)
+    assert report == hopf._sweep(load_fixture("ex4"), 2)
+
+
+def test_antipode_kills_the_bare_relations_of_the_fixtures():
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        spec = load_fixture(name)
+        for j in range(1, spec.n):
+            for i in range(j):
+                assert antipode(defining_relation(spec, j, i)).is_zero(), (name, i, j)
 
 
 def _flank_residues(spec, d):
