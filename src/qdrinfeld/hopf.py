@@ -264,7 +264,7 @@ def _delta_on_right(bt: BraidedTensorElement) -> BraidedTensorElement:
 
 @dataclass(frozen=True)
 class HopfReport:
-    """Outcome of the degree-bounded axiom sweep."""
+    """Outcome of the Hopf laws up to degree d, by finite proof or by sweep."""
 
     degree: int
     strong_vanishing: bool
@@ -448,8 +448,10 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     twisted anti-algebra map on the free algebra, so S(u rel w) is a
     unit times S(w) S(rel) S(u) and S descends once S(rel) = 0.  Then
     (Delta (x) 1) Delta and (1 (x) Delta) Delta are algebra maps into the
-    braided triple tensor power, and so are the two counit maps into A;
-    two algebra maps that agree on a generating set agree everywhere.
+    braided triple tensor power, and so are the two counit maps into A
+    (the counit kills every relation, whose terms all have positive word
+    length); two algebra maps that agree on a generating set agree
+    everywhere.
     The set on which an antipode law holds is closed under products:
     with Delta(ab) = Delta(a) Delta(b) and S(ab) a twist times S(b) S(a),
     the law for ab folds into the law for a and then for b.  The v_i

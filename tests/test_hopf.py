@@ -252,21 +252,18 @@ def _no_sweep(spec, d):
 def test_finite_proof_agrees_with_the_sweep_on_fixtures(name, monkeypatch):
     reference = hopf._sweep(load_fixture(name), 3)
     monkeypatch.setattr(hopf, "_sweep", _no_sweep)
-    report = check_hopf_axioms(load_fixture(name), 3)
-    assert report.as_dict() == reference.as_dict()
-    assert report == reference
+    assert check_hopf_axioms(load_fixture(name), 3) == reference
 
 
 def test_finite_proof_agrees_with_the_sweep_on_random_specs():
     checked = 0
-    sweep = hopf._sweep
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in corpus(60):
             if not (check_vanishing(spec, strong=True)[0] and overlap_oracle(spec)):
                 continue
             assert hopf._finite_checks_pass(spec), spec.name
-            assert check_hopf_axioms(spec, 2) == sweep(spec, 2), spec.name
+            assert check_hopf_axioms(spec, 2) == hopf._sweep(spec, 2), spec.name
             checked += 1
     assert checked >= 30
 
@@ -284,14 +281,6 @@ def test_a_failed_finite_check_falls_back_to_the_sweep(monkeypatch):
     assert not report.passed and not report.counit_laws
     assert report.certificates == (planted,)
     assert report == hopf._sweep(load_fixture("ex4"), 2)
-
-
-def test_antipode_kills_the_bare_relations_of_the_fixtures():
-    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
-        spec = load_fixture(name)
-        for j in range(1, spec.n):
-            for i in range(j):
-                assert antipode(defining_relation(spec, j, i)).is_zero(), (name, i, j)
 
 
 def _flank_residues(spec, d):
