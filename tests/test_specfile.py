@@ -155,3 +155,56 @@ def test_negative_powers_invert_scalar_values_only():
         parse_nc_expression("(q*v1)^-1", ex2)
     with pytest.raises(SpecError):
         parse_nc_expression("(1 + q)^-1*v1", ex2)
+
+
+# q_12 = i, so q_21 = -i and kappa(v2, v1) = -q_21 kappa(v1, v2) = i kappa(v1, v2)
+TRANSPOSE_BASE = """\
+[field]
+conductor = 4
+params = lam
+
+[group]
+orders = [2]
+
+[action]
+characters = [[1], [1], [0]]
+
+[q]
+1 2 = zeta(4)
+
+[kappa]
+"""
+KAPPA_12 = "1 2 -> 3 (1) 2 ; 1 (0) lam\n"
+KAPPA_21 = "2 1 -> 3 (1) 2*zeta(4) ; 1 (0) zeta(4)*lam\n"
+ANTISYMMETRY_ERROR = r"kappa\(1,2\) given twice with values that violate quantum antisymmetry"
+
+
+def _transpose_spec(rows: str):
+    return parse_spec_text(TRANSPOSE_BASE + rows)
+
+
+def test_transposed_kappa_row_gives_the_canonical_text_of_its_pair():
+    assert format_spec(_transpose_spec(KAPPA_21)) == format_spec(_transpose_spec(KAPPA_12))
+
+
+def test_kappa_pair_given_both_ways_consistently_is_accepted():
+    for rows in (KAPPA_12 + KAPPA_21, KAPPA_21 + KAPPA_12):
+        spec = _transpose_spec(rows)
+        assert spec.kappa_support() == [(0, 1)]
+        assert format_spec(spec) == format_spec(_transpose_spec(KAPPA_12))
+
+
+def test_kappa_pair_given_both_ways_inconsistently_is_rejected():
+    with pytest.raises(SpecError, match=ANTISYMMETRY_ERROR):
+        _transpose_spec(KAPPA_12 + KAPPA_21.replace("2*zeta(4)", "2"))
+
+
+def test_zero_kappa_row_then_nonzero_transpose_is_rejected():
+    with pytest.raises(SpecError, match=ANTISYMMETRY_ERROR):
+        _transpose_spec("1 2 -> 3 (1) 0\n" + KAPPA_21)
+
+
+def test_all_zero_transposed_kappa_row_leaves_no_kappa_section():
+    spec = _transpose_spec("2 1 -> 3 (1) 0 ; 1 (0) 0*lam\n")
+    assert spec.kappa_support() == []
+    assert "[kappa]" not in format_spec(spec)
