@@ -31,7 +31,8 @@ class AlgebraSpec:
 
     q is given as a dict on ordered pairs; missing off-diagonal entries
     default to 1 and the transposes are derived as inverses.  kappa maps
-    ordered pairs (i, j) with i < j to tuples of (r, g, coefficient).
+    ordered pairs (i, j), i != j, to tuples of (r, g, coefficient); the
+    spec keeps each pair once, with i < j, through quantum antisymmetry.
     """
 
     def __init__(
@@ -65,11 +66,7 @@ class AlgebraSpec:
         for (i, j), terms in self._kappa.items():
             factor = -self._q[(j, i)]
             self._kappa_pairs[(j, i)] = tuple((r, g, factor * c) for r, g, c in terms)
-        self._kappa_terms: dict[tuple[int, int], dict] = {}
-        for pair, terms in self._kappa_pairs.items():
-            merged = self._kappa_terms[pair] = {}
-            for r, g, c in terms:
-                accumulate(merged, ((r,), g), c)
+        self._kappa_terms = {pair: _merged(terms) for pair, terms in self._kappa_pairs.items()}
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         # Delta of monomials (hopf.coproduct), the pairing
         # (colorlie.Bicharacter.from_spec) and the decided facts
@@ -109,11 +106,14 @@ class AlgebraSpec:
         return q
 
     def _build_kappa(self, n: int, kappa_in) -> dict[tuple[int, int], tuple[KappaTerm, ...]]:
-        out = {}
+        """kappa on the pairs i < j.  A row given for (j, i) is stored as
+        -q_ij * kappa(v_j, v_i).  A pair given both ways must agree per
+        (r, g), and then the (i, j) row is kept."""
+        out, given = {}, {}
         for (i, j), terms in kappa_in.items():
-            if not (0 <= i < j < n):
+            if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise SpecError(
-                    f"kappa pairs must be ordered with i < j, got ({i + 1}, {j + 1})"
+                    f"kappa pairs need distinct indices in range, got ({i + 1}, {j + 1})"
                 )
             kept = []
             for r, g, coeff in terms:
@@ -125,9 +125,19 @@ class AlgebraSpec:
                     raise SpecError("kappa coefficient from a different scalar context")
                 if not coeff.is_zero():
                     kept.append((r, g, coeff))
-            if kept:
-                out[(i, j)] = tuple(kept)
-        return out
+            key = (min(i, j), max(i, j))
+            if i > j:
+                factor = -self._q[key]
+                kept = [(r, g, factor * c) for r, g, c in kept]
+            merged = _merged(kept)
+            if key in given and given[key] != merged:
+                raise SpecError(
+                    f"kappa({key[0] + 1},{key[1] + 1}) given twice with values "
+                    "that violate quantum antisymmetry"
+                )
+            if i < j or key not in given:
+                given[key], out[key] = merged, tuple(kept)
+        return {key: terms for key, terms in out.items() if terms}
 
     @property
     def n(self) -> int:
@@ -165,6 +175,14 @@ class AlgebraSpec:
 
     def __repr__(self) -> str:
         return f"AlgebraSpec(n={self.n}, group={self.group!r}, name={self.name!r})"
+
+
+def _merged(terms) -> dict:
+    """kappa terms summed per (word, letter) key, zero sums dropped."""
+    merged: dict = {}
+    for r, g, c in terms:
+        accumulate(merged, ((r,), g), c)
+    return merged
 
 
 def accumulate(terms: dict, key, coeff: Scalar) -> None:

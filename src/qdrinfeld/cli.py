@@ -220,11 +220,8 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    text = format_spec(_load(args.spec))
-    if args.json:
-        print(json.dumps({"command": "fmt", "spec": args.spec, "canonical": text}, indent=2))
-    else:
-        sys.stdout.write(text)
+    report = {"command": "fmt", "spec": args.spec, "canonical": format_spec(_load(args.spec))}
+    _emit(report, args.json, lambda rep: sys.stdout.write(rep["canonical"]))
     return 0
 
 

@@ -187,7 +187,6 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
     n = len(chars)
 
     q_entries: dict[tuple[int, int], Scalar] = {}
-    q_lines: dict[tuple[int, int], int] = {}
     for lineno, line in sections.get("q", []):
         head, eq, expr = line.partition("=")
         parts = head.split()
@@ -200,9 +199,8 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
         if (i, j) in q_entries:
             raise ParseError(f"duplicate q entry ({i + 1}, {j + 1})", lineno)
         q_entries[(i, j)] = _ExprParser(expr.strip(), ctx, lineno).parse()
-        q_lines[(i, j)] = lineno
 
-    kappa_raw: dict[tuple[int, int], tuple[int, list]] = {}
+    kappa: dict[tuple[int, int], list] = {}
     for lineno, line in sections.get("kappa", []):
         head, arrow, rhs = line.partition("->")
         parts = head.split()
@@ -217,7 +215,7 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
                 f"kappa(v{i + 1}, v{i + 1}) must vanish by quantum antisymmetry",
                 lineno,
             )
-        if (i, j) in kappa_raw:
+        if (i, j) in kappa:
             raise ParseError(f"duplicate kappa entry ({i + 1}, {j + 1})", lineno)
         terms = []
         for chunk in rhs.split(";"):
@@ -233,38 +231,10 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
             parser = _ExprParser(bits[1], ctx, lineno)
             g = parser.group_element(group)
             terms.append((r, g, parser.parse()))
-        kappa_raw[(i, j)] = (lineno, terms)
+        kappa[(i, j)] = terms
 
-    # Resolve transposed kappa entries through quantum antisymmetry before
-    # handing over to AlgebraSpec, which stores only i < j.  Invariant
-    # violations surface as SpecError, grammar problems as ParseError.
-    probe = AlgebraSpec(ctx, group, chars, dict(q_entries), {}, name=name)
-
-    kappa: dict[tuple[int, int], tuple] = {}
-    for (i, j), (lineno, terms) in sorted(kappa_raw.items()):
-        if i < j:
-            key, resolved = (i, j), terms
-        else:
-            factor = -probe.q_scalar(j, i)
-            key = (j, i)
-            resolved = [(r, g, factor * c) for r, g, c in terms]
-        if key in kappa:
-            stored, incoming = (
-                sum(
-                    (NCElement.monomial(probe, (r,), g, c) for r, g, c in rows),
-                    NCElement.zero(probe),
-                )
-                for rows in (kappa[key], resolved)
-            )
-            if stored != incoming:
-                raise SpecError(
-                    f"kappa({key[0] + 1},{key[1] + 1}) given twice with values "
-                    "that violate quantum antisymmetry"
-                )
-        else:
-            kappa[key] = tuple(resolved)
-
-    return AlgebraSpec(ctx, group, chars, probe.q_table(), kappa, name=name)
+    # in index order, so the inconsistent pair reported does not depend on the row order
+    return AlgebraSpec(ctx, group, chars, q_entries, dict(sorted(kappa.items())), name=name)
 
 
 def _parse_generic(sections, name: str) -> GenericLieData:

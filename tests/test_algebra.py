@@ -63,6 +63,22 @@ def test_kappa_transposes_are_computed_once_at_parse(monkeypatch):
     assert not calls
 
 
+def test_spec_resolves_kappa_given_on_a_transposed_pair():
+    e, g = EX1.group.identity(), EX1.group.generator(0)
+    terms = ((2, g, parse_scalar("2", EX1.ctx)), (0, e, Scalar.one(EX1.ctx)))
+
+    def build(kappa):
+        return AlgebraSpec(EX1.ctx, EX1.group, EX1.chars, EX1.q_table(), kappa)
+
+    spec = build({(1, 0): terms})
+    assert spec.kappa_support() == [(0, 1)]
+    assert list(spec.kappa_pairs(1, 0)) == list(terms)
+    assert [(r, h) for r, h, _ in spec.kappa_pairs(0, 1)] == [(2, g), (0, e)]
+    for pair in ((0, 0), (0, 3)):
+        with pytest.raises(SpecError, match="distinct indices in range"):
+            build({pair: terms})
+
+
 def test_group_letters_skew_past_generators():
     g = EX2.group.generator(0)
     x = NCElement.group_unit(EX2, g)

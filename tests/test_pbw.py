@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from qdrinfeld.algebra import AlgebraSpec
+from qdrinfeld.algebra import AlgebraSpec, NCElement, normal_form
 from qdrinfeld.pbw import (
     check_condition2,
     check_condition3,
@@ -15,7 +15,7 @@ from qdrinfeld.pbw import (
     overlap_oracle,
 )
 from qdrinfeld.scalar import Scalar, parse_scalar
-from qdrinfeld.specfile import load_fixture, parse_spec_text
+from qdrinfeld.specfile import fixture_path, load_fixture, parse_spec_text
 
 from randspec import corpus
 
@@ -228,6 +228,53 @@ def test_oracle_alone_accepts_fixtures():
         assert overlap_oracle(spec)
 
 
+def _chains_resolve(spec) -> bool:
+    n = spec.n
+    for k in range(2, n):
+        for j in range(1, k):
+            for i in range(j):
+                chain = NCElement.monomial(spec, (k, j, i))
+                if normal_form(chain, "leftmost") != normal_form(chain, "rightmost"):
+                    return False
+    return True
+
+
+def _whole_group_resolves(spec) -> bool:
+    """The oracle's group part over every element of G, not only the generators."""
+    for g in spec.group:
+        unit = NCElement.group_unit(spec, g)
+        for j in range(1, spec.n):
+            for i in range(j):
+                pair = NCElement.monomial(spec, (j, i))
+                if normal_form(unit * pair) != normal_form(unit * normal_form(pair)):
+                    return False
+    return True
+
+
+# kappa(v1, v2) = v1, and chi_1 chi_2 chi_1^-1 = chi_2 moves only the second generator
+SECOND_GENERATOR_MOVES = """
+[group]
+orders = [2, 2]
+[action]
+characters = [[0, 0], [0, 1]]
+[kappa]
+1 2 -> 1 (0,0) 1
+"""
+
+
+def test_oracle_on_the_generators_of_g_matches_the_whole_group():
+    moves = parse_spec_text(SECOND_GENERATOR_MOVES)
+    assert not _whole_group_resolves(moves)
+    specs = FIXTURE_SPECS + corpus(60) + [moves]
+    chains = [_chains_resolve(spec) for spec in specs]
+    group = [_whole_group_resolves(spec) for spec in specs]
+    assert [overlap_oracle(spec) for spec in specs] == [c and g for c, g in zip(chains, group)]
+    # the group part alone says False on 7 corpus specs and on moves, and
+    # decides the oracle on 2 of those specs and on moves
+    assert group.count(False) == 8
+    assert sum(c and not g for c, g in zip(chains, group)) == 3
+
+
 def test_condition3_holds_without_kappa():
     plane = load_fixture("zero-kappa")
     ok, _ = check_condition3(plane)
@@ -242,7 +289,7 @@ def test_report_dict_is_insertion_stable():
 
 def test_each_derived_q_transpose_is_inverted_once(monkeypatch):
     # six nontrivial entries above the diagonal give six transposes below it;
-    # the parsed spec and check_pbw's q-only spec reuse the completed table
+    # the parse completes the table in its one spec and check_pbw inverts nothing
     text = """
 [field]
 conductor = 6
@@ -270,3 +317,15 @@ characters = [[1], [2], [0], [1]]
     monkeypatch.setattr(Scalar, "inv", counting_inv)
     check_pbw(parse_spec_text(text))
     assert len(calls) == 6
+
+
+def test_one_spec_is_built_from_parse_to_verdict(monkeypatch):
+    built = []
+    init = AlgebraSpec.__init__
+    monkeypatch.setattr(
+        AlgebraSpec, "__init__", lambda self, *args, **kw: built.append(1) or init(self, *args, **kw)
+    )
+    spec = parse_spec_text(fixture_path("ex1").read_text())
+    assert len(built) == 1
+    check_pbw(spec)
+    assert len(built) == 1

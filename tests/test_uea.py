@@ -2,6 +2,7 @@
 
 import pytest
 
+from qdrinfeld import pbw, uea
 from qdrinfeld.colorlie import ColorLieRing, build_color_lie_ring, generic_color_lie_ring
 from qdrinfeld.errors import (
     AxiomsFailed,
@@ -161,3 +162,18 @@ def test_pbw_for_uea_on_fixture_rings():
     for name in ("ex1", "ex2", "ex3", "ex4"):
         spec = load_fixture(name)
         assert pbw_for_uea(build_color_lie_ring(spec)) is True, name
+
+
+def test_pbw_for_uea_decides_weak_vanishing_once(monkeypatch):
+    ring = build_color_lie_ring(load_fixture("ex2"))
+    decided = []
+    check = pbw.check_vanishing
+
+    def counting(spec, strong=False):
+        decided.append(strong)
+        return check(spec, strong=strong)
+
+    for module in (pbw, uea):
+        monkeypatch.setattr(module, "check_vanishing", counting)
+    assert pbw_for_uea(ring)
+    assert decided == [False, True]
