@@ -29,7 +29,13 @@ from .algebra import (
     pbw_monomial_count,
     rewrite,
 )
-from .colorlie import Combo, ColorLieRing, check_color_axioms, split_parts
+from .colorlie import (
+    Combo,
+    ColorLieRing,
+    build_color_lie_ring,
+    check_color_axioms,
+    split_parts,
+)
 from .errors import (
     AxiomsFailed,
     InternalInconsistency,
@@ -182,11 +188,55 @@ def iso_check(spec: AlgebraSpec, ring: ColorLieRing):
     deformation and reduced there; backward, every defining relation of
     the deformation is rewritten in the enveloping algebra's own calculus.
     Returns (all residues vanish, certificates for the ones that do not).
+
+    The forward direction reduces only the pairs whose residue can be
+    nonzero.  Call the ring the spec's own when its labels, degrees,
+    bracket table and pairing equal those of build_color_lie_ring(spec);
+    the pairing is compared as the one object the spec keeps.  For such a
+    ring and s = v_i g, t = v_j h:
+
+    - eps(e_i + g, e_j + h) = q_ij chi_i(h)^-1 chi_j(g), since the pairing
+      is bimultiplicative and group letters pair to 1;
+    - the bracket is extended_kappa, chi_j(g) kappa(v_i, v_j) with gh
+      appended to every letter, and hg = gh as G is abelian, so the
+      unreduced image is J(s, t) = chi_j(g) J(v_i, v_j) gh, where
+      J(v_i, v_j) = v_i v_j - q_ij v_j v_i - kappa(v_i, v_j);
+    - normal_form commutes with right multiplication by a group letter
+      x: a rewrite step picks its descent from the word alone, puts the
+      kappa letter to the left of the trailing letter, and scales by
+      factors that depend on the word and the kappa letter only, so it
+      commutes with the bijection (word, k) -> (word, k x) on keys; and
+      chi_j(g) is a unit.
+
+    So the residue of (s, t) vanishes exactly when that of its generator
+    pair (v_i e, v_j e) does.  The n^2 generator residues are reduced
+    first, and a pair is reduced again only when its generator pair left
+    a residue, so the certificates and their order are those of the
+    reduction of every pair.  For any other ring every pair is reduced.
     """
     certificates = []
     engine = _spec_from_ring(ring)
+    own = build_color_lie_ring(spec, force=True)
+    live = None
+    if (
+        ring.labels == own.labels
+        and ring.degrees == own.degrees
+        and ring.table == own.table
+        and ring.epsilon is own.epsilon
+    ):
+        e = spec.group.identity()
+        live = {
+            (i, j)
+            for i in range(spec.n)
+            for j in range(spec.n)
+            if not normal_form(
+                j_generator_image(spec, ring, ring.index_of((i, e)), ring.index_of((j, e)))
+            ).is_zero()
+        }
     for s in range(ring.size):
         for t in range(ring.size):
+            if live is not None and (ring.labels[s][0], ring.labels[t][0]) not in live:
+                continue
             residue = normal_form(j_generator_image(spec, ring, s, t))
             if not residue.is_zero():
                 certificates.append(

@@ -283,6 +283,16 @@ def test_lie_on_a_large_group_answers_quickly(tmp_path):
     assert code == 0 and "jacobi: pass" in out, err
 
 
+def test_uea_on_a_large_group_answers_quickly(tmp_path):
+    # 82,944 basis pairs: the comparison map may reduce only the 4 generator pairs
+    path = tmp_path / "z12.qdo"
+    path.write_text(_two_generator_spec(12))
+    started = time.monotonic()
+    code, out, err = run(["uea", str(path), "--degree", "2"])
+    assert time.monotonic() - started < 5
+    assert code == 0 and "enveloping algebra comparison: pass" in out, err
+
+
 def test_hopf_on_a_large_group_answers_quickly(tmp_path):
     # strong and confluent: the finite checks decide, whatever the degree
     path = tmp_path / "z12.qdo"

@@ -24,6 +24,9 @@ from qdrinfeld.uea import (
 )
 from qdrinfeld.algebra import normal_form
 
+from randspec import corpus
+from test_cli import _two_generator_spec
+
 
 def test_gl11_presentation_reduces_words():
     ring = generic_color_lie_ring(load_fixture("gl11"))
@@ -71,7 +74,7 @@ def test_group_labelled_rings_use_the_skew_engine():
 
 
 def test_iso_check_passes_on_fixture_rings():
-    for name in ("ex1", "ex2", "ex3", "ex4"):
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
         spec = load_fixture(name)
         ok, certificates = iso_check(spec, build_color_lie_ring(spec))
         assert ok and not certificates, name
@@ -85,21 +88,25 @@ def test_iso_check_residues_are_stable_under_reduction():
     assert normal_form(reduced) == reduced
 
 
-def perturbed_ring(spec):
-    """Scale one identity-letter bracket by 2, leaving the rest alone."""
+def perturbed_ring(spec, pair):
+    """Scale the bracket of one pair of basis labels by 2, leaving the rest alone."""
     ring = build_color_lie_ring(spec)
     table = {key: dict(combo) for key, combo in ring.table.items()}
-    e = spec.group.identity()
-    s, t = ring.index_of((0, e)), ring.index_of((1, e))
+    s, t = (ring.index_of(label) for label in pair)
     two = Scalar.one(spec.ctx) + Scalar.one(spec.ctx)
     table[(s, t)] = {u: c * two for u, c in table[(s, t)].items()}
     table[(t, s)] = {u: c * two for u, c in table[(t, s)].items()}
     return ColorLieRing("from_spec", ring.labels, ring.degrees, table, ring.epsilon, spec=spec)
 
 
+def identity_pair(spec):
+    e = spec.group.identity()
+    return ((0, e), (1, e))
+
+
 def test_iso_check_flags_a_perturbed_ring():
     spec = load_fixture("ex2")
-    ok, certificates = iso_check(spec, perturbed_ring(spec))
+    ok, certificates = iso_check(spec, perturbed_ring(spec, identity_pair(spec)))
     assert not ok
     directions = {cert["direction"] for cert in certificates}
     assert "ring to deformation" in directions
@@ -109,11 +116,99 @@ def test_iso_check_flags_a_perturbed_ring():
 
 def test_perturbed_ring_fails_the_axioms_gate():
     spec = load_fixture("ex2")
-    bent = perturbed_ring(spec)
+    bent = perturbed_ring(spec, identity_pair(spec))
     with pytest.raises(AxiomsFailed):
         build_uea(bent)
     with pytest.raises(AxiomsFailed):
         pbw_for_uea(bent)
+
+
+def _all_pairs_forward(spec, ring):
+    """Reference forward direction: reduce the image of every ordered basis pair.
+
+    It reduces the pairs that covariance lets iso_check skip, so it checks
+    that skipping them changes no certificate and no order.
+    """
+    certificates = []
+    for s in range(ring.size):
+        for t in range(ring.size):
+            residue = normal_form(j_generator_image(spec, ring, s, t))
+            if not residue.is_zero():
+                certificates.append(
+                    {
+                        "direction": "ring to deformation",
+                        "left": ring.label_str(s),
+                        "right": ring.label_str(t),
+                        "residue": str(residue),
+                    }
+                )
+    return certificates
+
+
+def _forward(certificates):
+    return [cert for cert in certificates if cert["direction"] == "ring to deformation"]
+
+
+def off_identity_pairs(spec):
+    """(v1 g, v2 e) and (v1 g, v2 g) for every g other than the identity."""
+    e = spec.group.identity()
+    for g in spec.group:
+        if g != e:
+            yield ((0, g), (1, e))
+            yield ((0, g), (1, g))
+
+
+def test_iso_check_flags_a_bracket_bent_off_the_identity():
+    # every generator residue vanishes on these rings, so a forward
+    # direction that looks at the generators alone would pass them
+    for name in ("ex2", "ex3"):
+        spec = load_fixture(name)
+        for pair in off_identity_pairs(spec):
+            ring = perturbed_ring(spec, pair)
+            ok, certificates = iso_check(spec, ring)
+            forward = _all_pairs_forward(spec, ring)
+            assert not ok and len(forward) == 2, (name, pair)
+            assert certificates == forward, (name, pair)
+
+
+def _rings_to_compare():
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        spec = load_fixture(name)
+        yield name, spec, build_color_lie_ring(spec, force=True)
+        if spec.n > 1 and spec.kappa_pairs(0, 1):
+            yield (name, "perturbed"), spec, perturbed_ring(spec, identity_pair(spec))
+    for spec in corpus(60):
+        yield spec.name, spec, build_color_lie_ring(spec, force=True)
+    for order in (4, 6):
+        spec = parse_spec_text(_two_generator_spec(order))
+        yield order, spec, build_color_lie_ring(spec)
+
+
+def test_iso_check_forward_matches_the_all_pairs_reference():
+    compared = 0
+    for label, spec, ring in _rings_to_compare():
+        _, certificates = iso_check(spec, ring)
+        assert _forward(certificates) == _all_pairs_forward(spec, ring), label
+        compared += 1
+    assert compared == 70
+
+
+def test_iso_check_reduces_generator_pairs_on_the_spec_own_ring(monkeypatch):
+    calls = []
+    image = uea.j_generator_image
+
+    def counting(spec, ring, s, t):
+        calls.append((s, t))
+        return image(spec, ring, s, t)
+
+    monkeypatch.setattr(uea, "j_generator_image", counting)
+    spec = load_fixture("ex1")
+    assert iso_check(spec, build_color_lie_ring(spec))[0]
+    assert len(calls) == spec.n ** 2 == 9
+    calls.clear()
+    bent = perturbed_ring(spec, identity_pair(spec))
+    assert not iso_check(spec, bent)[0]
+    assert len(calls) == bent.size ** 2 == 729
 
 
 def test_dimension_counts_match_on_fixtures():
