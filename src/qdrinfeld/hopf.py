@@ -27,7 +27,9 @@ it, is not confluent, and has every bare relation in the kernel of Delta
 but not every multiple.  Under both premises the remaining laws are
 decided on the generators as well, and the degree-bounded sweep runs
 only where a premise or one of those finite checks fails (see
-``check_hopf_axioms``).
+``check_hopf_axioms``).  The sweep tests the laws on each PBW monomial
+at the identity letter, and at the other group letters only where that
+one fails: a law holds on w g exactly when it holds on w (see ``_sweep``).
 """
 
 from __future__ import annotations
@@ -404,14 +406,46 @@ def _finite_checks_pass(spec: AlgebraSpec) -> bool:
 
 def _sweep(spec: AlgebraSpec, d: int) -> HopfReport:
     """The degree-bounded sweep: relation multiples, then every law on
-    every sorted monomial of degree <= d against every group letter."""
+    every sorted monomial w of degree <= d at the identity letter, and at
+    the other group letters only where w * e leaves a certificate.
+
+    Write shift_g for the map on tensor keys, and on NCElement keys, that
+    multiplies the last slot's letter by g on the right.  It is a
+    bijection on keys that leaves coefficients alone, so it commutes with
+    sums, scaling and equality.  For every spec, with no premise:
+
+    - Delta(w g) = shift_g Delta(w).  The memo builds Delta(w g) as the
+      braided product of Delta(w) with 1 (x) g; the twist against a
+      degree-zero factor is 1, the slots of Delta(w) are already normal,
+      and moving the empty left slot of 1 (x) g costs no character.
+    - ``_delta_on_left`` and ``_delta_on_right`` commute with shift_g:
+      the first carries the last letter through, and the second reads
+      Delta(r h g) = shift_g Delta(r h), since G is abelian.
+    - The counit projections commute with shift_g: they keep the terms
+      with an empty slot and move the letter with the other slot.
+    - ``antipode`` keeps the letter on the right and scales by factors of
+      the word alone, and ``normal_form`` commutes with right
+      multiplication by a group letter (the proof is in
+      ``uea.iso_check``'s docstring), so both antipode folds commute with
+      shift_g.
+
+    So each law holds on w g exactly when it holds on w e, and
+    ``_law_certificates`` is empty at every letter when it is empty at
+    the identity.  The group yields its identity first, and that result
+    is kept, so the certificates and their order are those of the sweep
+    over every letter.
+    """
     strong, _ = decided_vanishing(spec, strong=True)
     flank = 0 if strong and decided_confluence(spec) else d - 1
     certificates = _relation_certificates(spec, flank)
     well_defined = not certificates
     for word in pbw_words(spec.n, d):
-        for g in spec.group:
-            certificates += _law_certificates(spec, NCElement.monomial(spec, word, g))
+        letters = iter(spec.group)
+        found = _law_certificates(spec, NCElement.monomial(spec, word, next(letters)))
+        certificates += found
+        if found:
+            for g in letters:
+                certificates += _law_certificates(spec, NCElement.monomial(spec, word, g))
     failed = {cert["law"] for cert in certificates}
     return HopfReport(
         degree=d,
@@ -470,8 +504,10 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     but Delta(v1 * rel_12) != 0, and on the non-confluent
     ``corpus(60)[22]``, where it holds, every bare residue is zero and a
     flank residue is not.  The remaining laws sweep sorted monomials of
-    degree <= d against every group letter; linearity extends all of
-    them to the full slice.
+    degree <= d at the identity letter, and at the other group letters
+    only where the identity letter fails, since each law holds on w g
+    exactly when it holds on w (see ``_sweep``); linearity extends all
+    of them to the full slice.
     """
     if d < 1:
         raise SpecError("the degree bound must be at least 1")

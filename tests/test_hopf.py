@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from qdrinfeld import hopf
-from qdrinfeld.algebra import NCElement, all_words, defining_relation, normal_form
+from qdrinfeld.algebra import NCElement, all_words, defining_relation, normal_form, pbw_words
 from qdrinfeld.colorlie import Bicharacter
 from qdrinfeld.hopf import (
     BraidedTensorElement,
@@ -163,8 +163,9 @@ def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
     # and no degree pair may be evaluated twice, by any pairing instance.
     # ex4 now takes the finite proof, so ex1 keeps the monomial sweep under
     # the same guard: with the coproduct and pairing memos dropping every
-    # write, check_hopf_axioms(ex1, 2) makes 1011 braided products and 2732
-    # pairing evaluations
+    # write, check_hopf_axioms(ex1, 2) makes 203 braided products and 772
+    # pairing evaluations (1011 and 2732 when the sweep visited every
+    # group letter of every monomial)
     counts = {"braided_product": 0, "uncached_eval": 0}
     pairs = set()
     braided = hopf.braided_product
@@ -212,10 +213,12 @@ def test_bare_relation_sweep_bounds_the_braided_products_on_ex4(monkeypatch):
     assert count <= 160
 
 
-def _hopf_work(monkeypatch, spec, d):
-    """Braided products and antipodes that check_hopf_axioms(spec, d) makes."""
-    counts = {"braided_product": 0, "antipode": 0}
-    with monkeypatch.context() as patch:
+def _hopf_work(monkeypatch, spec, d, names=("braided_product", "antipode")):
+    """The report of check_hopf_axioms(spec, d) and the calls it makes to
+    the named functions of hopf."""
+    counts = dict.fromkeys(names, 0)
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         for name in counts:
             original = getattr(hopf, name)
 
@@ -224,24 +227,113 @@ def _hopf_work(monkeypatch, spec, d):
                 return _original(*args, **kwargs)
 
             patch.setattr(hopf, name, counted)
-        assert check_hopf_axioms(spec, d).passed
-    return counts
+        report = check_hopf_axioms(spec, d)
+    return report, counts
 
 
 def test_finite_proof_work_does_not_grow_with_the_degree(monkeypatch):
-    # the sweep makes 65 braided products and 360 antipodes at degree 2
-    # on ex4, and 145 and 1320 at degree 3
-    low = _hopf_work(monkeypatch, load_fixture("ex4"), 2)
-    assert low == _hopf_work(monkeypatch, load_fixture("ex4"), 5)
+    # the sweep makes 22 braided products and 90 antipodes at degree 2
+    # on ex4, and 42 and 330 at degree 3 (65/360 and 145/1320 when it
+    # visited every group letter)
+    report, low = _hopf_work(monkeypatch, load_fixture("ex4"), 2)
+    assert report.passed
+    report, high = _hopf_work(monkeypatch, load_fixture("ex4"), 5)
+    assert report.passed and low == high
     assert low["braided_product"] > 0 and low["antipode"] > 0
 
 
 def test_finite_proof_work_does_not_grow_with_the_group(monkeypatch):
-    # the sweep at degree 2 visits every one of the 36 or 144 group letters
-    small = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(6)), 2)
-    large = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(12)), 2)
-    assert small == large
+    # the all-letters sweep at degree 2 visited every one of the 36 or 144
+    # group letters
+    report, small = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(6)), 2)
+    assert report.passed
+    report, large = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(12)), 2)
+    assert report.passed and small == large
     assert small["braided_product"] > 0
+
+
+def _all_letters_sweep(spec, d):
+    """Reference sweep: the relation multiples, then every law on every
+    sorted monomial of degree <= d at every group letter."""
+    strong, _ = check_vanishing(spec, strong=True)
+    flank = 0 if strong and overlap_oracle(spec) else d - 1
+    certificates = hopf._relation_certificates(spec, flank)
+    well_defined = not certificates
+    for word in pbw_words(spec.n, d):
+        for g in spec.group:
+            certificates += hopf._law_certificates(spec, mono(spec, word, g))
+    failed = {cert["law"] for cert in certificates}
+    return hopf.HopfReport(
+        degree=d,
+        strong_vanishing=strong,
+        delta_well_defined=well_defined,
+        coassociative="coassociativity" not in failed,
+        counit_laws="counit" not in failed,
+        antipode_law="antipode" not in failed,
+        certificates=tuple(certificates),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "zero-kappa"])
+def test_sweep_matches_the_all_letters_reference_on_fixtures(name, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert hopf._sweep(load_fixture(name), d) == _all_letters_sweep(load_fixture(name), d)
+
+
+def test_sweep_matches_the_all_letters_reference_on_random_specs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        specs = corpus(60)
+        for spec in specs:
+            assert hopf._sweep(spec, 2) == _all_letters_sweep(spec, 2), spec.name
+        assert hopf._sweep(specs[22], 3) == _all_letters_sweep(specs[22], 3)
+
+
+def test_a_covariant_fault_is_swept_on_every_letter(monkeypatch):
+    # doubling the antipode on every element with a length-2 word breaks
+    # the antipode law on each degree-2 monomial at every group letter,
+    # and the identity letter must send the sweep to the others
+    spec = load_fixture("ex1")
+    anti = hopf.antipode
+    two = Scalar.rational(spec.ctx, 2)
+
+    def doubled(x):
+        value = anti(x)
+        return value.scale(two) if any(len(word) == 2 for word, _ in x.terms) else value
+
+    monkeypatch.setattr(hopf, "antipode", doubled)
+    with pytest.warns(UserWarning):
+        report = check_hopf_axioms(spec, 2)
+    assert report == _all_letters_sweep(load_fixture("ex1"), 2)
+    assert len(report.certificates) == 56
+    antipodes = [cert for cert in report.certificates if cert["law"] == "antipode"]
+    assert len(antipodes) == 6 * len(spec.group)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sweep_checks_the_laws_once_per_monomial_on_ex1(d, monkeypatch):
+    # every law holds on ex1's monomials, so no letter but the identity is
+    # tried: the all-letters sweep makes 90 calls at degree 2 and 180 at 3
+    report, counts = _hopf_work(monkeypatch, load_fixture("ex1"), d, ("_law_certificates",))
+    assert not report.passed
+    assert counts["_law_certificates"] == len(list(pbw_words(3, d)))
+
+
+def test_sweep_work_does_not_grow_with_the_group(monkeypatch):
+    # the kappa row breaks strong vanishing, so the spec sweeps; the
+    # all-letters sweep makes 103 braided products and 480 antipodes at
+    # k = 4, and 223 and 1080 at k = 6
+    def swept(order):
+        text = _two_generator_spec(order) + "[kappa]\n1 2 -> 1 (1,0) 1\n"
+        report, counts = _hopf_work(monkeypatch, parse_spec_text(text), 2)
+        assert not report.strong_vanishing and not report.delta_well_defined
+        return counts
+
+    small = swept(4)
+    assert small == swept(6)
+    assert small["braided_product"] > 0 and small["antipode"] > 0
 
 
 def _no_sweep(spec, d):
