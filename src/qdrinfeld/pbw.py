@@ -6,14 +6,14 @@ Whether the ordered monomials v_1^{m_1} ... v_n^{m_n} g remain a basis
 of the quotient is decided here twice over: once through closed-form
 scalar identities on the correction coefficients, and once through a
 rewriting oracle that resolves every overlapping reduction directly.
-The two verdicts must agree on every valid input; tests enforce that.
+The two verdicts must agree on every valid input; check_pbw raises if not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .algebra import AlgebraSpec, NCElement, kappa_element, normal_form
+from .algebra import AlgebraSpec, NCElement, accumulate, kappa_element, normal_form
 from .errors import InternalInconsistency
 from .groups import GroupElement
 from .scalar import Scalar
@@ -131,33 +131,48 @@ def check_condition2(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
     return not violations, tuple(violations)
 
 
+def _cyclic_sums(spec: AlgebraSpec, term):
+    """One element per cyclic class (i, j, k) of distinct generators.
+
+    The element sums term(a, b, c, r, h, coeff) * h over the rotations
+    (a, b, c) of the class and the terms coeff * v_r h of kappa(v_a, v_b).
+    Right multiplication by h only moves each letter x to x h, so terms
+    from different source letters that land on one product letter meet,
+    and may cancel, in one dict.
+    """
+    if not spec.kappa_support():
+        return
+    for i, j, k in _cyclic_classes(spec.n):
+        terms: dict = {}
+        for a, b, c in _rotations(i, j, k):
+            for r, h, coeff in spec.kappa_pairs(a, b):
+                for (word, x), value in term(a, b, c, r, h, coeff).terms.items():
+                    accumulate(terms, (word, x * h), value)
+        yield i, j, k, NCElement(spec, terms)
+
+
+def _residues(spec: AlgebraSpec, term) -> tuple[bool, tuple[dict, ...]]:
+    violations = tuple(
+        {"i": i + 1, "j": j + 1, "k": k + 1, "residue": str(total)}
+        for i, j, k, total in _cyclic_sums(spec, term)
+        if not total.is_zero()
+    )
+    return not violations, violations
+
+
 def check_condition3(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
-    """Degree-one obstruction: cyclic sums must vanish in the span of v_r g."""
-    violations = []
-    for g in _support_elements(spec):
-        for i, j, k in _cyclic_classes(spec.n):
-            total = NCElement.zero(spec)
-            for a, b, c in _rotations(i, j, k):
-                head = (spec.char_value(c, g) - spec.q_scalar(b, c)) * _kappa_coeff(
-                    spec, a, b, a, g
-                )
-                total = total + kappa_element(spec, c, a).scale(head)
-                qbc = spec.q_scalar(b, c)
-                for r, h, coeff in spec.kappa_pairs(a, b):
-                    if h != g:
-                        continue
-                    total = total + kappa_element(spec, c, r).scale(qbc * coeff)
-            if not total.is_zero():
-                violations.append(
-                    {
-                        "i": i + 1,
-                        "j": j + 1,
-                        "k": k + 1,
-                        "g": str(g),
-                        "residue": str(total),
-                    }
-                )
-    return not violations, tuple(violations)
+    """Degree-one obstruction: cyclic sums must vanish in the span of v_r g.
+
+    The term v_a h of kappa(v_a, v_b) composes with chi_c(h), the others
+    with q_bc; each residue is kept at the letters it lands on.
+    """
+
+    def term(a, b, c, r, h, coeff):
+        if r == a:
+            return kappa_element(spec, c, a).scale(spec.char_value(c, h) * coeff)
+        return kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
+
+    return _residues(spec, term)
 
 
 def _remark2_holds(spec: AlgebraSpec) -> bool:
@@ -165,40 +180,28 @@ def _remark2_holds(spec: AlgebraSpec) -> bool:
 
     The cyclic sum is reduced in the spec itself.  Every kappa term has
     length one, so the length-two part of its normal form is exactly the
-    normal form in the q-symmetric algebra.
+    normal form in the q-symmetric algebra.  The length-two words carry
+    their source letter h, so they never meet across letters.
     """
-    for g in _support_elements(spec):
-        for i, j, k in _cyclic_classes(spec.n):
-            total = NCElement.zero(spec)
-            for a, b, c in _rotations(i, j, k):
-                qbc = spec.q_scalar(b, c)
-                twist = spec.q_scalar(c, a) * spec.char_value(c, g)
-                for r, h, coeff in spec.kappa_pairs(a, b):
-                    if h != g:
-                        continue
-                    total = total + NCElement.monomial(spec, (c, r), coeff=qbc * coeff)
-                    total = total - NCElement.monomial(spec, (r, c), coeff=twist * coeff)
-            if any(len(word) == 2 for word, _ in normal_form(total).terms):
-                return False
-    return True
+
+    def term(a, b, c, r, h, coeff):
+        twist = spec.q_scalar(c, a) * spec.char_value(c, h)
+        forward = NCElement.monomial(spec, (c, r), coeff=spec.q_scalar(b, c) * coeff)
+        return forward - NCElement.monomial(spec, (r, c), coeff=twist * coeff)
+
+    sums = (total for *_, total in _cyclic_sums(spec, term) if not total.is_zero())
+    return all(len(word) != 2 for total in sums for word, _ in normal_form(total).terms)
 
 
 def _remark3_holds(spec: AlgebraSpec) -> bool:
     """Alternative degree-one form: corrections composed on either side."""
-    for g in _support_elements(spec):
-        for i, j, k in _cyclic_classes(spec.n):
-            total = NCElement.zero(spec)
-            for a, b, c in _rotations(i, j, k):
-                qbc = spec.q_scalar(b, c)
-                twist = spec.q_scalar(c, a) * spec.char_value(c, g)
-                for r, h, coeff in spec.kappa_pairs(a, b):
-                    if h != g:
-                        continue
-                    total = total + kappa_element(spec, r, c).scale(twist * coeff)
-                    total = total - kappa_element(spec, c, r).scale(qbc * coeff)
-            if not total.is_zero():
-                return False
-    return True
+
+    def term(a, b, c, r, h, coeff):
+        twist = spec.q_scalar(c, a) * spec.char_value(c, h)
+        composed = kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
+        return kappa_element(spec, r, c).scale(twist * coeff) - composed
+
+    return all(total.is_zero() for *_, total in _cyclic_sums(spec, term))
 
 
 def check_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tuple[dict, ...]]:
@@ -241,19 +244,11 @@ def check_jacobi_sum(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
     vanish.  This is the obstruction that becomes the Jacobi identity
     on the associated bracket.
     """
-    violations = []
-    for i, j, k in _cyclic_classes(spec.n):
-        total = NCElement.zero(spec)
-        for a, b, c in _rotations(i, j, k):
-            qbc = spec.q_scalar(b, c)
-            for r, h, coeff in spec.kappa_pairs(a, b):
-                letter = NCElement.group_unit(spec, h)
-                total = total + (kappa_element(spec, c, r) * letter).scale(qbc * coeff)
-        if not total.is_zero():
-            violations.append(
-                {"i": i + 1, "j": j + 1, "k": k + 1, "residue": str(total)}
-            )
-    return not violations, tuple(violations)
+
+    def term(a, b, c, r, h, coeff):
+        return kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
+
+    return _residues(spec, term)
 
 
 def overlap_oracle(spec: AlgebraSpec) -> bool:
@@ -344,10 +339,9 @@ class PBWReport:
 def check_pbw(spec: AlgebraSpec) -> PBWReport:
     """Run all sub-checks and assemble the report.
 
-    The alternative forms of the degree obstructions are evaluated as
-    well; together with invariance they must reproduce the primary
-    verdict, and a disagreement means a bug, not a property of the
-    input.
+    The alternative forms of the degree obstructions, together with
+    invariance, and the overlap oracle must each reproduce the primary
+    verdict; a disagreement means a bug, not a property of the input.
     """
     cond1, cond1_violations = check_invariance(spec)
     cond2, cond2_violations = check_condition2(spec)
@@ -357,10 +351,12 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
     remark2 = _remark2_holds(spec)
     remark3 = _remark3_holds(spec)
     verdict = cond1 and cond2 and cond3
-    if (cond1 and remark2 and remark3) != verdict:
+    alternative = cond1 and remark2 and remark3
+    oracle = decided_confluence(spec)
+    if not verdict == alternative == oracle:
         raise InternalInconsistency(
-            "alternative condition forms disagree with the primary forms on "
-            f"{spec.name or 'an unnamed algebra'}"
+            f"the closed-form verdict ({verdict}), its alternative forms ({alternative}) and "
+            f"the overlap oracle ({oracle}) disagree on {spec.name or 'an unnamed algebra'}"
         )
     return PBWReport(
         cond1=cond1,
@@ -374,7 +370,7 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
         strong_vanishing=strong,
         strong_vanishing_violations=strong_violations,
         fixed_point_free=all(not chi.is_identity() for chi in spec.chars),
-        oracle_confluent=decided_confluence(spec),
+        oracle_confluent=oracle,
         remark_cond2=remark2,
         remark_cond3=remark3,
         verdict=verdict,

@@ -235,6 +235,15 @@ def test_internal_inconsistency_exits_with_3(monkeypatch):
     assert "Traceback" not in err
 
 
+def test_oracle_disagreement_exits_with_3(monkeypatch):
+    monkeypatch.setattr(pbw, "overlap_oracle", lambda spec: False)
+    code, out, err = run(["check", "ex2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "overlap oracle (False)" in err
+    assert "Traceback" not in err
+
+
 def test_oversized_powers_are_input_errors(tmp_path):
     # refused by the exponent bound, by the term bound, and in a spec row
     path = tmp_path / "power.qdo"

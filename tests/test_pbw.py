@@ -16,8 +16,9 @@ from qdrinfeld.pbw import (
 )
 from qdrinfeld.scalar import Scalar, parse_scalar
 from qdrinfeld.specfile import fixture_path, load_fixture, parse_spec_text
+from qdrinfeld.uea import dimension_oracle
 
-from randspec import corpus
+from randspec import corpus, multi_letter_corpus
 
 FIXTURE_SPECS = [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
 
@@ -187,6 +188,63 @@ def test_verdict_matches_rewriting_oracle_on_corpus():
     for spec in corpus(120):
         report = check_pbw(spec)
         assert report.verdict == report.oracle_confluent, spec.name
+
+
+# kappa(v2, v3) carries v2 on the letters g(1,0) and g(1,1).  Composed
+# with kappa(v1, v2) = (1 - zeta(6)) v2 g(1,0), both land on v2 g(0,1)
+# and cancel there, while each source letter alone leaves a residue.
+MULTI_LETTER = """
+[field]
+conductor = 6
+[group]
+orders = [2, 2]
+[action]
+characters = [[0, 0], [0, 1], [0, 0]]
+[q]
+1 2 = 1
+1 3 = 1
+2 3 = -1 + zeta(6)
+[kappa]
+1 2 -> 2 (1,0) 1 - zeta(6)
+2 3 -> 2 (1,0) 1 - zeta(6) ; 2 (1,1) zeta(6)
+"""
+
+
+def test_cyclic_sums_cancel_across_source_letters():
+    spec = parse_spec_text(MULTI_LETTER)
+    report = check_pbw(spec)
+    assert report.cond1 and report.cond2 and report.cond3
+    assert report.verdict and report.oracle_confluent
+    assert report.remark_cond2 and report.remark_cond3
+    assert dimension_oracle(spec, 3) == (80, 80)
+
+
+# the check-corpus specs of seed 3; one of them is PBW only through a
+# cancellation across source letters, like MULTI_LETTER
+MULTI_LETTER_SPECS = multi_letter_corpus(288, 3)
+
+
+def test_verdict_matches_rewriting_oracle_on_multi_letter_corpus():
+    verdicts = set()
+    for spec in MULTI_LETTER_SPECS:
+        report = check_pbw(spec)
+        assert report.verdict == report.oracle_confluent, spec.name
+        verdicts.add(report.verdict)
+    assert verdicts == {True, False}
+    assert max(spec.n for spec in MULTI_LETTER_SPECS) == 4
+    assert any(
+        len({g for pair in spec.kappa_support() for _, g, _ in spec.kappa_pairs(*pair)}) > 2
+        for spec in MULTI_LETTER_SPECS
+    )
+
+
+def test_verdict_matches_the_dimension_count_on_small_multi_letter_specs():
+    small = [spec for spec in MULTI_LETTER_SPECS if len(spec.group) <= 4 and spec.n <= 3]
+    assert len(small) == 128
+    for spec in small:
+        pbw_count, quotient_dim = dimension_oracle(spec, 3)
+        report = check_pbw(spec)
+        assert report.verdict == report.oracle_confluent == (pbw_count == quotient_dim), spec.name
 
 
 def test_alternative_forms_agree_on_corpus():
