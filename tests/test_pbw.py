@@ -190,9 +190,9 @@ def test_verdict_matches_rewriting_oracle_on_corpus():
         assert report.verdict == report.oracle_confluent, spec.name
 
 
-# kappa(v2, v3) carries v2 on the letters g(1,0) and g(1,1).  Composed
-# with kappa(v1, v2) = (1 - zeta(6)) v2 g(1,0), both land on v2 g(0,1)
-# and cancel there, while each source letter alone leaves a residue.
+# Split by source letter, condition 3 leaves -v2 g(1,1) under g(1,0) and
+# v2 g(1,0) under g(1,1).  Both land on v2 g(0,1) with opposite signs, and
+# they cancel.
 MULTI_LETTER = """
 [field]
 conductor = 6
