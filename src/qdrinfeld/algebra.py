@@ -71,9 +71,11 @@ class AlgebraSpec:
         # Delta of monomials (hopf.coproduct), the pairing
         # (colorlie.Bicharacter.from_spec) and the decided facts
         # (pbw.decided_vanishing, pbw.decided_confluence), each computed
-        # once per spec
+        # once per spec, and a weak reference to the ring
+        # (colorlie.build_color_lie_ring), which points back to the spec
         self._delta_cache: dict = {}
         self._pairing = None
+        self._ring = None
         self._facts: dict = {}
 
     def _build_q(self, n: int, q_in) -> dict[tuple[int, int], Scalar]:
@@ -363,6 +365,11 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
     q_ab v_b v_a + kappa(v_a, v_b), pushing any group letter produced by
     kappa across the tail of the word.  The pair (word length, inversion
     count) drops strictly, so the loop terminates for any strategy.
+
+    It commutes with right multiplication by a group letter x: a step
+    picks its descent from the word alone, puts the kappa letter left of
+    the trailing letter and scales by factors of the word and the kappa
+    letter only, so it commutes with (word, k) -> (word, k x) on keys.
     """
     spec = element.spec
 

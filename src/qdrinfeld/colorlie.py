@@ -9,6 +9,7 @@ small hand-built examples such as gl(1|1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, LinearCombination, accumulate, extended_kappa
@@ -120,6 +121,9 @@ class ColorLieRing:
     off the correction map; mode "generic" carries abstract labels with
     explicit data.  The bracket table is complete over ordered index
     pairs and every value is a combination of basis indices.
+
+    A built ring is never mutated in place, as build_color_lie_ring
+    shares it; a variant is a new ring made from copies of the fields.
     """
 
     def __init__(
@@ -168,7 +172,9 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
 
     Requires the PBW verdict and the vanishing condition; force=True
     builds without deciding them, for callers that already hold the PBW
-    report or want to explore anyway.
+    report or want to explore anyway.  While a caller holds the ring,
+    every call returns that same object, the spec's own ring; the spec
+    keeps it weakly, so both die without the cycle collector.
     """
     if not force:
         report = check_pbw(spec)
@@ -177,6 +183,9 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
                 "bracket construction needs the PBW property and the vanishing "
                 "condition; pass force=True to explore anyway"
             )
+    ring = spec._ring and spec._ring()
+    if ring is not None:
+        return ring
     n = spec.n
     labels = [(i, g) for i in range(n) for g in spec.group]
     index = {label: s for s, label in enumerate(labels)}
@@ -197,7 +206,7 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
                         index[(word[0], letter)]: coeff
                         for (word, letter), coeff in value.terms.items()
                     }
-    return ColorLieRing(
+    ring = ColorLieRing(
         "from_spec",
         labels,
         degrees,
@@ -205,6 +214,8 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
         Bicharacter.from_spec(spec),
         spec=spec,
     )
+    spec._ring = weakref.ref(ring)
+    return ring
 
 
 def generic_color_lie_ring(data: GenericLieData) -> ColorLieRing:

@@ -425,9 +425,8 @@ def _sweep(spec: AlgebraSpec, d: int) -> HopfReport:
       with an empty slot and move the letter with the other slot.
     - ``antipode`` keeps the letter on the right and scales by factors of
       the word alone, and ``normal_form`` commutes with right
-      multiplication by a group letter (the proof is in
-      ``uea.iso_check``'s docstring), so both antipode folds commute with
-      shift_g.
+      multiplication by a group letter (the proof is in its docstring),
+      so both antipode folds commute with shift_g.
 
     So each law holds on w g exactly when it holds on w e, and
     ``_law_certificates`` is empty at every letter when it is empty at

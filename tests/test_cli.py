@@ -122,6 +122,19 @@ def test_run_all_decides_pbw_once(monkeypatch):
     assert calls == ["ex2"]
 
 
+def test_run_all_builds_one_ring(monkeypatch):
+    built = []
+    construct = colorlie.ColorLieRing.__init__
+
+    def counted(ring, *args, **kwargs):
+        built.append(1)
+        construct(ring, *args, **kwargs)
+
+    monkeypatch.setattr(colorlie.ColorLieRing, "__init__", counted)
+    assert run_all("ex2", 2)["passed"]
+    assert len(built) == 1
+
+
 def test_run_all_decides_each_spec_fact_once(monkeypatch):
     # strong and weak vanishing and the overlap oracle, once each, whether
     # the Hopf check takes the finite proof (ex2) or the sweep (ex1)
@@ -293,7 +306,7 @@ def test_lie_on_a_large_group_answers_quickly(tmp_path):
 
 
 def test_uea_on_a_large_group_answers_quickly(tmp_path):
-    # 82,944 basis pairs: the comparison map may reduce only the 4 generator pairs
+    # 82,944 basis pairs: on the spec's own ring the comparison map reduces none
     path = tmp_path / "z12.qdo"
     path.write_text(_two_generator_spec(12))
     started = time.monotonic()

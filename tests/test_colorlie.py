@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -20,6 +22,7 @@ from qdrinfeld.groups import ADegree
 from qdrinfeld.pbw import check_vanishing
 from qdrinfeld.scalar import Scalar, ScalarContext, parse_scalar
 from qdrinfeld.specfile import load_fixture, parse_spec_text
+from qdrinfeld.uea import iso_check
 
 from randspec import corpus
 
@@ -130,7 +133,32 @@ def test_ring_requires_the_hypotheses():
     broken = AlgebraSpec(spec.ctx, spec.group, chars, q, kappa)
     with pytest.raises(HypothesisNotMet):
         build_color_lie_ring(broken)
-    build_color_lie_ring(broken, force=True)
+    ring = build_color_lie_ring(broken, force=True)
+    # a held ring does not let a later call skip the hypotheses
+    with pytest.raises(HypothesisNotMet):
+        build_color_lie_ring(broken)
+    assert ring.spec is broken
+
+
+def test_one_ring_per_spec_while_it_is_held():
+    spec = load_fixture("ex2")
+    ring = build_color_lie_ring(spec)
+    assert build_color_lie_ring(spec, force=True) is ring
+    assert build_color_lie_ring(load_fixture("ex2")) is not ring
+
+
+def test_a_spec_and_its_ring_die_without_the_cycle_collector():
+    # the ring points to its spec, so the spec may keep it only weakly
+    spec = load_fixture("ex2")
+    ring = build_color_lie_ring(spec)
+    assert iso_check(spec, ring) == (True, [])
+    refs = weakref.ref(spec), weakref.ref(ring)
+    gc.disable()
+    try:
+        del spec, ring
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_quotient_descent_on_ex2():

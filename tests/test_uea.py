@@ -22,7 +22,7 @@ from qdrinfeld.uea import (
     j_generator_image,
     pbw_for_uea,
 )
-from qdrinfeld.algebra import normal_form
+from qdrinfeld.algebra import NCElement, defining_relation, normal_form
 
 from randspec import corpus
 from test_cli import _two_generator_spec
@@ -123,13 +123,14 @@ def test_perturbed_ring_fails_the_axioms_gate():
         pbw_for_uea(bent)
 
 
-def _all_pairs_forward(spec, ring):
-    """Reference forward direction: reduce the image of every ordered basis pair.
+def _reference_iso(spec, ring):
+    """Reference comparison map: reduce every ordered basis pair, then every relation.
 
-    It reduces the pairs that covariance lets iso_check skip, so it checks
-    that skipping them changes no certificate and no order.
+    It reduces on the spec's own ring too, where iso_check reduces
+    nothing, so it checks both directions of that shortcut.
     """
     certificates = []
+    engine = uea._spec_from_ring(ring)
     for s in range(ring.size):
         for t in range(ring.size):
             residue = normal_form(j_generator_image(spec, ring, s, t))
@@ -142,7 +143,20 @@ def _all_pairs_forward(spec, ring):
                         "residue": str(residue),
                     }
                 )
-    return certificates
+    for i in range(spec.n):
+        for j in range(i + 1, spec.n):
+            relation = defining_relation(spec, j, i)
+            residue = normal_form(NCElement(engine, dict(relation.terms)))
+            if not residue.is_zero():
+                certificates.append(
+                    {
+                        "direction": "deformation to enveloping algebra",
+                        "i": i + 1,
+                        "j": j + 1,
+                        "residue": str(residue),
+                    }
+                )
+    return not certificates, certificates
 
 
 def _forward(certificates):
@@ -161,14 +175,16 @@ def off_identity_pairs(spec):
 def test_iso_check_flags_a_bracket_bent_off_the_identity():
     # every generator residue vanishes on these rings, so a forward
     # direction that looks at the generators alone would pass them
+    compared = 0
     for name in ("ex2", "ex3"):
         spec = load_fixture(name)
         for pair in off_identity_pairs(spec):
             ring = perturbed_ring(spec, pair)
             ok, certificates = iso_check(spec, ring)
-            forward = _all_pairs_forward(spec, ring)
-            assert not ok and len(forward) == 2, (name, pair)
-            assert certificates == forward, (name, pair)
+            assert not ok and len(_forward(certificates)) == 2, (name, pair)
+            assert (ok, certificates) == _reference_iso(spec, ring), (name, pair)
+            compared += 1
+    assert compared == 6
 
 
 def _rings_to_compare():
@@ -184,31 +200,56 @@ def _rings_to_compare():
         yield order, spec, build_color_lie_ring(spec)
 
 
-def test_iso_check_forward_matches_the_all_pairs_reference():
+def test_iso_check_matches_the_reference():
     compared = 0
     for label, spec, ring in _rings_to_compare():
-        _, certificates = iso_check(spec, ring)
-        assert _forward(certificates) == _all_pairs_forward(spec, ring), label
+        assert iso_check(spec, ring) == _reference_iso(spec, ring), label
         compared += 1
     assert compared == 70
 
 
-def test_iso_check_reduces_generator_pairs_on_the_spec_own_ring(monkeypatch):
+def _count_comparison_work(monkeypatch):
+    """Patch the comparison map's steps and ring construction to log their calls."""
     calls = []
-    image = uea.j_generator_image
 
-    def counting(spec, ring, s, t):
-        calls.append((s, t))
-        return image(spec, ring, s, t)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(uea, "j_generator_image", counting)
+        return counted
+
+    for name in ("j_generator_image", "normal_form", "_spec_from_ring"):
+        monkeypatch.setattr(uea, name, counting(name, getattr(uea, name)))
+    monkeypatch.setattr(
+        ColorLieRing, "__init__", counting("ColorLieRing", ColorLieRing.__init__)
+    )
+    return calls
+
+
+def test_iso_check_reduces_nothing_on_the_spec_own_ring(monkeypatch):
     spec = load_fixture("ex1")
-    assert iso_check(spec, build_color_lie_ring(spec))[0]
-    assert len(calls) == spec.n ** 2 == 9
-    calls.clear()
+    ring = build_color_lie_ring(spec)
+    calls = _count_comparison_work(monkeypatch)
+    assert iso_check(spec, ring) == (True, [])
+    assert calls == []
     bent = perturbed_ring(spec, identity_pair(spec))
+    assert calls == ["ColorLieRing"]
+    calls.clear()
     assert not iso_check(spec, bent)[0]
-    assert len(calls) == bent.size ** 2 == 729
+    assert calls.count("j_generator_image") == bent.size ** 2 == 729
+
+
+def test_a_ring_of_an_equal_spec_is_not_the_own_ring(monkeypatch):
+    # equal labels, degrees and table, but another spec and pairing object
+    spec = load_fixture("ex2")
+    own = build_color_lie_ring(spec)
+    twin = build_color_lie_ring(load_fixture("ex2"))
+    assert twin is not own and twin.epsilon is not own.epsilon
+    assert (twin.labels, twin.degrees, twin.table) == (own.labels, own.degrees, own.table)
+    calls = _count_comparison_work(monkeypatch)
+    assert iso_check(spec, twin) == (True, [])
+    assert calls.count("j_generator_image") == twin.size ** 2
 
 
 def test_dimension_counts_match_on_fixtures():
