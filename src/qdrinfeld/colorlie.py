@@ -9,8 +9,10 @@ small hand-built examples such as gl(1|1).
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 
 from .algebra import AlgebraSpec, LinearCombination, accumulate, extended_kappa
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
@@ -102,14 +104,17 @@ class Bicharacter:
         """The product of table[s, t]^(a_s * b_t) over the generator pairs."""
         value = self._memo.get((a, b))
         if value is None:
-            value = Scalar.one(self.ctx)
+            one = Scalar.one(self.ctx)
+            factors = []
             vb = b.as_int_vector()
             for s, xs in enumerate(a.as_int_vector()):
                 if xs == 0:
                     continue
                 for t, yt in enumerate(vb):
-                    if yt and (s, t) in self._table:
-                        value = value * self._table[(s, t)] ** (xs * yt)
+                    entry = self._table.get((s, t)) if yt else None
+                    if entry is not None and entry != one:
+                        factors.append(entry ** (xs * yt))
+            value = reduce(operator.mul, factors) if factors else one
             self._memo[(a, b)] = value
         return value
 
@@ -302,6 +307,48 @@ class _Shift(dict):
         return shifted
 
 
+def _bimodule_violations(ring: ColorLieRing, g: GroupElement) -> list[dict]:
+    """Certificates of the three module laws at one group element g.
+
+    The candidates are the bracket table's keys and their preimages under
+    the shift by g; any other pair has every bracket in its laws empty.
+    """
+    spec, table = ring.spec, ring.table
+    # the group is abelian, so g h = h g and one shift serves both sides
+    ahead, behind = _Shift(ring, g), _Shift(ring, g.inverse())
+    candidates = set(table)
+    for a, b in table:
+        candidates.add((behind[a], b))
+        candidates.add((a, behind[b]))
+    violations = []
+    for s, t in sorted(candidates):
+        i, j = ring.labels[s][0], ring.labels[t][0]
+        plain = ring.bracket(s, t)
+        left = LinearCombination(
+            {ahead[u]: c * spec.char_value(ring.labels[u][0], g) for u, c in plain.items()}
+        )
+        right = LinearCombination({ahead[u]: c for u, c in plain.items()})
+        checks = (
+            ("left", ring.bracket_combo(ahead[s], t).scale(spec.char_value(i, g)), left),
+            ("balanced", ring.bracket_combo(ahead[s], t),
+             ring.bracket_combo(s, ahead[t]).scale(spec.char_value(j, g))),
+            ("right", ring.bracket_combo(s, ahead[t]), right),
+        )
+        for name, got, expected in checks:
+            if got != expected:
+                violations.append(
+                    {
+                        "axiom": f"bimodule-{name}",
+                        "g": str(g),
+                        "x": ring.label_str(s),
+                        "y": ring.label_str(t),
+                        "got": got.sum_str(ring.label_str),
+                        "expected": expected.sum_str(ring.label_str),
+                    }
+                )
+    return violations
+
+
 def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) -> ColorAxiomReport:
     """Axiom sweep over the basis tuples that a nonzero bracket reaches.
 
@@ -314,6 +361,22 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
     group algebra and the action compatibility law run for rings built
     from a spec.  The grading check runs against A for generic rings and
     against A/N when a quotient is supplied.
+
+    The module identities are decided on the generators of G.  Let
+    lambda_g(v_i h) = chi_i(g) v_i (g h) and rho_g(v_i h) = v_i (h g);
+    both are actions of G, as each chi_i is a character and G is
+    abelian.  The laws are [lambda_g x, y] = lambda_g [x, y] (left),
+    [rho_g x, y] = [x, lambda_g y] (balanced) and
+    [x, rho_g y] = rho_g [x, y] (right), each linear in x and y.  If a
+    law holds at g1 and at g2 on every basis pair, it holds at g1 g2:
+    for instance [lambda_g1 lambda_g2 x, y] = lambda_g1 [lambda_g2 x, y]
+    = lambda_g1 lambda_g2 [x, y], and [rho_g1 rho_g2 x, y] =
+    [rho_g2 x, lambda_g1 y] = [x, lambda_g2 lambda_g1 y].  G is finite,
+    so its generators generate it as a monoid, and the laws hold on G
+    exactly when they hold on the generators.  This holds for any
+    bracket table.  When a generator fails, the laws are checked at
+    every element of G, so the certificates and their order are those
+    of the sweep over G.
     """
     eps = ring.epsilon
     table = ring.table
@@ -373,45 +436,17 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
         spec = ring.spec
         n = spec.n
 
-        bimodule = True
-        for g in spec.group:
-            # the group is abelian, so g h = h g and one shift serves both
-            # sides; the candidates are the keys and their preimages
-            ahead, behind = _Shift(ring, g), _Shift(ring, g.inverse())
-            candidates = set(table)
-            for a, b in table:
-                candidates.add((behind[a], b))
-                candidates.add((a, behind[b]))
-            for s, t in sorted(candidates):
-                i, j = ring.labels[s][0], ring.labels[t][0]
-                plain = ring.bracket(s, t)
-                left = LinearCombination(
-                    {ahead[u]: c * spec.char_value(ring.labels[u][0], g) for u, c in plain.items()}
-                )
-                right = LinearCombination({ahead[u]: c for u, c in plain.items()})
-                checks = (
-                    ("left", ring.bracket_combo(ahead[s], t).scale(spec.char_value(i, g)), left),
-                    ("balanced", ring.bracket_combo(ahead[s], t),
-                     ring.bracket_combo(s, ahead[t]).scale(spec.char_value(j, g))),
-                    ("right", ring.bracket_combo(s, ahead[t]), right),
-                )
-                for name, got, expected in checks:
-                    if got != expected:
-                        bimodule = False
-                        certificates.append(
-                            {
-                                "axiom": f"bimodule-{name}",
-                                "g": str(g),
-                                "x": ring.label_str(s),
-                                "y": ring.label_str(t),
-                                "got": got.sum_str(ring.label_str),
-                                "expected": expected.sum_str(ring.label_str),
-                            }
-                        )
+        # the module laws on the generators decide them on G (see above)
+        gens = [spec.group.generator(t) for t in range(spec.group.rank)]
+        violations = []
+        if any(_bimodule_violations(ring, g) for g in gens):
+            for g in spec.group:
+                violations.extend(_bimodule_violations(ring, g))
+        bimodule = not violations
+        certificates.extend(violations)
 
         # premise: group generators pair to 1, so eps(g, e_i + h) = eps(g, e_i) for every h
         one = Scalar.one(spec.ctx)
-        gens = [spec.group.generator(t) for t in range(spec.group.rank)]
         letters = [ADegree.group_degree(n, h) for h in gens]
         if any(eps.eval(a, b) != one for a in letters for b in letters):
             raise InternalInconsistency("the spec's pairing must pair group generators to 1")

@@ -24,15 +24,15 @@ _ONE = Fraction(1)
 
 
 def power(base, k: int, one, mul=operator.mul):
-    """base^k for k >= 0 by square-and-multiply."""
-    result = one
+    """base^k for k >= 0 by square-and-multiply; one only for k = 0."""
+    result = None
     while k:
         if k & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         k >>= 1
         if k:
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 def times(coeff: str, body: str) -> str:

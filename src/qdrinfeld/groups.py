@@ -128,17 +128,22 @@ class Character(_ExponentVector):
         return f"Character{self.exps}"
 
 
-def char_eval(chi: Character, g: GroupElement, ctx: ScalarContext) -> Scalar:
-    """Evaluate a character at a group element inside Q(zeta_m)."""
+def char_exponent(chi: Character, g: GroupElement, m: int) -> int:
+    """The k in range(m) with chi(g) = zeta_m^k."""
     if chi.group != g.group:
         raise SpecError("group mismatch")
-    m = ctx.conductor
     total = 0
     for e, a, order in zip(chi.exps, g.exps, chi.group.orders):
         if m % order != 0:
             raise SpecError(f"conductor {m} is not divisible by cyclic order {order}")
         total = (total + (m // order) * e * a) % m
-    return Scalar.from_cyclotomic(ctx, CyclotomicNumber.zeta_power(m, total))
+    return total
+
+
+def char_eval(chi: Character, g: GroupElement, ctx: ScalarContext) -> Scalar:
+    """Evaluate a character at a group element inside Q(zeta_m)."""
+    m = ctx.conductor
+    return Scalar.from_cyclotomic(ctx, CyclotomicNumber.zeta_power(m, char_exponent(chi, g, m)))
 
 
 class ADegree:
@@ -295,4 +300,5 @@ __all__ = [
     "SubgroupN",
     "IntegerLattice",
     "char_eval",
+    "char_exponent",
 ]

@@ -44,7 +44,8 @@ from .errors import (
     SpecError,
     SymbolicParameter,
 )
-from .groups import ADegree
+from .cyclotomic import CyclotomicNumber
+from .groups import ADegree, Character, char_exponent
 from .pbw import check_invariance, check_jacobi_sum, check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import Scalar, ScalarContext
@@ -311,38 +312,77 @@ def dimension_oracle(spec: AlgebraSpec, d: int, instantiate: dict[str, Scalar] |
     """Count monomials two ways in filtration degree <= d.
 
     pbw_count is the closed-form count of sorted monomials times group
-    letters.  quotient_dim spans the full degree bound with free words,
-    imposes every product (word, letter) * relation * (word, letter) that
-    stays inside the bound, and returns the corank from exact elimination.
+    letters.  quotient_dim is the corank of the rows u*g1*rel*w*g2 that
+    stay inside the bound, over the columns (word, g) with len(word) <= d,
+    from exact elimination done one character of G at a time:
+
+    - Right multiplication by x in G sends the row of (u, g1, w, g2) to
+      the row of (u, g1, w, g2 x) and permutes the columns,
+      (word, g) -> (word, g x).  Left multiplication by x sends it to
+      chi_u(x) times the row of (u, x g1, w, g2) and maps (word, g) to
+      chi_word(x) (word, x g), where chi_word is the product of the chi_i
+      over the word's letters.  The two actions commute, and Q(zeta_m)
+      holds every value of every character of G, as the conductor is a
+      multiple of the exponent.  So the row space is the direct sum of
+      its projections to the isotypic parts of this action of G x G
+      (Serre, Linear Representations of Finite Groups, 2.6).
+    - The part where right multiplication acts by a character chi has
+      the basis [word], and the projection sends (word, g) to
+      chi(g) [word]; the row of (u, g1, w, g2) goes to chi(g2) times
+      that of (u, g1, w, e).  On [word] left multiplication by x acts by
+      chi(x) chi_word(x), so the part splits again by chi_word: the
+      projection keeps the pieces of a row whose words have one
+      character.  Left multiplication by g1 scales each piece, so the
+      pieces of the rows u*rel*w, with g1 = g2 = e, span every part.
+
+    Hence quotient_dim is the sum over chi of W - rank_chi, where W is the
+    number of words and rank_chi eliminates those pieces, mapped by chi.
+    This uses only how the rows are generated: a kappa term whose word
+    character differs from that of its quadratic part lands in another
+    piece.  A symbolic spec is instantiated first.
     """
     if d < 0:
         raise SpecError("the degree bound must be nonnegative")
     inst = instantiate_spec(spec, instantiate)
-    n = inst.n
-    columns = {}
-    for word in all_words(n, d):
-        for g in inst.group:
-            columns[(word, g)] = len(columns)
-    relations = [
-        defining_relation(inst, j, i) for i in range(n) for j in range(i + 1, n)
-    ]
+    n, group, m = inst.n, inst.group, inst.ctx.conductor
+    words = list(all_words(n, d))
+    column = {word: s for s, word in enumerate(words)}
+    character = {(): Character(group, (0,) * group.rank)}
+    for word in words[1:]:
+        character[word] = character[word[:-1]] * inst.chars[word[-1]]
+    # per term of a row u*rel*w: its column, the character of its word,
+    # its letter h, chi_w(h) as a power of zeta_m and its coefficient
     rows = []
     flank = d - 2
-    for relation in relations:
-        for u in all_words(n, flank):
-            for w in all_words(n, flank - len(u)):
-                for g1 in inst.group:
-                    left = NCElement.monomial(inst, u, g1)
-                    middle = left * relation
-                    for g2 in inst.group:
-                        product = middle * NCElement.monomial(inst, w, g2)
-                        row = {
-                            columns[key]: coeff.constant_value()
-                            for key, coeff in product.terms.items()
-                        }
-                        if row:
-                            rows.append(row)
-    return pbw_monomial_count(inst, d), len(columns) - _rank(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            relation = defining_relation(inst, j, i)
+            for u in all_words(n, flank):
+                for w in all_words(n, flank - len(u)):
+                    row = []
+                    for (word, h), c in relation.terms.items():
+                        key = u + word + w
+                        k = char_exponent(character[w], h, m)
+                        row.append((column[key], character[key], h, k, c.constant_value()))
+                    rows.append(row)
+    letters = {h for row in rows for _, _, h, _, _ in row}
+    quotient_dim = 0
+    for x in group:
+        chi = Character(group, x.exps)  # the characters have the exponents of the elements
+        at = {h: char_exponent(chi, h, m) for h in letters}
+        pieces = []
+        for row in rows:
+            split: dict = {}
+            for s, word_char, h, k, c in row:
+                k = (k + at[h]) % m
+                accumulate(
+                    split.setdefault(word_char, {}),
+                    s,
+                    c if k == 0 else c * CyclotomicNumber.zeta_power(m, k),
+                )
+            pieces.extend(piece for piece in split.values() if piece)
+        quotient_dim += len(words) - _rank(pieces)
+    return pbw_monomial_count(inst, d), quotient_dim
 
 
 # ---------------------------------------------------------------------------

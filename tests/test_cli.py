@@ -315,6 +315,16 @@ def test_uea_on_a_large_group_answers_quickly(tmp_path):
     assert code == 0 and "enveloping algebra comparison: pass" in out, err
 
 
+def test_uea_at_the_default_degree_on_a_large_group_answers_quickly(tmp_path):
+    # degree 3 over 144 group elements: the dimension count eliminates per character
+    path = tmp_path / "z12.qdo"
+    path.write_text(_two_generator_spec(12))
+    started = time.monotonic()
+    code, out, err = run(["uea", str(path)])
+    assert time.monotonic() - started < 5
+    assert code == 0 and "enveloping algebra comparison: pass" in out, err
+
+
 def test_hopf_on_a_large_group_answers_quickly(tmp_path):
     # strong and confluent: the finite checks decide, whatever the degree
     path = tmp_path / "z12.qdo"

@@ -22,9 +22,16 @@ from qdrinfeld.uea import (
     j_generator_image,
     pbw_for_uea,
 )
-from qdrinfeld.algebra import NCElement, defining_relation, normal_form
+from qdrinfeld.algebra import (
+    NCElement,
+    all_words,
+    defining_relation,
+    normal_form,
+    pbw_monomial_count,
+)
+from qdrinfeld.cyclotomic import CyclotomicNumber
 
-from randspec import corpus
+from randspec import corpus, multi_letter_corpus
 from test_cli import _two_generator_spec
 
 
@@ -259,11 +266,15 @@ def test_dimension_counts_match_on_fixtures():
         assert (pbw_count, quotient_dim) == (expected, expected), name
 
 
-def test_dimension_collapse_when_the_verdict_fails():
+def _ex2_with_a_second_kappa_row():
     text = format_spec(load_fixture("ex2")).replace(
         "1 2 -> 3 (1) lam", "1 2 -> 3 (1) lam\n1 3 -> 3 (1) lam"
     )
-    broken = parse_spec_text(text, name="broken")
+    return parse_spec_text(text, name="broken")
+
+
+def test_dimension_collapse_when_the_verdict_fails():
+    broken = _ex2_with_a_second_kappa_row()
     assert not check_pbw(broken).verdict
     assert dimension_oracle(broken, 3) == (40, 32)
 
@@ -278,6 +289,74 @@ def test_instantiation_overrides():
         instantiate_spec(spec, {"mu": five})
     with pytest.raises(SymbolicParameter):
         instantiate_spec(spec, {"lam": parse_scalar("q*lam", spec.ctx)})
+
+
+def _dense_dimension_oracle(spec, d, instantiate=None):
+    """Reference count: every row u*g1*rel*w*g2 eliminated over the columns (word, g).
+
+    It does not split by the characters of G, so it checks the
+    decomposition that dimension_oracle rests on.
+    """
+    inst = instantiate_spec(spec, instantiate)
+    n = inst.n
+    columns = {}
+    for word in all_words(n, d):
+        for g in inst.group:
+            columns[(word, g)] = len(columns)
+    relations = [defining_relation(inst, j, i) for i in range(n) for j in range(i + 1, n)]
+    rows = []
+    flank = d - 2
+    for relation in relations:
+        for u in all_words(n, flank):
+            for w in all_words(n, flank - len(u)):
+                for g1 in inst.group:
+                    middle = NCElement.monomial(inst, u, g1) * relation
+                    for g2 in inst.group:
+                        product = middle * NCElement.monomial(inst, w, g2)
+                        row = {
+                            columns[key]: coeff.constant_value()
+                            for key, coeff in product.terms.items()
+                        }
+                        if row:
+                            rows.append(row)
+    return pbw_monomial_count(inst, d), len(columns) - uea._rank(rows)
+
+
+def _dimension_cases():
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        for d in range(4):
+            yield (name, d), load_fixture(name), d, None
+    for spec in corpus(60):
+        yield spec.name, spec, 3, None
+    # every third shape: each group, n = 2..4 and every style
+    for spec in multi_letter_corpus(72, 1)[::3]:
+        yield spec.name, spec, 3, None
+    yield "ex2 with a second kappa row", _ex2_with_a_second_kappa_row(), 3, None
+    spec = load_fixture("ex2")
+    yield "ex2 at lam = 5", spec, 3, {"lam": parse_scalar("5", spec.ctx)}
+
+
+def test_dimension_oracle_matches_the_dense_reference():
+    compared = differ = 0
+    for label, spec, d, values in _dimension_cases():
+        counts = dimension_oracle(spec, d, values)
+        assert counts == _dense_dimension_oracle(spec, d, values), label
+        compared += 1
+        differ += counts[0] != counts[1]
+    # the counts differ where PBW fails, so the corank is compared, not only full rank
+    assert (compared, differ) == (106, 33)
+
+
+def test_dimension_oracle_work_is_a_quarter_of_the_dense_elimination(monkeypatch):
+    spec = load_fixture("ex1")
+    calls = []
+    multiply = CyclotomicNumber.__mul__
+    monkeypatch.setattr(
+        CyclotomicNumber, "__mul__", lambda a, b: calls.append(1) or multiply(a, b)
+    )
+    assert dimension_oracle(spec, 2) == (90, 90)
+    # the dense elimination makes 1,728
+    assert len(calls) <= 1728 // 4
 
 
 def test_converse_recovers_the_fixture_specs():
