@@ -99,8 +99,10 @@ class AlgebraSpec:
                     q[(i, j)] = one
                 elif (i, j) not in q:
                     q[(i, j)] = q[(j, i)].inv() if (j, i) in q else one
+        # scalars commute and q_ii = 1, so the pairs i < j suffice, and the
+        # first of them to fail is the first failing pair in row-major order
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if q[(i, j)] * q[(j, i)] != one:
                     raise SpecError(
                         f"q_{i + 1}{j + 1} and q_{j + 1}{i + 1} are not inverse"

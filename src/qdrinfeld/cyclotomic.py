@@ -6,8 +6,8 @@ reduced modulo the m-th cyclotomic polynomial.  That polynomial is monic
 with integer coefficients, so sums and products stay on integers and only
 the denominators multiply.  It is obtained from x^m - 1 by exact division
 by the polynomials of the proper divisors, so no factorization routine and
-no floating point ever enter; that division and the field inverse are the
-only places that compute over Q.
+no floating point ever enter; that division and the field inverse of an
+element other than +-zeta^k are the only places that compute over Q.
 """
 
 from __future__ import annotations
@@ -146,6 +146,12 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _power_index(m: int) -> dict[tuple[int, ...], int]:
+    """k for each row of ``_power_rows(m)``; the m rows are distinct."""
+    return {row: k for k, row in enumerate(_power_rows(m))}
+
+
 def _number(m: int, nums: tuple[int, ...], den: int) -> CyclotomicNumber:
     """The element nums/den of Q(zeta_m), brought to lowest terms; den > 0."""
     if den != 1:
@@ -254,27 +260,18 @@ class CyclotomicNumber:
         return _number(m, tuple(out), self.den * other.den)
 
     def inverse(self) -> CyclotomicNumber:
-        """Field inverse via the extended Euclidean algorithm in Q[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phim = cyclotomic_polynomial(self.m)
-        # maintain r = s * self + t * Phi_m; Phi_m is irreducible over Q,
-        # so the last nonzero remainder is a constant.  Each remainder is
-        # made monic, which keeps the coefficients near the size of the
-        # answer's: unscaled, they grow by thousands of digits at m = 113.
-        r0, s0 = _trim(list(self.coeffs)), (_ONE,)
-        r1, s1 = phim, ()
-        while r1:
-            q, r2 = _poly_divmod(r0, r1)
-            s2 = _poly_sub(s0, _poly_mul(q, s1))
-            if r2:
-                c = 1 / r2[-1]
-                r2, s2 = tuple(c * a for a in r2), tuple(c * a for a in s2)
-            r0, s0, r1, s1 = r1, s1, r2, s2
-        if len(r0) != 1:
-            raise InternalInconsistency("Phi_m must be coprime to any nonzero element")
-        # r0 == (1,), so s0 * self = 1 modulo Phi_m
-        return CyclotomicNumber(self.m, s0 + (_ZERO,) * (euler_phi(self.m) - len(s0)))
+        """Field inverse: by table for +-zeta^k, else by _euclid_inverse.
+
+        The representation is unique, so +-zeta^k is found by looking up
+        its numerators, or their negatives, among the powers of zeta.
+        """
+        if self.den == 1:
+            m, index = self.m, _power_index(self.m)
+            for sign in (1, -1):
+                k = index.get(tuple(sign * a for a in self.nums))
+                if k is not None:
+                    return _number(m, tuple(sign * a for a in _power_rows(m)[-k % m]), 1)
+        return _euclid_inverse(self)
 
     def __pow__(self, k: int) -> CyclotomicNumber:
         base = self.inverse() if k < 0 else self
@@ -298,18 +295,43 @@ class CyclotomicNumber:
 
     def __str__(self) -> str:
         terms = []
-        for k, a in enumerate(self.coeffs):
-            if a == 0:
+        for k, a in enumerate(self.nums):
+            if not a:
                 continue
+            coeff = str(a) if self.den == 1 else str(Fraction(a, self.den))
             if k == 0:
-                terms.append(str(a))
+                terms.append(coeff)
             else:
                 base = f"zeta({self.m})" if k == 1 else f"zeta({self.m})^{k}"
-                terms.append(times(str(a), base))
+                terms.append(times(coeff, base))
         return join_signed(terms)
 
     def term_count(self) -> int:
         return sum(1 for a in self.nums if a)
+
+
+def _euclid_inverse(x: CyclotomicNumber) -> CyclotomicNumber:
+    """Field inverse of a nonzero x via the extended Euclidean algorithm in Q[x]."""
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero cyclotomic number")
+    phim = cyclotomic_polynomial(x.m)
+    # maintain r = s * x + t * Phi_m; Phi_m is irreducible over Q,
+    # so the last nonzero remainder is a constant.  Each remainder is
+    # made monic, which keeps the coefficients near the size of the
+    # answer's: unscaled, they grow by thousands of digits at m = 113.
+    r0, s0 = _trim(list(x.coeffs)), (_ONE,)
+    r1, s1 = phim, ()
+    while r1:
+        q, r2 = _poly_divmod(r0, r1)
+        s2 = _poly_sub(s0, _poly_mul(q, s1))
+        if r2:
+            c = 1 / r2[-1]
+            r2, s2 = tuple(c * a for a in r2), tuple(c * a for a in s2)
+        r0, s0, r1, s1 = r1, s1, r2, s2
+    if len(r0) != 1:
+        raise InternalInconsistency("Phi_m must be coprime to any nonzero element")
+    # r0 == (1,), so s0 * x = 1 modulo Phi_m
+    return CyclotomicNumber(x.m, s0 + (_ZERO,) * (euler_phi(x.m) - len(s0)))
 
 
 def _poly_sub(a, b):

@@ -199,3 +199,18 @@ def test_plain_combinations_drop_zeros_and_refuse_elements():
     assert -a == a.scale(-one) != a
     with pytest.raises(SpecError):
         a + NCElement.monomial(EX2, (0,))
+
+
+def test_the_first_q_pair_that_is_not_inverse_is_named():
+    ctx = ScalarContext(conductor=6)
+    group = AbelianGroup((2,))
+    chars = [Character(group, (0,))] * 3
+    zeta = Scalar.zeta(ctx, 6)
+    # q_12 q_21 = zeta^2 fails first; q_23 q_32 = zeta^2 fails too, later
+    q = {(0, 1): zeta, (1, 0): zeta, (1, 2): zeta, (2, 1): zeta}
+    with pytest.raises(SpecError, match="^q_12 and q_21 are not inverse$"):
+        AlgebraSpec(ctx, group, chars, q, {})
+    # once q_12 and q_21 are inverse, the failing pair is named from above the diagonal
+    q = {(0, 1): zeta, (1, 0): zeta.inv(), (2, 1): zeta, (1, 2): zeta}
+    with pytest.raises(SpecError, match="^q_23 and q_32 are not inverse$"):
+        AlgebraSpec(ctx, group, chars, q, {})

@@ -136,8 +136,9 @@ def test_run_all_builds_one_ring(monkeypatch):
 
 
 def test_run_all_decides_each_spec_fact_once(monkeypatch):
-    # strong and weak vanishing and the overlap oracle, once each, whether
-    # the Hopf check takes the finite proof (ex2) or the sweep (ex1)
+    # strong vanishing and the overlap oracle, once each, whether the Hopf
+    # check takes the finite proof (ex2) or the sweep (ex1); weak vanishing
+    # is read off the strong answer
     for name in ("ex1", "ex2"):
         calls = []
         with monkeypatch.context() as patch, warnings.catch_warnings():
@@ -152,7 +153,6 @@ def test_run_all_decides_each_spec_fact_once(monkeypatch):
                 patch.setattr(pbw, fact, counted)
             run_all(name, 2)
         assert sorted(calls, key=str) == [
-            ("check_vanishing", False),
             ("check_vanishing", True),
             ("overlap_oracle", None),
         ], name

@@ -4,12 +4,16 @@ from math import gcd
 
 import pytest
 
+from qdrinfeld import cyclotomic
 from qdrinfeld.cyclotomic import (
     CyclotomicNumber,
+    _euclid_inverse,
     cyclotomic_polynomial,
     euler_phi,
 )
-from qdrinfeld.specfile import MAX_CONDUCTOR
+from qdrinfeld.specfile import MAX_CONDUCTOR, format_spec, parse_spec_text
+
+from randspec import multi_letter_corpus
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -221,3 +225,51 @@ def test_products_and_inverses_agree_with_sympy():
             # the product above already pins the inverse down there
             if m != 113:
                 assert inverse.coeffs == coords(sympy.invert(poly(a), phim)), m
+
+
+# -- roots of unity are inverted by table, other elements by Euclid
+
+
+def test_inverse_of_a_signed_root_of_unity_matches_euclid():
+    # every element, through the Euclidean algorithm, where that is quick
+    for m in range(1, 31):
+        for k in range(m):
+            for z in (CyclotomicNumber.zeta_power(m, k), -CyclotomicNumber.zeta_power(m, k)):
+                _same_value(z.inverse(), _euclid_inverse(z))
+    # up to the conductor bound, against the Euclidean inverse of zeta_m to
+    # the k-th power; one Euclid per element takes about a minute there on
+    # 2 cores with Python 3.11
+    for m in range(1, MAX_CONDUCTOR + 1):
+        reference = _euclid_inverse(CyclotomicNumber.zeta_power(m, 1))
+        expected = CyclotomicNumber.one(m)
+        for k in range(m):
+            z = CyclotomicNumber.zeta_power(m, k)
+            _same_value(z.inverse(), expected)
+            _same_value((-z).inverse(), -expected)
+            expected = expected * reference
+
+
+def test_integer_elements_off_the_table_and_zero():
+    # den == 1 but not +-zeta^k: the table must not answer for these
+    for m in (1, 2, 6, 12):
+        one = CyclotomicNumber.one(m)
+        for x in (one + one, one + CyclotomicNumber.zeta_power(m, 1)):
+            if not x.is_zero():
+                _same_value(x.inverse(), _euclid_inverse(x))
+                assert x * x.inverse() == one
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicNumber.zero(6).inverse()
+
+
+def test_parsing_the_multi_letter_corpus_divides_no_polynomials(monkeypatch):
+    texts = [format_spec(spec) for spec in multi_letter_corpus(288, 1)]
+    for m in {parse_spec_text(text).ctx.conductor for text in texts}:
+        cyclotomic_polynomial(m)
+    calls = []
+    divmod_ = cyclotomic._poly_divmod
+    monkeypatch.setattr(
+        cyclotomic, "_poly_divmod", lambda a, b: calls.append(1) or divmod_(a, b)
+    )
+    for text in texts:
+        parse_spec_text(text)
+    assert calls == []

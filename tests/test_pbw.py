@@ -1,4 +1,5 @@
 import ast
+import itertools
 import re
 from importlib import resources
 
@@ -12,6 +13,7 @@ from qdrinfeld.pbw import (
     check_jacobi_sum,
     check_pbw,
     check_vanishing,
+    decided_vanishing,
     overlap_oracle,
 )
 from qdrinfeld.scalar import Scalar, parse_scalar
@@ -387,3 +389,106 @@ def test_one_spec_is_built_from_parse_to_verdict(monkeypatch):
     assert len(built) == 1
     check_pbw(spec)
     assert len(built) == 1
+
+
+def _dense_condition2(spec):
+    """check_condition2 as a sweep over every letter of the correction
+    support and every ordered triple of distinct indices, the reference
+    for the sweep over the live triples."""
+    letters = {}
+    for pair in spec.kappa_support():
+        for _, g, _ in spec.kappa_pairs(*pair):
+            letters[g.exps] = g
+    zero, one = Scalar.zero(spec.ctx), Scalar.one(spec.ctx)
+
+    def coeff(i, j, r, g):
+        return spec._kappa_terms.get((i, j), {}).get(((r,), g), zero)
+
+    violations = []
+    for g in (letters[key] for key in sorted(letters)):
+        for i, j, k in itertools.permutations(range(spec.n), 3):
+            for r in range(spec.n):
+                c = coeff(i, j, r, g)
+                if r in (i, j) or c.is_zero():
+                    continue
+                lhs = spec.char_value(k, g)
+                rhs = spec.q_scalar(j, k) * spec.q_scalar(i, k) * spec.q_scalar(k, r)
+                if lhs != rhs:
+                    violations.append(
+                        {
+                            "family": "reordering",
+                            "i": i + 1,
+                            "j": j + 1,
+                            "k": k + 1,
+                            "r": r + 1,
+                            "g": str(g),
+                            "lhs": str(lhs),
+                            "rhs": str(rhs),
+                            "coefficient": str(c),
+                        }
+                    )
+            combo = (one - spec.q_scalar(i, j) * spec.char_value(i, g)) * coeff(
+                j, k, k, g
+            ) + (spec.q_scalar(j, k) - spec.char_value(k, g)) * coeff(i, j, i, g)
+            if not combo.is_zero():
+                violations.append(
+                    {
+                        "family": "mixed",
+                        "i": i + 1,
+                        "j": j + 1,
+                        "k": k + 1,
+                        "g": str(g),
+                        "value": str(combo),
+                    }
+                )
+    return not violations, tuple(violations)
+
+
+# kappa(v1, v2) carries two terms on g(1) that cancel and one on g(2), so
+# the letter g(1) is in the support but holds no coefficient
+CANCELLING_LETTER = """
+[field]
+conductor = 6
+[group]
+orders = [3]
+[action]
+characters = [[1], [2], [0]]
+[q]
+1 2 = zeta(6)
+1 3 = -1
+2 3 = zeta(3)
+[kappa]
+1 2 -> 3 (1) 1 ; 3 (1) -1 ; 3 (2) zeta(6)
+2 3 -> 3 (1) 2
+"""
+
+
+def test_condition2_over_live_triples_matches_the_dense_sweep():
+    cancelling = parse_spec_text(CANCELLING_LETTER)
+    assert len(cancelling.kappa_pairs(0, 1)) == 3 and len(cancelling._kappa_terms[(0, 1)]) == 1
+    base = FIXTURE_SPECS + corpus(60) + multi_letter_corpus(288, 1)
+    specs = base + [perturbed_action(spec) for spec in base if spec.n > 1] + [cancelling]
+    failing = 0
+    for spec in specs:
+        expected = _dense_condition2(spec)
+        assert check_condition2(spec) == expected, spec.name
+        failing += not expected[0]
+    assert failing > 100
+    assert not check_condition2(cancelling)[0]
+
+
+def test_condition2_multiplies_only_on_live_triples(monkeypatch):
+    specs = multi_letter_corpus(288, 1)
+    calls = []
+    multiply = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    for spec in specs:
+        check_condition2(spec)
+    # the sweep over every support letter and triple made 16,336
+    assert len(calls) <= 16336 // 4
+
+
+def test_weak_vanishing_is_read_off_the_strong_answer():
+    for spec in FIXTURE_SPECS + corpus(60) + multi_letter_corpus(72, 1):
+        assert decided_vanishing(spec) == check_vanishing(spec), spec.name
+        assert decided_vanishing(spec, strong=True) == check_vanishing(spec, strong=True)
