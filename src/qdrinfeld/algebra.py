@@ -68,6 +68,7 @@ class AlgebraSpec:
             self._kappa_pairs[(j, i)] = tuple((r, g, factor * c) for r, g, c in terms)
         self._kappa_terms = {pair: _merged(terms) for pair, terms in self._kappa_pairs.items()}
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+        self._word_char_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
         # Delta of monomials (hopf.coproduct), the pairing
         # (colorlie.Bicharacter.from_spec) and the decided facts
         # (pbw.decided_vanishing, pbw.decided_confluence), each computed
@@ -92,13 +93,14 @@ class AlgebraSpec:
                 continue
             if not val.is_unit():
                 raise SpecError(f"q_{i + 1}{j + 1} = {val} is not a unit")
-            q[(i, j)] = val
+            q[(i, j)] = one if val == one else val
         for i in range(n):
             for j in range(n):
                 if i == j:
                     q[(i, j)] = one
                 elif (i, j) not in q:
-                    q[(i, j)] = q[(j, i)].inv() if (j, i) in q else one
+                    back = q.get((j, i), one)
+                    q[(i, j)] = one if back is one else back.inv()
         # scalars commute and q_ii = 1, so the pairs i < j suffice, and the
         # first of them to fail is the first failing pair in row-major order
         for i in range(n):
@@ -171,10 +173,14 @@ class AlgebraSpec:
         return val
 
     def word_char(self, word, g: GroupElement) -> Scalar:
-        """Product of chi_j(g) over the letters j of the word."""
-        val = Scalar.one(self.ctx)
-        for j in word:
-            val = val * self.char_value(j, g)
+        """Product of chi_j(g) over the letters j of the word, computed once."""
+        key = (word, g.exps)
+        val = self._word_char_cache.get(key)
+        if val is None:
+            val = Scalar.one(self.ctx)
+            for j in word:
+                val = val * self.char_value(j, g)
+            self._word_char_cache[key] = val
         return val
 
     def __repr__(self) -> str:

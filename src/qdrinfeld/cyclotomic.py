@@ -4,10 +4,12 @@ Elements are stored on the power basis 1, zeta, ..., zeta^(phi(m)-1) as
 integer numerators over one positive common denominator, in lowest terms,
 reduced modulo the m-th cyclotomic polynomial.  That polynomial is monic
 with integer coefficients, so sums and products stay on integers and only
-the denominators multiply.  It is obtained from x^m - 1 by exact division
-by the polynomials of the proper divisors, so no factorization routine and
-no floating point ever enter; that division and the field inverse of an
-element other than +-zeta^k are the only places that compute over Q.
+the denominators multiply.  For squarefree m it is obtained from x^m - 1
+by exact division by the polynomials of the proper divisors, and any other
+m substitutes into the polynomial of its radical, so no factorization
+routine and no floating point ever enter; that division and the field
+inverse of an element other than +-zeta^k are the only places that
+compute over Q.
 """
 
 from __future__ import annotations
@@ -93,24 +95,41 @@ def _poly_divmod(a, b):
     return _trim(quo), _trim(rem)
 
 
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
+def _radical(m: int) -> int:
+    """The product of the distinct primes dividing m."""
+    rad, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            rad *= p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return rad * m
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficient tuple of the m-th cyclotomic polynomial."""
+    """Coefficient tuple of the m-th cyclotomic polynomial.
+
+    Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, so only squarefree
+    indices are divided out of x^r - 1, and their divisors are squarefree.
+    """
     if m < 1:
         raise ValueError(f"conductor must be >= 1, got {m}")
-    # x^m - 1
-    xm1 = [-_ONE] + [_ZERO] * (m - 1) + [_ONE]
-    poly = _trim(xm1)
-    for d in _divisors(m):
-        if d == m:
-            continue
-        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-        if rem:
-            raise InternalInconsistency("x^m - 1 must factor exactly through Phi_d")
+    r = _radical(m)
+    if r != m:
+        step, base = m // r, cyclotomic_polynomial(r)
+        poly = [_ZERO] * (step * (len(base) - 1) + 1)
+        for k, c in enumerate(base):
+            poly[k * step] = c
+        return tuple(poly)
+    # x^r - 1
+    poly = _trim([-_ONE] + [_ZERO] * (r - 1) + [_ONE])
+    for d in range(1, r):
+        if r % d == 0:
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if rem:
+                raise InternalInconsistency("x^r - 1 must factor exactly through Phi_d")
     return poly
 
 

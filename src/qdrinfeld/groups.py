@@ -83,13 +83,26 @@ class _ExponentVector:
         self.group = group
         self.exps = tuple(e % m for e, m in zip(exps, group.orders))
 
+    def _like(self, exps: tuple):
+        """A vector of this type and group on exponents already reduced.
+
+        Products and inverses of valid vectors of one group need no
+        conversion or length check, only the reduction modulo the orders.
+        """
+        x = object.__new__(type(self))
+        x.group, x.exps = self.group, exps
+        return x
+
     def __mul__(self, other):
-        if self.group != other.group:
+        group = self.group
+        if group is not other.group and group != other.group:
             raise SpecError("group mismatch")
-        return type(self)(self.group, (a + b for a, b in zip(self.exps, other.exps)))
+        return self._like(tuple(
+            (a + b) % m for a, b, m in zip(self.exps, other.exps, group.orders)
+        ))
 
     def inverse(self):
-        return type(self)(self.group, (-e for e in self.exps))
+        return self._like(tuple(-e % m for e, m in zip(self.exps, self.group.orders)))
 
     def is_identity(self) -> bool:
         return all(e == 0 for e in self.exps)
@@ -102,7 +115,8 @@ class _ExponentVector:
         )
 
     def __hash__(self) -> int:
-        return hash((self.group.orders, self.exps))
+        # equal vectors have equal exponents; the group only refines equality
+        return hash(self.exps)
 
 
 class GroupElement(_ExponentVector):
@@ -141,9 +155,15 @@ def char_exponent(chi: Character, g: GroupElement, m: int) -> int:
 
 
 def char_eval(chi: Character, g: GroupElement, ctx: ScalarContext) -> Scalar:
-    """Evaluate a character at a group element inside Q(zeta_m)."""
+    """Evaluate a character at a group element inside Q(zeta_m).
+
+    The value 1 is the context's shared ``Scalar.one``, which products skip.
+    """
     m = ctx.conductor
-    return Scalar.from_cyclotomic(ctx, CyclotomicNumber.zeta_power(m, char_exponent(chi, g, m)))
+    k = char_exponent(chi, g, m)
+    if k == 0:
+        return Scalar.one(ctx)
+    return Scalar.from_cyclotomic(ctx, CyclotomicNumber.zeta_power(m, k))
 
 
 class ADegree:

@@ -200,8 +200,8 @@ def coproduct(x: NCElement, strong: bool | None = None) -> BraidedTensorElement:
         strong, _ = decided_vanishing(spec, strong=True)
     if not strong:
         warnings.warn(
-            "the coproduct does not descend to the quotient here; "
-            "values are exploratory",
+            "the coproduct does not descend to the quotient of "
+            f"{spec.name or 'an unnamed algebra'}; values are exploratory",
             stacklevel=2,
         )
     total: dict = {}
@@ -513,8 +513,8 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     strong, _ = decided_vanishing(spec, strong=True)
     if not strong:
         warnings.warn(
-            "the coproduct does not descend to the quotient here; "
-            "the axiom sweep is exploratory",
+            "the coproduct does not descend to the quotient of "
+            f"{spec.name or 'an unnamed algebra'}; the axiom sweep is exploratory",
             stacklevel=2,
         )
     elif decided_confluence(spec) and _finite_checks_pass(spec):

@@ -56,7 +56,8 @@ class ScalarContext:
 
         The context keeps the terms, not a ``Scalar``, so it holds no
         reference back to itself and dies without the cycle collector.
-        No scalar's terms are ever mutated, which makes the sharing safe.
+        No scalar's terms are ever mutated, which makes the sharing safe,
+        and ``Scalar.__mul__`` tells a factor of 1 by these terms alone.
         """
         return {(0,) * self.rank: CyclotomicNumber.one(self.conductor)}
 
@@ -122,6 +123,11 @@ class Scalar:
 
     def __mul__(self, other: Scalar) -> Scalar:
         self._check(other)
+        # a factor on the shared terms of 1 leaves the other one as it is
+        if self.terms is self.ctx._one_terms:
+            return other
+        if other.terms is other.ctx._one_terms:
+            return self
         if len(self.terms) == 1 == len(other.terms):
             # one multiply, and a product of nonzero field elements is nonzero
             (e1, c1), = self.terms.items()

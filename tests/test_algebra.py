@@ -17,7 +17,9 @@ from qdrinfeld.algebra import (
 from qdrinfeld.errors import SpecError
 from qdrinfeld.groups import AbelianGroup, Character
 from qdrinfeld.scalar import Scalar, ScalarContext, parse_scalar
-from qdrinfeld.specfile import load_fixture, parse_nc_expression
+from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression, parse_spec_text
+
+from test_cli import _two_generator_spec
 
 EX1 = load_fixture("ex1")
 EX2 = load_fixture("ex2")
@@ -26,6 +28,34 @@ PLANE = load_fixture("zero-kappa")
 
 def q(spec, i, j):
     return spec.q_scalar(i, j)
+
+
+def test_memoized_word_characters_match_the_letter_by_letter_product():
+    specs = [load_fixture(name) for name in fixture_names() if name != "gl11"]
+    specs.append(parse_spec_text(_two_generator_spec(12)))
+    for spec in specs:
+        one = Scalar.one(spec.ctx)
+        words = [w for d in range(4) for w in itertools.product(range(spec.n), repeat=d)]
+        for g in spec.group:
+            for word in words:
+                expected = one
+                for j in word:
+                    expected = expected * spec.char_value(j, g)
+                assert spec.word_char(word, g) == expected, (spec.name, word, g)
+                assert spec.word_char(word, g) is spec.word_char(word, g)
+
+
+def test_q_entries_equal_to_one_are_the_shared_one():
+    spec = parse_spec_text(
+        "[group]\norders = [2]\n[action]\ncharacters = [[0], [1], [1]]\n"
+        "[q]\n1 2 = 1\n2 1 = 1\n1 3 = -1\n"
+    )
+    one = Scalar.one(spec.ctx)
+    for i in range(spec.n):
+        for j in range(spec.n):
+            value = q(spec, i, j)
+            assert (value.terms is one.terms) == (value == one), (i, j)
+    assert q(spec, 2, 1).terms is one.terms and q(spec, 2, 0) == -one
 
 
 def test_q_transposes_are_inverses():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -22,6 +23,22 @@ def test_cyclotomic_polynomial_small_cases():
     assert cyclotomic_polynomial(2) == (Fraction(1), Fraction(1))
     assert cyclotomic_polynomial(4) == (Fraction(1), Fraction(0), Fraction(1))
     assert cyclotomic_polynomial(6) == (Fraction(1), Fraction(-1), Fraction(1))
+
+
+@lru_cache(maxsize=None)
+def _divisor_cyclotomic(m: int):
+    """Reference: x^m - 1 divided exactly by Phi_d for every proper divisor d."""
+    poly = cyclotomic._trim([Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)])
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = cyclotomic._poly_divmod(poly, _divisor_cyclotomic(d))
+            assert not rem, (m, d)
+    return poly
+
+
+def test_cyclotomic_polynomial_from_the_radical_matches_the_division_by_divisors():
+    for m in range(1, 241):
+        assert cyclotomic_polynomial(m) == _divisor_cyclotomic(m), m
 
 
 def test_euler_phi():

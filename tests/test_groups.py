@@ -27,6 +27,41 @@ def test_element_arithmetic_wraps_orders():
     assert g.inverse() == G.element((3,))
 
 
+def test_fast_product_and_inverse_match_the_validating_constructor():
+    for orders in ((2, 4), (3, 3), (12, 12)):
+        G = AbelianGroup(orders)
+        elements = list(G)
+        for kind in (G.element, lambda exps: Character(G, exps)):
+            vectors = [kind(g.exps) for g in elements]
+            for a in vectors:
+                inverse = a.inverse()
+                assert type(inverse) is type(a) and inverse.group is G
+                assert inverse.exps == kind([-e for e in a.exps]).exps
+                for b in vectors:
+                    product = a * b
+                    assert type(product) is type(a) and product.group is G
+                    assert product.exps == kind([x + y for x, y in zip(a.exps, b.exps)]).exps
+
+
+def test_equal_elements_of_separately_built_groups_hash_equal():
+    G, H = AbelianGroup((3, 3)), AbelianGroup((3, 3))
+    for g, h in zip(G, H):
+        assert g == h and hash(g) == hash(h)
+    assert len(set(G) | set(H)) == 9
+    # the same exponents as a character are still a different vector
+    assert G.generator(0) != Character(G, (1, 0))
+
+
+def test_a_trivial_character_value_is_the_shared_one():
+    G = AbelianGroup((2, 3))
+    ctx = ScalarContext(6)
+    chi = Character(G, (1, 1))
+    for g in G:
+        value = char_eval(chi, g, ctx)
+        assert (value.terms is ctx._one_terms) == g.is_identity()
+    assert char_eval(Character(G, (0, 0)), G.generator(1), ctx).terms is ctx._one_terms
+
+
 def test_element_rejects_foreign_group():
     G, H = AbelianGroup((2,)), AbelianGroup((3,))
     with pytest.raises(SpecError):

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from qdrinfeld.algebra import AlgebraSpec, NCElement, normal_form
+from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.pbw import (
     check_condition2,
     check_condition3,
@@ -17,7 +18,7 @@ from qdrinfeld.pbw import (
     overlap_oracle,
 )
 from qdrinfeld.scalar import Scalar, parse_scalar
-from qdrinfeld.specfile import fixture_path, load_fixture, parse_spec_text
+from qdrinfeld.specfile import fixture_path, format_spec, load_fixture, parse_spec_text
 from qdrinfeld.uea import dimension_oracle
 
 from randspec import corpus, multi_letter_corpus
@@ -486,6 +487,17 @@ def test_condition2_multiplies_only_on_live_triples(monkeypatch):
         check_condition2(spec)
     # the sweep over every support letter and triple made 16,336
     assert len(calls) <= 16336 // 4
+
+
+def test_parsing_and_deciding_the_corpus_skips_products_by_one(monkeypatch):
+    texts = [format_spec(spec) for spec in multi_letter_corpus(288, 1)]
+    calls = []
+    multiply = CyclotomicNumber.__mul__
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    for text in texts:
+        check_pbw(parse_spec_text(text))
+    # multiplying out every factor of 1 made 23,445
+    assert len(calls) <= 23445 * 2 // 3
 
 
 def test_weak_vanishing_is_read_off_the_strong_answer():

@@ -168,6 +168,27 @@ def test_shared_one_is_unchanged_by_a_run(monkeypatch):
     assert Scalar.one(ctx) == Scalar.rational(ctx, 1)
 
 
+def test_a_product_by_the_shared_one_is_the_other_factor():
+    one = Scalar.one(CTX)
+    for x in (Scalar.param(CTX, "q"), Scalar.zeta(CTX, 4) + Scalar.param(CTX, "q"), one):
+        assert x * one is x
+        assert one * x is x
+    # a 1 built apart from the shared terms multiplies as before
+    built = Scalar.rational(CTX, 1)
+    q = Scalar.param(CTX, "q")
+    assert built.terms is not CTX._one_terms
+    assert built * q == q == q * built
+
+
+def test_a_product_by_one_still_checks_the_context():
+    other = ScalarContext(CTX.conductor * 2, CTX.params)
+    x = Scalar.param(CTX, "q")
+    for a, b in ((Scalar.one(other), x), (x, Scalar.one(other)),
+                 (Scalar.one(CTX), Scalar.one(other))):
+        with pytest.raises(SpecError):
+            a * b
+
+
 def test_factor_str_parenthesizes_sums():
     q = Scalar.param(CTX, "q")
     assert (q + Scalar.one(CTX)).factor_str().startswith("(")
