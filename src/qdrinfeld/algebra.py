@@ -5,12 +5,12 @@ abelian group acting diagonally through characters, a matrix of commutation
 units q_ij, and a bilinear map kappa landing in V tensor kG.  Elements are
 kept with all group letters pushed to the right, so a term is a triple
 (word, group element, scalar) and multiplication only needs character
-values.  :class:`LinearCombination` is the one sparse vector type, which
-:class:`NCElement` and the braided tensors of the Hopf module extend, and
-:func:`rewrite` is the one rewriting engine, a worklist loop that takes the
-rule as a callback.  The normal form sorts words by rewriting descending
-adjacent pairs through the defining relations; enveloping algebras of
-generic rings plug their own rule into the same loop.
+values.  :class:`NCElement` is a ``scalar.LinearCombination`` on such
+terms, and :func:`rewrite` is the one rewriting engine, a worklist loop
+that takes the rule as a callback.  The normal form sorts words by
+rewriting descending adjacent pairs through the defining relations;
+enveloping algebras of generic rings plug their own rule into the same
+loop.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cyclotomic import join_signed, times
 from .errors import SpecError
 from .groups import AbelianGroup, Character, GroupElement, char_eval
-from .scalar import Scalar, ScalarContext
+from .scalar import LinearCombination, Scalar, ScalarContext, accumulate
 
 KappaTerm = tuple[int, GroupElement, Scalar]
 
@@ -193,82 +192,6 @@ def _merged(terms) -> dict:
     for r, g, c in terms:
         accumulate(merged, ((r,), g), c)
     return merged
-
-
-def accumulate(terms: dict, key, coeff: Scalar) -> None:
-    """Add coeff to terms[key] in place, dropping the key when the sum is zero."""
-    acc = terms.get(key)
-    total = coeff if acc is None else acc + coeff
-    if total.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = total
-
-
-class LinearCombination:
-    """A finite sum of hashable keys with nonzero scalar coefficients.
-
-    Subclasses fix what a key means and, through _space, the space the
-    terms live in; plain instances are combinations of basis indices.  No
-    zero coefficient stays in terms, so equal combinations have equal dicts.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None) -> None:
-        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
-
-    def _space(self) -> tuple:
-        """Constructor arguments before terms, shared by combinable elements."""
-        return ()
-
-    def _like(self, terms) -> LinearCombination:
-        return type(self)(*self._space(), terms)
-
-    def _check(self, other: LinearCombination) -> None:
-        if type(other) is not type(self) or other._space() != self._space():
-            raise SpecError("elements belong to different algebras or tensor powers")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: LinearCombination) -> LinearCombination:
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            accumulate(terms, key, coeff)
-        return self._like(terms)
-
-    def __sub__(self, other: LinearCombination) -> LinearCombination:
-        return self + (-other)
-
-    def __neg__(self) -> LinearCombination:
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def scale(self, s: Scalar) -> LinearCombination:
-        return self._like({k: s * c for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and other._space() == self._space()
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def sum_str(self, label, order=None) -> str:
-        """c1*label(k1) + c2*label(k2) + ... over the keys sorted by order."""
-        keys = sorted(self.terms, key=order)
-        return " + ".join(f"{self.terms[k].factor_str()}*{label(k)}" for k in keys) or "0"
-
-    def signed_str(self, label, order=None) -> str:
-        """Like sum_str, with unit coefficients left out and signs folded into ' - '."""
-        pieces = []
-        for key in sorted(self.terms, key=order):
-            body, cs = label(key), self.terms[key].factor_str()
-            pieces.append(times(cs, body) if body else cs)
-        return join_signed(pieces)
 
 
 class NCElement(LinearCombination):
@@ -447,10 +370,7 @@ def pbw_monomial_count(spec: AlgebraSpec, max_degree: int) -> int:
 
 __all__ = [
     "AlgebraSpec",
-    "LinearCombination",
     "NCElement",
-    "KappaTerm",
-    "accumulate",
     "rewrite",
     "normal_form",
     "defining_relation",

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
-from .algebra import AlgebraSpec, LinearCombination, accumulate, extended_kappa
+from .algebra import AlgebraSpec, extended_kappa
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
 from .groups import ADegree, GroupElement, SubgroupN
 from .pbw import check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
-from .scalar import Scalar, ScalarContext
+from .scalar import LinearCombination, Scalar, ScalarContext, accumulate
 from .specfile import GenericLieData
 
 Combo = dict[int, Scalar]
@@ -274,15 +274,11 @@ class ColorAxiomReport:
         return all(v is not False for v in verdicts)
 
     def as_dict(self) -> dict:
-        return {
-            "antisymmetry": self.antisymmetry,
-            "jacobi": self.jacobi,
-            "bimodule": self.bimodule,
-            "yetter_drinfeld": self.yetter_drinfeld,
-            "grading": self.grading,
-            "passed": self.passed,
-            "certificates": list(self.certificates),
-        }
+        """Fields in declaration order with passed before certificates,
+        which is the key order of `lie --json`."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        certificates = values.pop("certificates")
+        return {**values, "passed": self.passed, "certificates": list(certificates)}
 
 
 def _bracket_with_combo(ring: ColorLieRing, s: int, combo: Combo) -> LinearCombination:

@@ -318,7 +318,6 @@ __all__ = [
     "Character",
     "ADegree",
     "SubgroupN",
-    "IntegerLattice",
     "char_eval",
     "char_exponent",
 ]

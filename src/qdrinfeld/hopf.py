@@ -35,13 +35,11 @@ one fails: a law holds on w g exactly when it holds on w (see ``_sweep``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .algebra import (
     AlgebraSpec,
-    LinearCombination,
     NCElement,
-    accumulate,
     all_words,
     defining_relation,
     normal_form,
@@ -52,7 +50,7 @@ from .errors import SpecError
 from .groups import ADegree, GroupElement
 from .pbw import decided_confluence, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
-from .scalar import Scalar
+from .scalar import LinearCombination, Scalar, accumulate
 
 
 def _monomial_degree(spec: AlgebraSpec, word, g: GroupElement) -> ADegree:
@@ -286,16 +284,11 @@ class HopfReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "strong_vanishing": self.strong_vanishing,
-            "delta_well_defined": self.delta_well_defined,
-            "coassociative": self.coassociative,
-            "counit_laws": self.counit_laws,
-            "antipode_law": self.antipode_law,
-            "passed": self.passed,
-            "certificates": list(self.certificates),
-        }
+        """Fields in declaration order with passed before certificates,
+        which is the key order of `hopf --json`."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        certificates = values.pop("certificates")
+        return {**values, "passed": self.passed, "certificates": list(certificates)}
 
 
 def _relation_certificates(spec: AlgebraSpec, flank: int) -> list[dict]:

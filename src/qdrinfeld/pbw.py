@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .algebra import AlgebraSpec, NCElement, accumulate, kappa_element, normal_form
+from .algebra import AlgebraSpec, NCElement, kappa_element, normal_form
 from .errors import InternalInconsistency
 from .groups import GroupElement
-from .scalar import Scalar
+from .scalar import Scalar, accumulate
 
 
 def _kappa_coeff(spec: AlgebraSpec, i: int, j: int, r: int, g: GroupElement) -> Scalar:

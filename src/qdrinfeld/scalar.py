@@ -4,8 +4,12 @@ A ``Scalar`` maps integer exponent vectors (one slot per declared parameter)
 to nonzero cyclotomic coefficients.  Units are exactly the one-term scalars,
 which is what the deformation data needs: every q entry and every character
 value must be invertible, while coefficients of the bracket may be arbitrary.
-The module also holds the one expression grammar of the package; spec rows
-and element expressions extend it with their own atoms.
+:class:`LinearCombination` is the one sparse vector type: a ``Scalar`` is
+one on exponent vectors, and the free elements, the braided tensors of the
+Hopf module and the bracket combinations of color Lie rings are ones with
+scalar coefficients.  The module also holds the one expression grammar of
+the package; spec rows and element expressions extend it with their own
+atoms.
 """
 
 from __future__ import annotations
@@ -24,6 +28,88 @@ from .errors import NotAUnit, ParseError, SpecError
 # the exponent, and the term count any intermediate product may reach.
 MAX_POWER = 1000
 MAX_POWER_TERMS = 10000
+
+
+def accumulate(terms: dict, key, coeff) -> None:
+    """Add coeff to terms[key] in place, dropping the key when the sum is zero.
+
+    The values are scalars, or the field elements of a scalar's own terms.
+    """
+    acc = terms.get(key)
+    total = coeff if acc is None else acc + coeff
+    if total.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = total
+
+
+class LinearCombination:
+    """A finite sum of hashable keys with nonzero coefficients.
+
+    Subclasses fix what a key means and, through _space, the space the
+    terms live in; plain instances are combinations of basis indices.  The
+    coefficients are scalars, except in a Scalar, whose own are field
+    elements.  No zero coefficient stays in terms, so equal combinations
+    have equal dicts.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None) -> None:
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
+
+    def _space(self) -> tuple:
+        """Constructor arguments before terms, shared by combinable elements."""
+        return ()
+
+    def _like(self, terms) -> LinearCombination:
+        return type(self)(*self._space(), terms)
+
+    def _check(self, other: LinearCombination) -> None:
+        if type(other) is not type(self) or other._space() != self._space():
+            raise SpecError("elements belong to different algebras or tensor powers")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: LinearCombination) -> LinearCombination:
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            accumulate(terms, key, coeff)
+        return self._like(terms)
+
+    def __sub__(self, other: LinearCombination) -> LinearCombination:
+        return self + (-other)
+
+    def __neg__(self) -> LinearCombination:
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, s: Scalar) -> LinearCombination:
+        return self._like({k: s * c for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        # the terms first: unequal ones decide without building two spaces
+        return (
+            type(other) is type(self)
+            and self.terms == other.terms
+            and other._space() == self._space()
+        )
+
+    __hash__ = None
+
+    def sum_str(self, label, order=None) -> str:
+        """c1*label(k1) + c2*label(k2) + ... over the keys sorted by order."""
+        keys = sorted(self.terms, key=order)
+        return " + ".join(f"{self.terms[k].factor_str()}*{label(k)}" for k in keys) or "0"
+
+    def signed_str(self, label, order=None) -> str:
+        """Like sum_str, with unit coefficients left out and signs folded into ' - '."""
+        pieces = []
+        for key in sorted(self.terms, key=order):
+            body, cs = label(key), self.terms[key].factor_str()
+            pieces.append(times(cs, body) if body else cs)
+        return join_signed(pieces)
 
 
 @dataclass(frozen=True)
@@ -62,12 +148,18 @@ class ScalarContext:
         return {(0,) * self.rank: CyclotomicNumber.one(self.conductor)}
 
 
-class Scalar:
-    __slots__ = ("ctx", "terms")
+class Scalar(LinearCombination):
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: ScalarContext, terms: dict) -> None:
         self.ctx = ctx
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
+
+    def _space(self) -> tuple:
+        return (self.ctx,)
+
+    def _like(self, terms) -> Scalar:
+        return _scalar(self.ctx, terms)
 
     # -- constructors ---------------------------------------------------------
 
@@ -107,19 +199,9 @@ class Scalar:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise SpecError(f"scalar context mismatch: {self.ctx} vs {other.ctx}")
 
-    def __add__(self, other: Scalar) -> Scalar:
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return Scalar(self.ctx, out)
-
-    def __sub__(self, other: Scalar) -> Scalar:
-        return self + (-other)
-
-    def __neg__(self) -> Scalar:
-        return Scalar(self.ctx, {e: -c for e, c in self.terms.items()})
+    # bound here, not only inherited, because bench/tracing.py counts the
+    # calls by patching the entry in Scalar.__dict__
+    __add__ = LinearCombination.__add__
 
     def __mul__(self, other: Scalar) -> Scalar:
         self._check(other)
@@ -132,15 +214,12 @@ class Scalar:
             # one multiply, and a product of nonzero field elements is nonzero
             (e1, c1), = self.terms.items()
             (e2, c2), = other.terms.items()
-            return _scalar(self.ctx, {tuple(map(operator.add, e1, e2)): c1 * c2})
+            return self._like({tuple(map(operator.add, e1, e2)): c1 * c2})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                cur = out.get(e)
-                out[e] = c if cur is None else cur + c
-        return Scalar(self.ctx, out)
+                accumulate(out, tuple(map(operator.add, e1, e2)), c1 * c2)
+        return self._like(out)
 
     def __pow__(self, k: int) -> Scalar:
         base = self.inv() if k < 0 else self
@@ -151,12 +230,9 @@ class Scalar:
         if len(self.terms) != 1:
             raise NotAUnit(f"{self} is not a unit (needs exactly one term)")
         (exps, coeff), = self.terms.items()
-        return Scalar(self.ctx, {tuple(-e for e in exps): coeff.inverse()})
+        return self._like({tuple(-e for e in exps): coeff.inverse()})
 
     # -- predicates -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_unit(self) -> bool:
         return len(self.terms) == 1
@@ -181,11 +257,6 @@ class Scalar:
             if coeff.term_count() > 1 and not any(exps):
                 return f"({s})"
         return s
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Scalar) and self.ctx == other.ctx and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     # -- substitution ---------------------------------------------------------
 

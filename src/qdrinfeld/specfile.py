@@ -15,10 +15,10 @@ from importlib import resources
 from math import lcm
 from pathlib import Path
 
-from .algebra import AlgebraSpec, LinearCombination, NCElement
+from .algebra import AlgebraSpec, NCElement
 from .errors import ParseError, SpecError
 from .groups import AbelianGroup, ADegree, Character
-from .scalar import Scalar, ScalarContext, _ExprParser
+from .scalar import LinearCombination, Scalar, ScalarContext, _ExprParser
 
 _ALGEBRA_SECTIONS = {"field", "group", "action", "q", "kappa"}
 _GENERIC_SECTIONS = {"field", "generic-lie"}
@@ -119,6 +119,22 @@ def _int_row(row, lineno: int, what: str) -> list[int]:
     return row
 
 
+def _index_pair(line, lineno, sep, form, noun, bound, seen, skip=0):
+    """(i, j, rest) of a row 'i j <sep> rest' after skip leading words, with
+    i and j 0-based, below bound and not yet a key of seen."""
+    head, found, rest = line.partition(sep)
+    parts = head.split()
+    if found != sep or len(parts) != skip + 2:
+        raise ParseError(f"expected '{form}', got {line!r}", lineno)
+    i = _parse_int(parts[skip], lineno, 1) - 1
+    j = _parse_int(parts[skip + 1], lineno, 1) - 1
+    if i >= bound or j >= bound:
+        raise ParseError(f"{noun} index out of range ({i + 1}, {j + 1})", lineno)
+    if (i, j) in seen:
+        raise ParseError(f"duplicate {noun} entry ({i + 1}, {j + 1})", lineno)
+    return i, j, rest
+
+
 def _parse_params(value: str, lineno: int) -> tuple[str, ...]:
     if not value:
         return ()
@@ -188,35 +204,18 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
 
     q_entries: dict[tuple[int, int], Scalar] = {}
     for lineno, line in sections.get("q", []):
-        head, eq, expr = line.partition("=")
-        parts = head.split()
-        if eq != "=" or len(parts) != 2:
-            raise ParseError(f"expected 'i j = expr', got {line!r}", lineno)
-        i = _parse_int(parts[0], lineno, 1) - 1
-        j = _parse_int(parts[1], lineno, 1) - 1
-        if i >= n or j >= n:
-            raise ParseError(f"q index out of range ({i + 1}, {j + 1})", lineno)
-        if (i, j) in q_entries:
-            raise ParseError(f"duplicate q entry ({i + 1}, {j + 1})", lineno)
+        i, j, expr = _index_pair(line, lineno, "=", "i j = expr", "q", n, q_entries)
         q_entries[(i, j)] = _ExprParser(expr.strip(), ctx, lineno).parse()
 
     kappa: dict[tuple[int, int], list] = {}
     for lineno, line in sections.get("kappa", []):
-        head, arrow, rhs = line.partition("->")
-        parts = head.split()
-        if arrow != "->" or len(parts) != 2:
-            raise ParseError(f"expected 'i j -> terms', got {line!r}", lineno)
-        i = _parse_int(parts[0], lineno, 1) - 1
-        j = _parse_int(parts[1], lineno, 1) - 1
-        if i >= n or j >= n:
-            raise ParseError(f"kappa index out of range ({i + 1}, {j + 1})", lineno)
+        # an 'i i' row is never stored, so it cannot fail the duplicate test first
+        i, j, rhs = _index_pair(line, lineno, "->", "i j -> terms", "kappa", n, kappa)
         if i == j:
             raise ParseError(
                 f"kappa(v{i + 1}, v{i + 1}) must vanish by quantum antisymmetry",
                 lineno,
             )
-        if (i, j) in kappa:
-            raise ParseError(f"duplicate kappa entry ({i + 1}, {j + 1})", lineno)
         terms = []
         for chunk in rhs.split(";"):
             chunk = chunk.strip()
@@ -298,16 +297,9 @@ def _parse_generic(sections, name: str) -> GenericLieData:
 
     epsilon_table: dict[tuple[int, int], Scalar] = {}
     for lineno, line in epsilon_lines:
-        head, eq, expr = line.partition("=")
-        parts = head.split()
-        if eq != "=" or len(parts) != 3:
-            raise ParseError(f"expected 'epsilon s t = expr', got {line!r}", lineno)
-        s = _parse_int(parts[1], lineno, 1) - 1
-        t = _parse_int(parts[2], lineno, 1) - 1
-        if s >= gen_count or t >= gen_count:
-            raise ParseError(f"epsilon index out of range ({s + 1}, {t + 1})", lineno)
-        if (s, t) in epsilon_table:
-            raise ParseError(f"duplicate epsilon entry ({s + 1}, {t + 1})", lineno)
+        s, t, expr = _index_pair(
+            line, lineno, "=", "epsilon s t = expr", "epsilon", gen_count, epsilon_table, skip=1
+        )
         epsilon_table[(s, t)] = _ExprParser(expr.strip(), ctx, lineno).parse()
 
     label_index = {label: a for a, label in enumerate(basis)}

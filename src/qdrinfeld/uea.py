@@ -22,7 +22,6 @@ from fractions import Fraction
 from .algebra import (
     AlgebraSpec,
     NCElement,
-    accumulate,
     all_words,
     defining_relation,
     normal_form,
@@ -48,7 +47,7 @@ from .cyclotomic import CyclotomicNumber
 from .groups import ADegree, Character, char_exponent
 from .pbw import check_invariance, check_jacobi_sum, check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
-from .scalar import Scalar, ScalarContext
+from .scalar import Scalar, ScalarContext, accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +296,8 @@ def _rank(rows) -> int:
                 break
             factor = row.pop(col)
             for c, pv in pivot.items():
-                if c == col:
-                    continue
-                acc = row.get(c)
-                value = -(factor * pv) if acc is None else acc - factor * pv
-                if value.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = value
+                if c != col:
+                    accumulate(row, c, -(factor * pv))
     return rank
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from qdrinfeld.algebra import (
     AlgebraSpec,
-    LinearCombination,
     NCElement,
     all_words,
     defining_relation,
@@ -16,7 +15,7 @@ from qdrinfeld.algebra import (
 )
 from qdrinfeld.errors import SpecError
 from qdrinfeld.groups import AbelianGroup, Character
-from qdrinfeld.scalar import Scalar, ScalarContext, parse_scalar
+from qdrinfeld.scalar import LinearCombination, Scalar, ScalarContext, parse_scalar
 from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression, parse_spec_text
 
 from test_cli import _two_generator_spec

@@ -5,7 +5,6 @@ import weakref
 
 import pytest
 
-from qdrinfeld.algebra import LinearCombination, accumulate
 from qdrinfeld.colorlie import (
     Bicharacter,
     ColorAxiomReport,
@@ -20,7 +19,7 @@ from qdrinfeld.colorlie import (
 from qdrinfeld.errors import HypothesisNotMet, NonUnitEpsilon, SpecError, ValueNotSign
 from qdrinfeld.groups import ADegree
 from qdrinfeld.pbw import check_vanishing
-from qdrinfeld.scalar import Scalar, ScalarContext, parse_scalar
+from qdrinfeld.scalar import LinearCombination, Scalar, ScalarContext, accumulate, parse_scalar
 from qdrinfeld.specfile import load_fixture, parse_spec_text
 from qdrinfeld.uea import iso_check
 

@@ -8,11 +8,14 @@ behind by a deletion fails here without a linter.
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import qdrinfeld
 from qdrinfeld import cyclotomic
+from qdrinfeld.scalar import LinearCombination, Scalar
 
 MODULES = [
     importlib.import_module(f"qdrinfeld.{info.name}")
@@ -78,3 +81,20 @@ def test_cyclotomic_arithmetic_never_names_fraction():
             if word in defs:
                 todo.append(word)
     assert {"_number", "_combine", "_check"} <= seen
+
+
+def test_one_sparse_type_filters_zero_coefficients():
+    # Scalars are linear combinations on exponent vectors, so the rule that
+    # no zero coefficient is stored lives in LinearCombination.__init__ alone.
+    assert issubclass(Scalar, LinearCombination)
+    filters = []
+    for path in sorted(Path(qdrinfeld.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.DictComp):
+                continue
+            tests = [ast.unparse(t) for gen in node.generators for t in gen.ifs]
+            if any(re.fullmatch(r"not \w+\.is_zero\(\)", t) for t in tests):
+                filters.append((path.name, node.lineno))
+    source, first = inspect.getsourcelines(LinearCombination.__init__)
+    assert [name for name, _ in filters] == ["scalar.py"], filters
+    assert first <= filters[0][1] < first + len(source), filters
