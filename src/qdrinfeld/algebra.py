@@ -5,7 +5,7 @@ abelian group acting diagonally through characters, a matrix of commutation
 units q_ij, and a bilinear map kappa landing in V tensor kG.  Elements are
 kept with all group letters pushed to the right, so a term is a triple
 (word, group element, scalar) and multiplication only needs character
-values.  :class:`NCElement` is a ``scalar.LinearCombination`` on such
+values.  :class:`NCElement` is a ``scalar.Combination`` on such
 terms, and :func:`rewrite` is the one rewriting engine, a worklist loop
 that takes the rule as a callback.  The normal form sorts words by
 rewriting descending adjacent pairs through the defining relations;
@@ -20,7 +20,7 @@ import math
 
 from .errors import SpecError
 from .groups import AbelianGroup, Character, GroupElement, char_eval
-from .scalar import LinearCombination, Scalar, ScalarContext, accumulate
+from .scalar import Combination, Scalar, ScalarContext, accumulate
 
 KappaTerm = tuple[int, GroupElement, Scalar]
 
@@ -194,7 +194,7 @@ def _merged(terms) -> dict:
     return merged
 
 
-class NCElement(LinearCombination):
+class NCElement(Combination):
     """A finite sum of terms coeff * v_word * g with the group on the right."""
 
     __slots__ = ("spec",)
@@ -205,10 +205,6 @@ class NCElement(LinearCombination):
 
     def _space(self) -> tuple:
         return (self.spec,)
-
-    @classmethod
-    def zero(cls, spec: AlgebraSpec) -> NCElement:
-        return cls(spec, {})
 
     @classmethod
     def monomial(cls, spec, word, g=None, coeff=None) -> NCElement:
@@ -234,7 +230,7 @@ class NCElement(LinearCombination):
         for (u, g), cu in self.terms.items():
             for (w, h), cw in other.terms.items():
                 accumulate(terms, (u + w, g * h), cu * cw * spec.word_char(w, g))
-        return NCElement(spec, terms)
+        return self._like(terms)
 
     def __str__(self) -> str:
         return self.signed_str(_nc_label, _nc_order)
@@ -316,7 +312,7 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
             out.append(((head + (r,) + tail, h * g), c * spec.word_char(tail, h)))
         return out
 
-    return NCElement(spec, rewrite(element.terms, rule))
+    return element._like(rewrite(element.terms, rule))
 
 
 def defining_relation(spec: AlgebraSpec, j: int, i: int) -> NCElement:
@@ -325,12 +321,12 @@ def defining_relation(spec: AlgebraSpec, j: int, i: int) -> NCElement:
         raise SpecError("defining relations are indexed by j > i")
     e = spec.group.identity()
     quadratic = {((j, i), e): Scalar.one(spec.ctx), ((i, j), e): -spec.q_scalar(j, i)}
-    return NCElement(spec, quadratic) - kappa_element(spec, j, i)
+    return NCElement._trusted((spec,), quadratic) - kappa_element(spec, j, i)
 
 
 def kappa_element(spec: AlgebraSpec, i: int, j: int) -> NCElement:
     """kappa(v_i, v_j) as an element with length-one words."""
-    return NCElement(spec, spec._kappa_terms.get((i, j)))
+    return NCElement._trusted((spec,), spec._kappa_terms.get((i, j), {}))
 
 
 def extended_kappa(spec: AlgebraSpec, i: int, g: GroupElement, j: int, h: GroupElement) -> NCElement:
@@ -345,7 +341,7 @@ def extended_kappa(spec: AlgebraSpec, i: int, g: GroupElement, j: int, h: GroupE
     terms: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
     for r, w, c in spec.kappa_pairs(i, j):
         accumulate(terms, ((r,), w * g * h), factor * c)
-    return NCElement(spec, terms)
+    return NCElement._trusted((spec,), terms)
 
 
 def pbw_words(n: int, max_degree: int):

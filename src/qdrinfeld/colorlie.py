@@ -19,7 +19,7 @@ from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, Spe
 from .groups import ADegree, GroupElement, SubgroupN
 from .pbw import check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
-from .scalar import LinearCombination, Scalar, ScalarContext, accumulate
+from .scalar import Combination, Scalar, ScalarContext, accumulate
 from .specfile import GenericLieData
 
 Combo = dict[int, Scalar]
@@ -155,8 +155,8 @@ class ColorLieRing:
     def bracket(self, s: int, t: int) -> Combo:
         return self.table.get((s, t), {})
 
-    def bracket_combo(self, s: int, t: int) -> LinearCombination:
-        return LinearCombination(self.bracket(s, t))
+    def bracket_combo(self, s: int, t: int) -> Combination:
+        return Combination._trusted((), self.bracket(s, t))
 
     def index_of(self, label) -> int:
         return self._index[label]
@@ -237,14 +237,15 @@ def generic_color_lie_ring(data: GenericLieData) -> ColorLieRing:
         if (b, a) in data.brackets:
             continue
         factor = -epsilon.eval(data.degrees[b], data.degrees[a])
-        derived = LinearCombination(table.get((a, b))).scale(factor)
+        derived = Combination._trusted((), table.get((a, b), {})).scale(factor)
         if not derived.is_zero():
             table[(b, a)] = derived.terms
     for (a, b) in data.brackets:
         if (b, a) not in data.brackets or (a, b) < (b, a):
             continue
         factor = -epsilon.eval(data.degrees[a], data.degrees[b])
-        if LinearCombination(table.get((a, b))) != LinearCombination(table.get((b, a))).scale(factor):
+        derived = Combination._trusted((), table.get((b, a), {})).scale(factor)
+        if Combination._trusted((), table.get((a, b), {})) != derived:
             raise SpecError(
                 f"brackets for ({data.basis[a]}, {data.basis[b]}) violate antisymmetry"
             )
@@ -281,12 +282,12 @@ class ColorAxiomReport:
         return {**values, "passed": self.passed, "certificates": list(certificates)}
 
 
-def _bracket_with_combo(ring: ColorLieRing, s: int, combo: Combo) -> LinearCombination:
+def _bracket_with_combo(ring: ColorLieRing, s: int, combo: Combo) -> Combination:
     out: Combo = {}
     for u, c in combo.items():
         for v, d in ring.bracket(s, u).items():
             accumulate(out, v, d * c)
-    return LinearCombination(out)
+    return Combination._trusted((), out)
 
 
 class _Shift(dict):
@@ -320,10 +321,11 @@ def _bimodule_violations(ring: ColorLieRing, g: GroupElement) -> list[dict]:
     for s, t in sorted(candidates):
         i, j = ring.labels[s][0], ring.labels[t][0]
         plain = ring.bracket(s, t)
-        left = LinearCombination(
-            {ahead[u]: c * spec.char_value(ring.labels[u][0], g) for u, c in plain.items()}
+        # units times nonzero coefficients, on keys moved by the bijection ahead
+        left = Combination._trusted(
+            (), {ahead[u]: c * spec.char_value(ring.labels[u][0], g) for u, c in plain.items()}
         )
-        right = LinearCombination({ahead[u]: c for u, c in plain.items()})
+        right = Combination._trusted((), {ahead[u]: c for u, c in plain.items()})
         checks = (
             ("left", ring.bracket_combo(ahead[s], t).scale(spec.char_value(i, g)), left),
             ("balanced", ring.bracket_combo(ahead[s], t),
@@ -422,7 +424,7 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
                     "x": ring.label_str(s),
                     "y": ring.label_str(t),
                     "z": ring.label_str(u),
-                    "residue": LinearCombination(residue).sum_str(ring.label_str),
+                    "residue": Combination._trusted((), residue).sum_str(ring.label_str),
                 }
             )
 

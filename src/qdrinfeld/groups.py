@@ -197,9 +197,6 @@ class ADegree:
     def inverse(self) -> ADegree:
         return ADegree((-a for a in self.free), self.tors.inverse())
 
-    def is_identity(self) -> bool:
-        return all(a == 0 for a in self.free) and self.tors.is_identity()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ADegree)

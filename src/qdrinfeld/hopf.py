@@ -45,22 +45,14 @@ from .algebra import (
     normal_form,
     pbw_words,
 )
-from .colorlie import Bicharacter
 from .errors import SpecError
-from .groups import ADegree, GroupElement
+from .groups import GroupElement
 from .pbw import decided_confluence, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
-from .scalar import LinearCombination, Scalar, accumulate
+from .scalar import Combination, Scalar, accumulate
 
 
-def _monomial_degree(spec: AlgebraSpec, word, g: GroupElement) -> ADegree:
-    degree = ADegree.group_degree(spec.n, g)
-    for j in word:
-        degree = degree * ADegree.generator_degree(spec.n, j, spec.group)
-    return degree
-
-
-class BraidedTensorElement(LinearCombination):
+class BraidedTensorElement(Combination):
     """A sum of canonical tensors with two or three slots.
 
     Keys are (w1, ..., wk, g): group-free words for every slot and one
@@ -82,11 +74,11 @@ class BraidedTensorElement(LinearCombination):
 
     @classmethod
     def zero(cls, spec: AlgebraSpec) -> BraidedTensorElement:
-        return cls(spec, 2, {})
+        return cls._trusted((spec, 2), {})
 
     @classmethod
     def unit(cls, spec: AlgebraSpec) -> BraidedTensorElement:
-        return cls(spec, 2, {((), (), spec.group.identity()): Scalar.one(spec.ctx)})
+        return cls._trusted((spec, 2), {((), (), spec.group.identity()): Scalar.one(spec.ctx)})
 
     @classmethod
     def from_pair(cls, x: NCElement, y: NCElement) -> BraidedTensorElement:
@@ -97,7 +89,7 @@ class BraidedTensorElement(LinearCombination):
             for (yw, yg), yc in y.terms.items():
                 coeff = xc * yc * spec.word_char(yw, xg)
                 accumulate(terms, (xw, yw, xg * yg), coeff)
-        return cls(spec, 2, terms)
+        return cls._trusted((spec, 2), terms)
 
     def __str__(self) -> str:
         return self.sum_str(_tensor_label, _term_order)
@@ -127,18 +119,25 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
     The left slots multiply as plain words but their reduction can emit
     group letters from correction terms; those migrate into the right
     slot with the usual diagonal-action factor.
+
+    The pairing is bimultiplicative with eps(e_a, e_b) = q_ab and
+    eps(g, e_b) = chi_b(g) (``colorlie.Bicharacter.from_spec``), so the
+    twist of |v_ar g| past |v_bl| is prod_{a in ar, b in bl} q_ab times
+    prod_{b in bl} chi_b(g), which is ``spec.word_char(bl, g)``.
     """
     spec = x.spec
     if x.slots != 2 or y.slots != 2:
         raise SpecError("the braided product is defined on two-slot tensors")
     x._check(y)
-    eps = Bicharacter.from_spec(spec)
     identity = spec.group.identity()
     result: dict = {}
     for (al, ar, ag), ac in x.terms.items():
         right_a = NCElement.monomial(spec, ar, ag)
         for (bl, br, bg), bc in y.terms.items():
-            twist = eps.eval(_monomial_degree(spec, ar, ag), _monomial_degree(spec, bl, identity))
+            twist = spec.word_char(bl, ag)
+            for a in ar:
+                for b in bl:
+                    twist = twist * spec.q_scalar(a, b)
             left = normal_form(NCElement.monomial(spec, al + bl, identity))
             right = normal_form(right_a * NCElement.monomial(spec, br, bg))
             base = ac * bc * twist
@@ -146,7 +145,7 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
                 for (rw, rg), rc in right.terms.items():
                     coeff = base * lc * rc * spec.word_char(rw, lg)
                     accumulate(result, (lw, rw, lg * rg), coeff)
-    return BraidedTensorElement(spec, 2, result)
+    return x._like(result)
 
 
 def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement) -> dict:
@@ -175,10 +174,8 @@ def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement) -> dict:
         else:
             prefix = _monomial_delta(spec, word[:-1], identity)
             factor = {((word[-1],), (), identity): one, ((), (word[-1],), identity): one}
-        product = braided_product(
-            BraidedTensorElement(spec, 2, prefix), BraidedTensorElement(spec, 2, factor)
-        )
-        terms = product.terms
+        tensor = BraidedTensorElement._trusted
+        terms = braided_product(tensor((spec, 2), prefix), tensor((spec, 2), factor)).terms
     memo[key] = terms
     return terms
 
@@ -206,14 +203,12 @@ def coproduct(x: NCElement, strong: bool | None = None) -> BraidedTensorElement:
     for (word, g), coeff in x.terms.items():
         for key, c in _monomial_delta(spec, word, g).items():
             accumulate(total, key, coeff * c)
-    return BraidedTensorElement(spec, 2, total)
+    return BraidedTensorElement._trusted((spec, 2), total)
 
 
 def counit(x: NCElement) -> NCElement:
     """Projection onto word degree zero; group letters pass through."""
-    spec = x.spec
-    kept = {key: c for key, c in x.terms.items() if not key[0]}
-    return NCElement(spec, kept)
+    return x._like({key: c for key, c in x.terms.items() if not key[0]})
 
 
 def antipode(x: NCElement) -> NCElement:
@@ -224,15 +219,15 @@ def antipode(x: NCElement) -> NCElement:
     its group letter stays on the right.  The result is normal-formed.
     """
     spec = x.spec
-    total = NCElement.zero(spec)
+    terms = {}
     for (word, g), coeff in x.terms.items():
         factor = coeff
         for a in range(len(word)):
             for b in range(a + 1, len(word)):
                 factor = factor * spec.q_scalar(word[a], word[b])
             factor = -factor
-        total = total + NCElement.monomial(spec, tuple(reversed(word)), g, factor)
-    return normal_form(total)
+        terms[(word[::-1], g)] = factor
+    return normal_form(x._like(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,7 @@ def _delta_on_left(bt: BraidedTensorElement) -> BraidedTensorElement:
         for (a, b, bg), c in inner.terms.items():
             migrate = spec.word_char(r, bg)
             accumulate(result, (a, b, r, bg * g), coeff * c * migrate)
-    return BraidedTensorElement(spec, 3, result)
+    return BraidedTensorElement._trusted((spec, 3), result)
 
 
 def _delta_on_right(bt: BraidedTensorElement) -> BraidedTensorElement:
@@ -259,7 +254,7 @@ def _delta_on_right(bt: BraidedTensorElement) -> BraidedTensorElement:
         inner = coproduct(NCElement.monomial(spec, r, g), strong=True)
         for (b, c, cg), value in inner.terms.items():
             accumulate(result, (l, b, c, cg), coeff * value)
-    return BraidedTensorElement(spec, 3, result)
+    return BraidedTensorElement._trusted((spec, 3), result)
 
 
 @dataclass(frozen=True)
@@ -338,13 +333,9 @@ def _law_certificates(spec: AlgebraSpec, monomial: NCElement) -> list[dict]:
             }
         )
 
-    from_left = NCElement.zero(spec)
-    from_right = NCElement.zero(spec)
-    for (l, r, rg), coeff in image.terms.items():
-        if not l:
-            from_left = from_left + NCElement.monomial(spec, r, rg, coeff)
-        if not r:
-            from_right = from_right + NCElement.monomial(spec, l, rg, coeff)
+    # the terms with an empty slot, keyed by the other one
+    from_left = monomial._like({(r, g): c for (l, r, g), c in image.terms.items() if not l})
+    from_right = monomial._like({(l, g): c for (l, r, g), c in image.terms.items() if not r})
     if from_left != monomial or from_right != monomial:
         certificates.append(
             {

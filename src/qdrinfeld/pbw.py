@@ -156,7 +156,7 @@ def _cyclic_sums(spec: AlgebraSpec, term):
             for r, h, coeff in spec.kappa_pairs(a, b):
                 for (word, x), value in term(a, b, c, r, h, coeff).terms.items():
                     accumulate(terms, (word, x * h), value)
-        yield i, j, k, NCElement(spec, terms)
+        yield i, j, k, NCElement._trusted((spec,), terms)
 
 
 def _residues(spec: AlgebraSpec, term) -> tuple[bool, tuple[dict, ...]]:

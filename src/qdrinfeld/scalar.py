@@ -5,9 +5,8 @@ to nonzero cyclotomic coefficients.  Units are exactly the one-term scalars,
 which is what the deformation data needs: every q entry and every character
 value must be invertible, while coefficients of the bracket may be arbitrary.
 :class:`LinearCombination` is the one sparse vector type: a ``Scalar`` is
-one on exponent vectors, and the free elements, the braided tensors of the
-Hopf module and the bracket combinations of color Lie rings are ones with
-scalar coefficients.  The module also holds the one expression grammar of
+one on exponent vectors, and a :class:`Combination` is one with scalar
+coefficients.  The module also holds the one expression grammar of
 the package; spec rows and element expressions extend it with their own
 atoms.
 """
@@ -46,11 +45,10 @@ def accumulate(terms: dict, key, coeff) -> None:
 class LinearCombination:
     """A finite sum of hashable keys with nonzero coefficients.
 
-    Subclasses fix what a key means and, through _space, the space the
-    terms live in; plain instances are combinations of basis indices.  The
-    coefficients are scalars, except in a Scalar, whose own are field
-    elements.  No zero coefficient stays in terms, so equal combinations
-    have equal dicts.
+    Subclasses fix what a key means and, through _space and their own
+    __slots__ in that order, the space the terms live in.  Equal
+    combinations have equal dicts: the public constructor drops the zero
+    coefficients of outside input, and every other build is _trusted.
     """
 
     __slots__ = ("terms",)
@@ -58,12 +56,32 @@ class LinearCombination:
     def __init__(self, terms=None) -> None:
         self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
 
+    @classmethod
+    def _trusted(cls, space: tuple, terms: dict) -> LinearCombination:
+        """An element of cls on the given space, keeping terms as given.
+
+        The caller vouches that no coefficient is zero: accumulate stores
+        none, negation, subsets and keys moved by a bijection keep terms
+        clean, and Q(zeta_m)[params^+-] is a domain, so products of nonzero
+        coefficients are nonzero.  No terms are mutated, so dicts are shared.
+        """
+        x = object.__new__(cls)
+        for name, value in zip(cls.__slots__, space):
+            setattr(x, name, value)
+        x.terms = terms
+        return x
+
+    @classmethod
+    def zero(cls, *space) -> LinearCombination:
+        """The empty sum on the space, as Scalar.zero(ctx) or NCElement.zero(spec)."""
+        return cls._trusted(space, {})
+
     def _space(self) -> tuple:
         """Constructor arguments before terms, shared by combinable elements."""
         return ()
 
     def _like(self, terms) -> LinearCombination:
-        return type(self)(*self._space(), terms)
+        return self._trusted(self._space(), terms)
 
     def _check(self, other: LinearCombination) -> None:
         if type(other) is not type(self) or other._space() != self._space():
@@ -85,9 +103,6 @@ class LinearCombination:
     def __neg__(self) -> LinearCombination:
         return self._like({k: -c for k, c in self.terms.items()})
 
-    def scale(self, s: Scalar) -> LinearCombination:
-        return self._like({k: s * c for k, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         # the terms first: unequal ones decide without building two spaces
         return (
@@ -97,6 +112,17 @@ class LinearCombination:
         )
 
     __hash__ = None
+
+
+class Combination(LinearCombination):
+    """A linear combination with Scalar coefficients: the free elements, the
+    braided tensors and, as plain instances, the bracket combinations."""
+
+    __slots__ = ()
+
+    def scale(self, s: Scalar) -> Combination:
+        # s may be zero, so the products are filtered
+        return type(self)(*self._space(), {k: s * c for k, c in self.terms.items()})
 
     def sum_str(self, label, order=None) -> str:
         """c1*label(k1) + c2*label(k2) + ... over the keys sorted by order."""
@@ -158,18 +184,11 @@ class Scalar(LinearCombination):
     def _space(self) -> tuple:
         return (self.ctx,)
 
-    def _like(self, terms) -> Scalar:
-        return _scalar(self.ctx, terms)
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: ScalarContext) -> Scalar:
-        return _scalar(ctx, {})
-
-    @classmethod
     def one(cls, ctx: ScalarContext) -> Scalar:
-        return _scalar(ctx, ctx._one_terms)
+        return cls._trusted((ctx,), ctx._one_terms)
 
     @classmethod
     def rational(cls, ctx: ScalarContext, value) -> Scalar:
@@ -179,7 +198,8 @@ class Scalar(LinearCombination):
     def from_cyclotomic(cls, ctx: ScalarContext, value: CyclotomicNumber) -> Scalar:
         if value.m != ctx.conductor:
             raise SpecError(f"conductor mismatch: {value.m} vs {ctx.conductor}")
-        return cls(ctx, {(0,) * ctx.rank: value})
+        terms = {(0,) * ctx.rank: value}
+        return cls(ctx, terms) if value.is_zero() else cls._trusted((ctx,), terms)
 
     @classmethod
     def zeta(cls, ctx: ScalarContext, d: int, power: int = 1) -> Scalar:
@@ -191,7 +211,7 @@ class Scalar(LinearCombination):
             raise SpecError(f"unknown parameter {name!r}")
         exps = [0] * ctx.rank
         exps[ctx.params.index(name)] = power
-        return cls(ctx, {tuple(exps): CyclotomicNumber.one(ctx.conductor)})
+        return cls._trusted((ctx,), {tuple(exps): CyclotomicNumber.one(ctx.conductor)})
 
     # -- ring operations ------------------------------------------------------
 
@@ -285,13 +305,6 @@ class Scalar(LinearCombination):
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-def _scalar(ctx: ScalarContext, terms: dict) -> Scalar:
-    """A scalar on terms known to hold no zero coefficient, taken as they are."""
-    x = object.__new__(Scalar)
-    x.ctx, x.terms = ctx, terms
-    return x
 
 
 def _format_term(ctx: ScalarContext, exps, coeff: CyclotomicNumber) -> str:

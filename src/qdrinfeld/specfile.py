@@ -18,7 +18,7 @@ from pathlib import Path
 from .algebra import AlgebraSpec, NCElement
 from .errors import ParseError, SpecError
 from .groups import AbelianGroup, ADegree, Character
-from .scalar import LinearCombination, Scalar, ScalarContext, _ExprParser
+from .scalar import Combination, Scalar, ScalarContext, _ExprParser
 
 _ALGEBRA_SECTIONS = {"field", "group", "action", "q", "kappa"}
 _GENERIC_SECTIONS = {"field", "generic-lie"}
@@ -332,11 +332,11 @@ def _parse_generic(sections, name: str) -> GenericLieData:
 def _parse_combination(text, ctx, label_index, lineno):
     """Parse 'c1*X + c2*Y - Z' into ((index, Scalar), ...): the expression
     grammar with the basis labels as extra atoms, at most one per product."""
-    one = LinearCombination({None: Scalar.one(ctx)})
+    one = Combination({None: Scalar.one(ctx)})
 
     def label(parser, name):
         index = label_index.get(name)
-        return None if index is None else LinearCombination({index: one.terms[None]})
+        return None if index is None else Combination({index: one.terms[None]})
 
     def product(x, y):
         scalar = parser.scalar_of(y)
@@ -430,7 +430,7 @@ def _format_generic(data: GenericLieData) -> str:
     for (a, b), terms in sorted(data.brackets.items()):
         if not terms:
             continue
-        rhs = LinearCombination(dict(terms)).signed_str(lambda index: data.basis[index])
+        rhs = Combination(dict(terms)).signed_str(lambda index: data.basis[index])
         lines.append(f"bracket {data.basis[a]} {data.basis[b]} = {rhs}")
     return "\n".join(lines) + "\n"
 

@@ -178,7 +178,7 @@ def j_generator_image(spec: AlgebraSpec, ring: ColorLieRing, s: int, t: int) -> 
     for u, c in ring.bracket(s, t).items():
         r, w = ring.labels[u]
         accumulate(terms, ((r,), w), -c)
-    return NCElement(spec, terms)
+    return NCElement._trusted((spec,), terms)
 
 
 def iso_check(spec: AlgebraSpec, ring: ColorLieRing):
@@ -228,7 +228,7 @@ def iso_check(spec: AlgebraSpec, ring: ColorLieRing):
     for i in range(spec.n):
         for j in range(i + 1, spec.n):
             relation = defining_relation(spec, j, i)
-            residue = normal_form(NCElement(engine, dict(relation.terms)))
+            residue = normal_form(NCElement._trusted((engine,), relation.terms))
             if not residue.is_zero():
                 certificates.append(
                     {

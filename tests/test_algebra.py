@@ -15,7 +15,7 @@ from qdrinfeld.algebra import (
 )
 from qdrinfeld.errors import SpecError
 from qdrinfeld.groups import AbelianGroup, Character
-from qdrinfeld.scalar import LinearCombination, Scalar, ScalarContext, parse_scalar
+from qdrinfeld.scalar import Combination, Scalar, ScalarContext, parse_scalar
 from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression, parse_spec_text
 
 from test_cli import _two_generator_spec
@@ -220,11 +220,11 @@ def test_elements_refuse_mixed_specs():
 
 def test_plain_combinations_drop_zeros_and_refuse_elements():
     one = Scalar.one(EX2.ctx)
-    a = LinearCombination({0: one, 1: one, 2: one - one})
+    a = Combination({0: one, 1: one, 2: one - one})
     assert a.terms == {0: one, 1: one}
-    b = LinearCombination({1: -one, 3: one})
+    b = Combination({1: -one, 3: one})
     assert (a + b).terms == {0: one, 3: one}
-    assert (a - a).is_zero() and a - a == LinearCombination()
+    assert (a - a).is_zero() and a - a == Combination()
     assert -a == a.scale(-one) != a
     with pytest.raises(SpecError):
         a + NCElement.monomial(EX2, (0,))

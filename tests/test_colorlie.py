@@ -19,7 +19,7 @@ from qdrinfeld.colorlie import (
 from qdrinfeld.errors import HypothesisNotMet, NonUnitEpsilon, SpecError, ValueNotSign
 from qdrinfeld.groups import ADegree
 from qdrinfeld.pbw import check_vanishing
-from qdrinfeld.scalar import LinearCombination, Scalar, ScalarContext, accumulate, parse_scalar
+from qdrinfeld.scalar import Combination, Scalar, ScalarContext, accumulate, parse_scalar
 from qdrinfeld.specfile import load_fixture, parse_spec_text
 from qdrinfeld.uea import iso_check
 
@@ -226,14 +226,14 @@ def _dense_axioms(ring, quotient=None):
     pair = [[eps.eval(d1, d2) for d2 in ring.degrees] for d1 in ring.degrees]
 
     def combo(s, t):
-        return LinearCombination(ring.bracket(s, t))
+        return Combination(ring.bracket(s, t))
 
     def bracket_with(s, terms):
         out = {}
         for u, c in terms.items():
             for v, d in ring.bracket(s, u).items():
                 accumulate(out, v, d * c)
-        return LinearCombination(out)
+        return Combination(out)
 
     verdicts = dict.fromkeys(("antisymmetry", "jacobi"), True)
     verdicts.update(dict.fromkeys(("bimodule", "yetter_drinfeld", "grading")))
@@ -247,7 +247,7 @@ def _dense_axioms(ring, quotient=None):
                      "got": got.sum_str(label), "expected": expected.sum_str(label)}
                 )
     for s, t, u in itertools.product(range(size), repeat=3):
-        total = LinearCombination()
+        total = Combination()
         for x, y, z in ((s, t, u), (t, u, s), (u, s, t)):
             total = total + bracket_with(x, ring.bracket(y, z)).scale(pair[z][x])
         if not total.is_zero():
@@ -271,10 +271,10 @@ def _dense_axioms(ring, quotient=None):
                         accumulate(right, index((k, h3 * g)), c)
                     checks = (
                         ("left", combo(index((i, g * h)), t).scale(spec.char_value(i, g)),
-                         LinearCombination(left)),
+                         Combination(left)),
                         ("balanced", combo(index((i, h * g)), t),
                          combo(s, index((j, g * h2))).scale(spec.char_value(j, g))),
-                        ("right", combo(s, index((j, h2 * g))), LinearCombination(right)),
+                        ("right", combo(s, index((j, h2 * g))), Combination(right)),
                     )
                     for name, got, expected in checks:
                         if got != expected:

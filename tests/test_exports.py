@@ -15,7 +15,10 @@ from pathlib import Path
 
 import qdrinfeld
 from qdrinfeld import cyclotomic
-from qdrinfeld.scalar import LinearCombination, Scalar
+from qdrinfeld.algebra import NCElement
+from qdrinfeld.hopf import BraidedTensorElement
+from qdrinfeld.scalar import Combination, LinearCombination, Scalar
+from qdrinfeld.specfile import load_fixture
 
 MODULES = [
     importlib.import_module(f"qdrinfeld.{info.name}")
@@ -98,3 +101,29 @@ def test_one_sparse_type_filters_zero_coefficients():
     source, first = inspect.getsourcelines(LinearCombination.__init__)
     assert [name for name, _ in filters] == ["scalar.py"], filters
     assert first <= filters[0][1] < first + len(source), filters
+
+
+def test_scalar_has_no_methods_for_scalar_coefficients():
+    # scale, sum_str and signed_str assume Scalar coefficients, which a
+    # scalar's own field-element terms are not
+    methods = ("scale", "sum_str", "signed_str")
+    for name in methods:
+        assert not hasattr(Scalar, name), name
+        assert not hasattr(LinearCombination, name), name
+    for cls in (Combination, NCElement, BraidedTensorElement):
+        assert issubclass(cls, Combination)
+        assert all(callable(getattr(cls, name)) for name in methods), cls
+
+
+def test_trusted_builds_fill_each_class_own_slots():
+    # _trusted fills a class's own __slots__ from the space in order, so
+    # rebuilding an element from its _space() and terms gives it back
+    spec = load_fixture("ex2")
+    elements = (
+        Scalar.param(spec.ctx, "lam"),
+        NCElement.monomial(spec, (0, 1)),
+        BraidedTensorElement.unit(spec),
+        Combination({0: Scalar.one(spec.ctx)}),
+    )
+    for x in elements:
+        assert type(x)._trusted(x._space(), x.terms) == x

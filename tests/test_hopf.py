@@ -19,6 +19,7 @@ from qdrinfeld.hopf import (
     counit,
 )
 from qdrinfeld.errors import SpecError
+from qdrinfeld.groups import ADegree
 from qdrinfeld.pbw import check_pbw, check_vanishing, overlap_oracle
 from qdrinfeld.scalar import Scalar
 from qdrinfeld.specfile import load_fixture, parse_spec_text
@@ -94,6 +95,51 @@ def test_braided_product_is_associative():
             assert braided_product(braided_product(x, y), z) == braided_product(
                 x, braided_product(y, z)
             )
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "zero-kappa"])
+def test_braided_product_twists_by_the_pairing_of_the_crossing_degrees(name):
+    # (1 (x) v_ar g)(v_bl (x) 1) is eps(|v_ar g|, |v_bl|) times the tensor
+    # of the two reduced slots, with degrees built here as ADegree products
+    spec = load_fixture(name)
+    eps, n, e = Bicharacter.from_spec(spec), spec.n, spec.group.identity()
+    one = Scalar.one(spec.ctx)
+
+    def degree(word, g):
+        value = ADegree.group_degree(n, g)
+        for j in word:
+            value = value * ADegree.generator_degree(n, j, spec.group)
+        return value
+
+    words = list(all_words(n, 2))
+    for ar in words:
+        for ag in spec.group:
+            x = BraidedTensorElement(spec, 2, {((), ar, ag): one})
+            for bl in words:
+                y = BraidedTensorElement(spec, 2, {(bl, (), e): one})
+                plain = BraidedTensorElement.from_pair(
+                    normal_form(mono(spec, bl)), normal_form(mono(spec, ar, ag))
+                )
+                assert not plain.is_zero()
+                twist = eps.eval(degree(ar, ag), degree(bl, e))
+                assert braided_product(x, y) == plain.scale(twist), (ar, ag, bl)
+
+
+def test_the_hopf_sweep_builds_no_degree_on_ex1(monkeypatch):
+    # the twist comes from the q table and the memoized word characters;
+    # before, check_hopf_axioms(ex1, 4) built 53,826 ADegree objects
+    spec = load_fixture("ex1")
+    built = []
+    init = ADegree.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ADegree, "__init__", counted)
+    with pytest.warns(UserWarning):
+        assert not check_hopf_axioms(spec, 4).passed
+    assert built == []
 
 
 def _letter_delta(spec, j):

@@ -5,9 +5,14 @@ from fractions import Fraction
 import pytest
 
 from qdrinfeld import cli
+from qdrinfeld.algebra import NCElement
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.errors import NotAUnit, ParseError, SpecError
-from qdrinfeld.scalar import Scalar, ScalarContext, parse_scalar
+from qdrinfeld.pbw import check_pbw
+from qdrinfeld.scalar import Combination, LinearCombination, Scalar, ScalarContext, parse_scalar
+from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression
+
+from randspec import corpus, multi_letter_corpus
 
 CTX = ScalarContext(4, ("q", "lam"))
 PLAIN = ScalarContext(3)
@@ -193,3 +198,37 @@ def test_factor_str_parenthesizes_sums():
     q = Scalar.param(CTX, "q")
     assert (q + Scalar.one(CTX)).factor_str().startswith("(")
     assert q.factor_str() == "q"
+
+
+def test_outside_input_drops_zero_coefficients():
+    # the public constructors filter: their terms may hold a zero
+    spec = load_fixture("ex2")
+    zero = Scalar.rational(spec.ctx, 0)
+    assert zero.terms == {} and zero == Scalar.zero(spec.ctx)
+    assert NCElement.monomial(spec, (0,), coeff=zero).terms == {}
+    assert parse_nc_expression("0*v1", spec).terms == {}
+    x = parse_nc_expression("v1 + lam*v2", spec)
+    assert x.scale(zero).terms == {}
+    assert Combination({0: Scalar.one(spec.ctx)}).scale(zero).terms == {}
+
+
+def test_the_trusted_path_never_receives_a_zero(monkeypatch):
+    # every build that skips the filter vouches for its terms; check that
+    # on the fixtures end to end and on the random corpora
+    trusted = LinearCombination._trusted.__func__
+    built = {}
+
+    def checked(cls, space, terms):
+        zeros = [key for key, coeff in terms.items() if coeff.is_zero()]
+        assert not zeros, (cls.__name__, zeros)
+        built[cls.__name__] = built.get(cls.__name__, 0) + 1
+        return trusted(cls, space, terms)
+
+    monkeypatch.setattr(LinearCombination, "_trusted", classmethod(checked))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in fixture_names():
+            cli.run_all(name, 3)
+    for spec in corpus(60) + multi_letter_corpus(72, 1):
+        check_pbw(spec)
+    assert set(built) == {"Scalar", "NCElement", "BraidedTensorElement", "Combination"}
