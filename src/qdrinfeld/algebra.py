@@ -31,7 +31,8 @@ class AlgebraSpec:
     q is given as a dict on ordered pairs; missing off-diagonal entries
     default to 1 and the transposes are derived as inverses.  kappa maps
     ordered pairs (i, j), i != j, to tuples of (r, g, coefficient); the
-    spec keeps each pair once, with i < j, through quantum antisymmetry.
+    spec keeps one table of the coefficients of the v_r g on both orders,
+    the transposes derived through quantum antisymmetry.
     """
 
     def __init__(
@@ -59,13 +60,6 @@ class AlgebraSpec:
             )
         self._q = self._build_q(n, q)
         self._kappa = self._build_kappa(n, kappa)
-        # kappa on every ordered pair, each transpose multiplied by -q_ji
-        # once, and the same terms merged per word and letter
-        self._kappa_pairs = dict(self._kappa)
-        for (i, j), terms in self._kappa.items():
-            factor = -self._q[(j, i)]
-            self._kappa_pairs[(j, i)] = tuple((r, g, factor * c) for r, g, c in terms)
-        self._kappa_terms = {pair: _merged(terms) for pair, terms in self._kappa_pairs.items()}
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         self._word_char_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
         # Delta of monomials (hopf.coproduct), the pairing
@@ -110,17 +104,20 @@ class AlgebraSpec:
                     )
         return q
 
-    def _build_kappa(self, n: int, kappa_in) -> dict[tuple[int, int], tuple[KappaTerm, ...]]:
-        """kappa on the pairs i < j.  A row given for (j, i) is stored as
+    def _build_kappa(self, n: int, kappa_in) -> dict[tuple[int, int], dict]:
+        """kappa on every ordered pair where it is nonzero, as a table from
+        ((r,), g) to the coefficient of v_r g: terms on the same (r, g) are
+        summed and zero sums dropped.  A row given for (j, i) is read as
         -q_ij * kappa(v_j, v_i).  A pair given both ways must agree per
-        (r, g), and then the (i, j) row is kept."""
-        out, given = {}, {}
+        (r, g), and then the (i, j) row is kept.  Each transpose is
+        multiplied by -q_ji once."""
+        given: dict = {}
         for (i, j), terms in kappa_in.items():
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise SpecError(
                     f"kappa pairs need distinct indices in range, got ({i + 1}, {j + 1})"
                 )
-            kept = []
+            row: dict = {}
             for r, g, coeff in terms:
                 if not (0 <= r < n):
                     raise SpecError(f"kappa target v{r + 1} out of range")
@@ -128,21 +125,25 @@ class AlgebraSpec:
                     raise SpecError("kappa group part is not in the acting group")
                 if coeff.ctx != self.ctx:
                     raise SpecError("kappa coefficient from a different scalar context")
-                if not coeff.is_zero():
-                    kept.append((r, g, coeff))
+                accumulate(row, ((r,), g), coeff)
             key = (min(i, j), max(i, j))
             if i > j:
                 factor = -self._q[key]
-                kept = [(r, g, factor * c) for r, g, c in kept]
-            merged = _merged(kept)
-            if key in given and given[key] != merged:
+                row = {term: factor * c for term, c in row.items()}
+            if key in given and given[key] != row:
                 raise SpecError(
                     f"kappa({key[0] + 1},{key[1] + 1}) given twice with values "
                     "that violate quantum antisymmetry"
                 )
             if i < j or key not in given:
-                given[key], out[key] = merged, tuple(kept)
-        return {key: terms for key, terms in out.items() if terms}
+                given[key] = row
+        table = {}
+        for (i, j), row in given.items():
+            if row:
+                factor = -self._q[(j, i)]
+                table[(i, j)] = row
+                table[(j, i)] = {term: factor * c for term, c in row.items()}
+        return table
 
     @property
     def n(self) -> int:
@@ -156,12 +157,12 @@ class AlgebraSpec:
         return dict(self._q)
 
     def kappa_pairs(self, i: int, j: int) -> tuple[KappaTerm, ...]:
-        """kappa(v_i, v_j) for any pair, transposes derived by antisymmetry."""
-        return self._kappa_pairs.get((i, j), ())
+        """kappa(v_i, v_j) for any pair, one (r, g, coefficient) per (r, g)."""
+        return tuple((r, g, c) for ((r,), g), c in self._kappa.get((i, j), {}).items())
 
     def kappa_support(self):
         """Ordered pairs (i, j), i < j, on which kappa is nonzero."""
-        return sorted(self._kappa)
+        return sorted(pair for pair in self._kappa if pair[0] < pair[1])
 
     def char_value(self, j: int, g: GroupElement) -> Scalar:
         key = (j, g.exps)
@@ -186,14 +187,6 @@ class AlgebraSpec:
         return f"AlgebraSpec(n={self.n}, group={self.group!r}, name={self.name!r})"
 
 
-def _merged(terms) -> dict:
-    """kappa terms summed per (word, letter) key, zero sums dropped."""
-    merged: dict = {}
-    for r, g, c in terms:
-        accumulate(merged, ((r,), g), c)
-    return merged
-
-
 class NCElement(Combination):
     """A finite sum of terms coeff * v_word * g with the group on the right."""
 
@@ -215,7 +208,7 @@ class NCElement(Combination):
         if g is None:
             g = spec.group.identity()
         if coeff is None:
-            coeff = Scalar.one(spec.ctx)
+            return cls._trusted((spec,), {(word, g): Scalar.one(spec.ctx)})
         return cls(spec, {(word, g): coeff})
 
     @classmethod
@@ -308,7 +301,7 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
         a, b = word[p], word[p + 1]
         head, tail = word[:p], word[p + 2 :]
         out = [((head + (b, a) + tail, g), spec.q_scalar(a, b))]
-        for r, h, c in spec.kappa_pairs(a, b):
+        for ((r,), h), c in spec._kappa.get((a, b), {}).items():
             out.append(((head + (r,) + tail, h * g), c * spec.word_char(tail, h)))
         return out
 
@@ -326,7 +319,7 @@ def defining_relation(spec: AlgebraSpec, j: int, i: int) -> NCElement:
 
 def kappa_element(spec: AlgebraSpec, i: int, j: int) -> NCElement:
     """kappa(v_i, v_j) as an element with length-one words."""
-    return NCElement._trusted((spec,), spec._kappa_terms.get((i, j), {}))
+    return NCElement._trusted((spec,), spec._kappa.get((i, j), {}))
 
 
 def extended_kappa(spec: AlgebraSpec, i: int, g: GroupElement, j: int, h: GroupElement) -> NCElement:
@@ -338,10 +331,8 @@ def extended_kappa(spec: AlgebraSpec, i: int, g: GroupElement, j: int, h: GroupE
     kappa(v_i, v_j).
     """
     factor = spec.char_value(j, g)
-    terms: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
-    for r, w, c in spec.kappa_pairs(i, j):
-        accumulate(terms, ((r,), w * g * h), factor * c)
-    return NCElement._trusted((spec,), terms)
+    row = spec._kappa.get((i, j), {})
+    return NCElement._trusted((spec,), {(word, w * g * h): factor * c for (word, w), c in row.items()})
 
 
 def pbw_words(n: int, max_degree: int):

@@ -202,7 +202,7 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
     table: dict[tuple[int, int], Combo] = {}
     for s, (i, g) in enumerate(labels):
         for j in range(n):
-            if not spec.kappa_pairs(i, j):
+            if (i, j) not in spec._kappa:
                 continue  # extended_kappa is empty on the whole block of v_j
             for t in range(j * order, (j + 1) * order):
                 value = extended_kappa(spec, i, g, j, labels[t][1])

@@ -21,7 +21,7 @@ from .scalar import Scalar, accumulate
 
 def _kappa_coeff(spec: AlgebraSpec, i: int, j: int, r: int, g: GroupElement) -> Scalar:
     """Coefficient of v_r g in kappa(v_i, v_j)."""
-    return spec._kappa_terms.get((i, j), {}).get(((r,), g), Scalar.zero(spec.ctx))
+    return spec._kappa.get((i, j), {}).get(((r,), g), Scalar.zero(spec.ctx))
 
 
 def _live_triples(spec: AlgebraSpec):
@@ -29,7 +29,7 @@ def _live_triples(spec: AlgebraSpec):
     the letter g or kappa(v_j, v_k) has a v_k g term; sorted by g's
     exponents, then by (i, j, k)."""
     live: dict = {}
-    for (a, b), terms in spec._kappa_terms.items():
+    for (a, b), terms in spec._kappa.items():
         others = [c for c in range(spec.n) if c != a and c != b]
         for (r,), g in terms:
             for c in others:
@@ -148,12 +148,12 @@ def _cyclic_sums(spec: AlgebraSpec, term):
     from different source letters that land on one product letter meet,
     and may cancel, in one dict.
     """
-    if not spec.kappa_support():
+    if not spec._kappa:
         return
     for i, j, k in _cyclic_classes(spec.n):
         terms: dict = {}
         for a, b, c in _rotations(i, j, k):
-            for r, h, coeff in spec.kappa_pairs(a, b):
+            for ((r,), h), coeff in spec._kappa.get((a, b), {}).items():
                 for (word, x), value in term(a, b, c, r, h, coeff).terms.items():
                     accumulate(terms, (word, x * h), value)
         yield i, j, k, NCElement._trusted((spec,), terms)

@@ -12,7 +12,8 @@ source letters can land on the same product letter and cancel there;
 the closed-form conditions collect their cyclic sums per product letter,
 which keeps them exact on that shape too.  It draws the shape of the
 benchmark's check-corpus: n = 2..4 and groups up to Z/3 x Z/3 and
-Z/2 x Z/4.
+Z/2 x Z/4.  ``parametric_corpus`` lifts it over the free parameters lam
+and q, so that the coefficients are no longer constants.
 """
 
 from __future__ import annotations
@@ -113,3 +114,33 @@ def multi_letter_spec(rng: random.Random, index: int) -> AlgebraSpec:
 def multi_letter_corpus(count: int, seed: int) -> list[AlgebraSpec]:
     rng = random.Random(seed)
     return [multi_letter_spec(rng, index) for index in range(count)]
+
+
+def parametric_corpus(count: int, seed: int) -> list[AlgebraSpec]:
+    """multi_letter_corpus(count, seed) lifted into Q(zeta_m)(lam, q).
+
+    Each kappa coefficient is multiplied by one of lam, lam - 1 and
+    lam^2 + 1, and on every other spec q_12 is multiplied by q.
+    """
+    rng = random.Random(seed)
+    out = []
+    for index, spec in enumerate(multi_letter_corpus(count, seed)):
+        ctx = ScalarContext(spec.ctx.conductor, ("lam", "q"))
+        one, lam = Scalar.one(ctx), Scalar.param(ctx, "lam")
+        factors = (lam, lam - one, lam * lam + one)
+        q = {
+            (i, j): spec.q_scalar(i, j).substitute({}, ctx)
+            for i in range(spec.n)
+            for j in range(i + 1, spec.n)
+        }
+        if index % 2 == 0:
+            q[(0, 1)] = q[(0, 1)] * Scalar.param(ctx, "q")
+        kappa = {
+            pair: tuple(
+                (r, g, c.substitute({}, ctx) * rng.choice(factors))
+                for r, g, c in spec.kappa_pairs(*pair)
+            )
+            for pair in spec.kappa_support()
+        }
+        out.append(AlgebraSpec(ctx, spec.group, spec.chars, q, kappa, name=f"param-{index}"))
+    return out

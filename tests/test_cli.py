@@ -86,6 +86,36 @@ def test_fmt_round_trips():
     assert format_spec(parse_spec_text(out, name="ex3")) == out
 
 
+CANCELLING_ROW = """
+[field]
+conductor = 2
+
+[group]
+orders = [2]
+
+[action]
+characters = [[1], [1]]
+
+[q]
+1 2 = -1
+
+[kappa]
+1 2 -> 1 (0) 1 ; 1 (0) -1
+"""
+
+
+def test_a_kappa_row_whose_terms_cancel_adds_nothing(tmp_path):
+    path = tmp_path / "cancelling.qdo"
+    path.write_text(CANCELLING_ROW)
+    for command in ("check", "lie", "uea", "converse", "all"):
+        code, _, err = run([command, str(path)])
+        assert code == 0, (command, err)
+    code, out, _ = run(["fmt", str(path)])
+    assert code == 0
+    assert out == format_spec(parse_spec_text(CANCELLING_ROW.split("[kappa]")[0]))
+    assert "[kappa]" not in out
+
+
 def test_run_all_is_deterministic_apart_from_timing():
     first = run(["all", "ex3", "--json"])
     second = run(["all", "ex3", "--json"])

@@ -21,7 +21,7 @@ from qdrinfeld.scalar import Scalar, parse_scalar
 from qdrinfeld.specfile import fixture_path, format_spec, load_fixture, parse_spec_text
 from qdrinfeld.uea import dimension_oracle
 
-from randspec import corpus, multi_letter_corpus
+from randspec import corpus, multi_letter_corpus, parametric_corpus
 
 FIXTURE_SPECS = [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
 
@@ -34,6 +34,35 @@ def perturbed_action(spec):
     q = {(i, j): spec.q_scalar(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)}
     kappa = {pair: spec.kappa_pairs(*pair) for pair in spec.kappa_support()}
     return AlgebraSpec(spec.ctx, spec.group, chars, q, kappa, name=spec.name + "-twisted")
+
+
+def split_terms(spec):
+    """Copy of a spec with each kappa coefficient c given as the two terms
+    2c and -c, and a pair of terms x and -x added on a (target, letter) the
+    pair does not use, on every pair of the support and on (1, 2)."""
+    two, x = Scalar.rational(spec.ctx, 2), Scalar.rational(spec.ctx, 3)
+    kappa = {}
+    for pair in sorted(set(spec.kappa_support()) | {(0, 1)}):
+        terms = spec.kappa_pairs(*pair)
+        used = {(r, g) for r, g, _ in terms}
+        spare = next((r, g) for r in range(spec.n) for g in spec.group if (r, g) not in used)
+        split = [(r, g, c) for r, g, coeff in terms for c in (two * coeff, -coeff)]
+        kappa[pair] = (*split, (*spare, x), (*spare, -x))
+    return AlgebraSpec(spec.ctx, spec.group, spec.chars, spec.q_table(), kappa, name=spec.name)
+
+
+def test_kappa_terms_on_the_same_target_and_letter_are_summed():
+    for spec in FIXTURE_SPECS + corpus(60) + multi_letter_corpus(72, 1):
+        split = split_terms(spec)
+        assert len(split.kappa_pairs(0, 1)) == len(spec.kappa_pairs(0, 1))
+        assert format_spec(split) == format_spec(spec), spec.name
+        assert check_pbw(split).as_dict() == check_pbw(spec).as_dict(), spec.name
+
+
+def test_the_parametric_corpus_agrees_with_the_overlap_oracle():
+    # check_pbw raises when its verdict and the overlap oracle disagree
+    verdicts = [check_pbw(spec).verdict for spec in parametric_corpus(288, 1)]
+    assert 50 < sum(verdicts) < 238
 
 
 def test_all_fixtures_have_the_basis_property():
@@ -403,7 +432,7 @@ def _dense_condition2(spec):
     zero, one = Scalar.zero(spec.ctx), Scalar.one(spec.ctx)
 
     def coeff(i, j, r, g):
-        return spec._kappa_terms.get((i, j), {}).get(((r,), g), zero)
+        return spec._kappa.get((i, j), {}).get(((r,), g), zero)
 
     violations = []
     for g in (letters[key] for key in sorted(letters)):
@@ -445,8 +474,8 @@ def _dense_condition2(spec):
     return not violations, tuple(violations)
 
 
-# kappa(v1, v2) carries two terms on g(1) that cancel and one on g(2), so
-# the letter g(1) is in the support but holds no coefficient
+# kappa(v1, v2) is given two terms on g(1) that cancel and one on g(2), so
+# the spec's table keeps the g(2) term alone
 CANCELLING_LETTER = """
 [field]
 conductor = 6
@@ -466,7 +495,7 @@ characters = [[1], [2], [0]]
 
 def test_condition2_over_live_triples_matches_the_dense_sweep():
     cancelling = parse_spec_text(CANCELLING_LETTER)
-    assert len(cancelling.kappa_pairs(0, 1)) == 3 and len(cancelling._kappa_terms[(0, 1)]) == 1
+    assert len(cancelling.kappa_pairs(0, 1)) == 1
     base = FIXTURE_SPECS + corpus(60) + multi_letter_corpus(288, 1)
     specs = base + [perturbed_action(spec) for spec in base if spec.n > 1] + [cancelling]
     failing = 0

@@ -8,6 +8,7 @@ from qdrinfeld import cli
 from qdrinfeld.algebra import NCElement
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.errors import NotAUnit, ParseError, SpecError
+from qdrinfeld.hopf import check_hopf_axioms
 from qdrinfeld.pbw import check_pbw
 from qdrinfeld.scalar import Combination, LinearCombination, Scalar, ScalarContext, parse_scalar
 from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression
@@ -210,6 +211,39 @@ def test_outside_input_drops_zero_coefficients():
     x = parse_nc_expression("v1 + lam*v2", spec)
     assert x.scale(zero).terms == {}
     assert Combination({0: Scalar.one(spec.ctx)}).scale(zero).terms == {}
+
+
+def test_unit_monomials_skip_the_zero_filter(monkeypatch):
+    # a monomial without coeff has the coefficient 1, so the filter of the
+    # public constructor has nothing to drop
+    spec = load_fixture("ex1")
+    state = {"inside": False, "monomials": 0, "filtered": 0}
+    init = LinearCombination.__init__
+    monomial = NCElement.monomial.__func__
+
+    def counted_init(self, terms=None):
+        state["filtered"] += state["inside"]
+        init(self, terms)
+
+    def counted_monomial(cls, spec, word, g=None, coeff=None):
+        if coeff is not None:
+            return monomial(cls, spec, word, g, coeff)
+        state["inside"] = True
+        state["monomials"] += 1
+        try:
+            return monomial(cls, spec, word, g)
+        finally:
+            state["inside"] = False
+
+    monkeypatch.setattr(LinearCombination, "__init__", counted_init)
+    monkeypatch.setattr(NCElement, "monomial", classmethod(counted_monomial))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        check_hopf_axioms(spec, 2)
+    assert state["monomials"] > 100
+    assert state["filtered"] == 0
+    with pytest.raises(SpecError, match="out of range"):
+        NCElement.monomial(spec, (spec.n,))
 
 
 def test_the_trusted_path_never_receives_a_zero(monkeypatch):

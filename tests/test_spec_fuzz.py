@@ -4,15 +4,19 @@ The texts are built from section headers, rows, names, integers and
 operators, some in a sensible skeleton and some shuffled.  parse_spec_text
 must either raise ParseError or SpecError, or its canonical form f must
 satisfy format_spec(parse_spec_text(f)) == f.  Any other exception fails.
+Every algebra that parses must also get a PBW report: the closed form
+and the overlap oracle agree on it, so check_pbw raises nothing.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from qdrinfeld.algebra import AlgebraSpec  # noqa: E402
 from qdrinfeld.errors import ParseError, SpecError  # noqa: E402
+from qdrinfeld.pbw import check_pbw  # noqa: E402
 from qdrinfeld.specfile import format_spec, parse_spec_text  # noqa: E402
 
 HEADERS = ["[field]", "[group]", "[action]", "[q]", "[kappa]", "[generic-lie]", "[other]"]
@@ -69,8 +73,12 @@ GENERIC = ["[field]", "conductor = 2", "[generic-lie]", "orders = [2]", "basis =
            "degrees = [[0], [1]]"]
 
 q_row = st.builds("{} = {}".format, pair, unit)
+kappa_term = st.builds(
+    "{} ({}) {}".format, st.integers(1, 3).map(str), st.integers(-1, 2).map(str), scalar
+)
+# one to three terms, which may repeat a (target, letter) and cancel there
 kappa_row = st.builds(
-    "{} -> {} ({}) {}".format, pair, st.integers(1, 3).map(str), st.integers(-1, 2).map(str), scalar
+    "{} -> {}".format, pair, st.lists(kappa_term, min_size=1, max_size=3).map(" ; ".join)
 )
 bracket_row = st.builds(
     "bracket {} {} = {}".format, st.sampled_from(["A", "B"]), st.sampled_from(["A", "B"]), combination
@@ -78,12 +86,18 @@ bracket_row = st.builds(
 
 
 @st.composite
+def algebra_texts(draw):
+    lines = ALGEBRA + ["[q]"] + draw(st.lists(q_row, max_size=2))
+    lines += ["[kappa]"] + draw(st.lists(kappa_row, max_size=2))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
 def spec_texts(draw):
     shape = draw(st.sampled_from(["algebra", "generic", "shuffled"]))
     if shape == "algebra":
-        lines = ALGEBRA + ["[q]"] + draw(st.lists(q_row, max_size=2))
-        lines += ["[kappa]"] + draw(st.lists(kappa_row, max_size=2))
-    elif shape == "generic":
+        return draw(algebra_texts())
+    if shape == "generic":
         lines = GENERIC + draw(st.lists(st.sampled_from(["epsilon 1 1 = -1"]), max_size=1))
         lines += draw(st.lists(bracket_row, max_size=3))
     else:
@@ -112,6 +126,28 @@ def _fixed_point(text):
 @given(spec_texts())
 def test_spec_text_is_refused_or_formats_to_a_fixed_point(text):
     _fixed_point(text)
+
+
+# kappa = 0 given as two terms that cancel
+CANCELLING = "\n".join(ALGEBRA + ["[kappa]", "1 2 -> 1 (0) 1 ; 1 (0) -1"]) + "\n"
+
+
+@settings(
+    max_examples=250,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(algebra_texts())
+@example(CANCELLING)
+def test_every_parsed_algebra_gets_a_pbw_report(text):
+    try:
+        spec = parse_spec_text(text)
+    except (ParseError, SpecError):
+        return
+    assert isinstance(spec, AlgebraSpec)
+    check_pbw(spec)
 
 
 def test_the_generated_texts_reach_both_outcomes():
