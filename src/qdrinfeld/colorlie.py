@@ -17,7 +17,7 @@ from functools import reduce
 from .algebra import AlgebraSpec, extended_kappa
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
 from .groups import ADegree, GroupElement, SubgroupN
-from .pbw import check_pbw, decided_vanishing
+from .pbw import check_invariance, check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import Combination, Scalar, ScalarContext, accumulate
 from .specfile import GenericLieData
@@ -347,39 +347,63 @@ def _bimodule_violations(ring: ColorLieRing, g: GroupElement) -> list[dict]:
     return violations
 
 
-def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) -> ColorAxiomReport:
-    """Axiom sweep over the basis tuples that a nonzero bracket reaches.
+def _jacobi_residues(ring: ColorLieRing, pairs, outer) -> dict[tuple[int, int, int], Combo]:
+    """Cyclic sums of the triples reached from the given inner brackets.
 
-    Every identity is linear in each bracket it contains, so a tuple
-    whose brackets are all empty satisfies it with both sides zero.
-    Skipping such tuples changes no verdict and no certificate, so each
-    check visits only the tuples that a key of the bracket table reaches,
-    and reports them in the order of the exhaustive sweep.  Antisymmetry
-    and the Jacobi identity always run.  The module identities over the
-    group algebra and the action compatibility law run for rings built
-    from a spec.  The grading check runs against A for generic rings and
-    against A/N when a quotient is supplied.
-
-    The module identities are decided on the generators of G.  Let
-    lambda_g(v_i h) = chi_i(g) v_i (g h) and rho_g(v_i h) = v_i (h g);
-    both are actions of G, as each chi_i is a character and G is
-    abelian.  The laws are [lambda_g x, y] = lambda_g [x, y] (left),
-    [rho_g x, y] = [x, lambda_g y] (balanced) and
-    [x, rho_g y] = rho_g [x, y] (right), each linear in x and y.  If a
-    law holds at g1 and at g2 on every basis pair, it holds at g1 g2:
-    for instance [lambda_g1 lambda_g2 x, y] = lambda_g1 [lambda_g2 x, y]
-    = lambda_g1 lambda_g2 [x, y], and [rho_g1 rho_g2 x, y] =
-    [rho_g2 x, lambda_g1 y] = [x, lambda_g2 lambda_g1 y].  G is finite,
-    so its generators generate it as a monoid, and the laws hold on G
-    exactly when they hold on the generators.  This holds for any
-    bracket table.  When a generator fails, the laws are checked at
-    every element of G, so the certificates and their order are those
-    of the sweep over G.
+    The cyclic sum of (s, t, u) adds [x, [y, z]] eps(z, x) over its three
+    rotations (x, y, z); each nonzero term, from an inner bracket
+    ((y, z), [y, z]) of pairs and an x of outer([y, z]), is computed once
+    and added to the three triples that have it as a rotation.
     """
+    eps, degrees = ring.epsilon, ring.degrees
+    residues: dict[tuple[int, int, int], Combo] = {}
+    for (y, z), inner in pairs:
+        for x in outer(inner):
+            term = _bracket_with_combo(ring, x, inner)
+            if term.is_zero():
+                continue
+            term = term.scale(eps.eval(degrees[z], degrees[x]))
+            for triple in ((x, y, z), (z, x, y), (y, z, x)):
+                residue = residues.setdefault(triple, {})
+                for v, c in term.terms.items():
+                    accumulate(residue, v, c)
+    return residues
+
+
+def _pairing_premise(ring: ColorLieRing) -> None:
+    """Raise unless the spec's pairing pairs its group generators to 1, so
+    that eps(g, e_i + h) = eps(g, e_i) for every g and h in G."""
+    spec = ring.spec
+    one = Scalar.one(spec.ctx)
+    letters = [ADegree.group_degree(spec.n, spec.group.generator(t)) for t in range(spec.group.rank)]
+    if any(ring.epsilon.eval(a, b) != one for a in letters for b in letters):
+        raise InternalInconsistency("the spec's pairing must pair group generators to 1")
+
+
+def _decided_from_spec(ring: ColorLieRing) -> bool:
+    """Do the four axioms hold on the spec's own ring, by its tables?
+
+    False leaves the decision to the sweep; see check_color_axioms.
+    """
+    spec = ring.spec
+    if ring.mode != "from_spec" or spec._ring is None or spec._ring() is not ring:
+        return False
+    if not check_invariance(spec)[0]:
+        return False
+    _pairing_premise(ring)
+    e = spec.group.identity()
+    letters = [ring.index_of((i, e)) for i in range(spec.n)]
+    pairs = [((y, z), ring.table[(y, z)]) for y in letters for z in letters if (y, z) in ring.table]
+    residues = _jacobi_residues(ring, pairs, lambda inner: letters)
+    return not any(residues.values())
+
+
+def _swept_axioms(ring: ColorLieRing, certificates: list[dict]):
+    """Antisymmetry, Jacobi, the module laws and the action compatibility
+    law by the sweep, each failure appended to certificates."""
     eps = ring.epsilon
     table = ring.table
     degrees = ring.degrees
-    certificates: list[dict] = []
 
     antisymmetry = True
     for s, t in sorted(set(table) | {(t, s) for s, t in table}):
@@ -397,23 +421,12 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
                 }
             )
 
-    # The cyclic sum of (s, t, u) adds [x, [y, z]] eps(z, x) over its three
-    # rotations (x, y, z); each nonzero term is computed once and added to
-    # the three triples that have it as a rotation.
     left_of: dict[int, set[int]] = {}
     for x, u in table:
         left_of.setdefault(u, set()).add(x)
-    residues: dict[tuple[int, int, int], Combo] = {}
-    for (y, z), inner in table.items():
-        for x in set().union(*(left_of.get(u, ()) for u in inner)):
-            term = _bracket_with_combo(ring, x, inner)
-            if term.is_zero():
-                continue
-            term = term.scale(eps.eval(degrees[z], degrees[x]))
-            for triple in ((x, y, z), (z, x, y), (y, z, x)):
-                residue = residues.setdefault(triple, {})
-                for v, c in term.terms.items():
-                    accumulate(residue, v, c)
+    residues = _jacobi_residues(
+        ring, table.items(), lambda inner: set().union(*(left_of.get(u, ()) for u in inner))
+    )
     jacobi = True
     for (s, t, u), residue in sorted(residues.items()):
         if residue:
@@ -428,49 +441,121 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
                 }
             )
 
-    bimodule: bool | None = None
-    yetter_drinfeld: bool | None = None
-    if ring.mode == "from_spec":
-        spec = ring.spec
-        n = spec.n
+    if ring.mode != "from_spec":
+        return antisymmetry, jacobi, None, None
+    spec = ring.spec
+    n = spec.n
 
-        # the module laws on the generators decide them on G (see above)
-        gens = [spec.group.generator(t) for t in range(spec.group.rank)]
-        violations = []
-        if any(_bimodule_violations(ring, g) for g in gens):
-            for g in spec.group:
-                violations.extend(_bimodule_violations(ring, g))
-        bimodule = not violations
-        certificates.extend(violations)
-
-        # premise: group generators pair to 1, so eps(g, e_i + h) = eps(g, e_i) for every h
-        one = Scalar.one(spec.ctx)
-        letters = [ADegree.group_degree(n, h) for h in gens]
-        if any(eps.eval(a, b) != one for a in letters for b in letters):
-            raise InternalInconsistency("the spec's pairing must pair group generators to 1")
-        yetter_drinfeld = True
+    # the module laws on the generators decide them on G (see check_color_axioms)
+    gens = [spec.group.generator(t) for t in range(spec.group.rank)]
+    violations = []
+    if any(_bimodule_violations(ring, g) for g in gens):
         for g in spec.group:
-            gdeg = ADegree.group_degree(n, g)
-            found = {}
-            for i in range(n):
-                acted = spec.char_value(i, g)
-                paired = eps.eval(gdeg, ADegree.generator_degree(n, i, spec.group))
-                if acted != paired:
-                    found[i] = (str(acted), str(paired))
-            if not found:
-                continue
-            for s, (i, _) in enumerate(ring.labels):
-                if i in found:
-                    yetter_drinfeld = False
-                    certificates.append(
-                        {
-                            "axiom": "yetter-drinfeld",
-                            "g": str(g),
-                            "v": ring.label_str(s),
-                            "action": found[i][0],
-                            "pairing": found[i][1],
-                        }
-                    )
+            violations.extend(_bimodule_violations(ring, g))
+    bimodule = not violations
+    certificates.extend(violations)
+
+    _pairing_premise(ring)
+    yetter_drinfeld = True
+    for g in spec.group:
+        gdeg = ADegree.group_degree(n, g)
+        found = {}
+        for i in range(n):
+            acted = spec.char_value(i, g)
+            paired = eps.eval(gdeg, ADegree.generator_degree(n, i, spec.group))
+            if acted != paired:
+                found[i] = (str(acted), str(paired))
+        if not found:
+            continue
+        for s, (i, _) in enumerate(ring.labels):
+            if i in found:
+                yetter_drinfeld = False
+                certificates.append(
+                    {
+                        "axiom": "yetter-drinfeld",
+                        "g": str(g),
+                        "v": ring.label_str(s),
+                        "action": found[i][0],
+                        "pairing": found[i][1],
+                    }
+                )
+    return antisymmetry, jacobi, bimodule, yetter_drinfeld
+
+
+def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) -> ColorAxiomReport:
+    """Antisymmetry, Jacobi, the module laws over kG, the action
+    compatibility (Yetter-Drinfeld) law and the grading.
+
+    The module and compatibility laws apply to rings built from a spec.
+    The grading check runs against A for generic rings and against A/N
+    when a quotient is supplied, in both cases by the sweep below.
+
+    The spec's own ring, the one build_color_lie_ring returns while it
+    is held, is decided from the spec when its correction map is
+    invariant (pbw.check_invariance) and the Jacobi identity holds on
+    the n^3 triples (v_i e, v_j e, v_k e): then the four axioms hold on
+    every basis tuple, as below, and the report has every flag true and
+    no certificate.
+    Its bracket is extended_kappa's,
+    [v_i g, v_j h] = chi_j(g) kappa(v_i, v_j) gh, and the pairing is
+    bimultiplicative with group letters pairing to 1, so
+    eps(v_i g, v_j h) = q_ij chi_j(g) chi_i(h)^-1.
+
+    - Antisymmetry: with kappa(v_j, v_i) = -q_ji kappa(v_i, v_j) and
+      q_ij q_ji = 1, -eps(v_i g, v_j h) [v_j h, v_i g] =
+      q_ij q_ji chi_j(g) kappa(v_i, v_j) gh = [v_i g, v_j h].
+    - Yetter-Drinfeld: the table pairs g_t with e_i to chi_i(g_t) and g_t
+      with g_u to 1, so eps(g, e_i) = chi_i(g), the action, for every g.
+      The premise that group generators pair to 1 is checked here too.
+    - Module laws (stated below): "right" and "balanced" are identities
+      of the bracket formula, as chi_j is a character.  "left" compares
+      chi_i(g) chi_j(g) with chi_r(g) on each term v_r w of
+      kappa(v_i, v_j), so it holds on all of G exactly when every term
+      has chi_r = chi_i chi_j, which is invariance.
+    - Jacobi: let R_m(v_i h) = v_i hm and
+      J(x, y, z) = [x, [y, z]] eps(z, x) + [z, [x, y]] eps(y, z)
+      + [y, [z, x]] eps(x, y).  By "right", [x, R_m w] = R_m [x, w];
+      by "balanced" and "right", [R_m z, w] = chi_r(m) R_m [z, w] for
+      w = v_r u.  With x = v_i g and y = v_j h, eps(R_m z, x) =
+      eps(z, x) chi_i(m), eps(y, R_m z) = eps(y, z) chi_j(m)^-1, and on
+      every term v_r u of [x, y], chi_j(m)^-1 chi_r(m) = chi_i(m) by
+      invariance.  So J(x, y, R_m z) = chi_i(m) R_m J(x, y, z), and R_m
+      is a bijection of the basis.  J is invariant under rotation, so
+      every slot shifts this way, and J vanishes on all (n|G|)^3
+      triples exactly when it vanishes on the n^3 identity-letter ones.
+
+    Any other ring, or an own ring that fails invariance or that Jacobi
+    check, is swept, so every certificate and its order are those of
+    the sweep.  Every identity is linear in each bracket it contains, so
+    a tuple whose brackets are all empty satisfies it with both sides
+    zero.  Skipping such tuples changes no verdict and no certificate,
+    so each check visits only the tuples that a key of the bracket
+    table reaches, and reports them in the order of the exhaustive
+    sweep.
+
+    The sweep decides the module identities on the generators of G.  Let
+    lambda_g(v_i h) = chi_i(g) v_i (g h) and rho_g(v_i h) = v_i (h g);
+    both are actions of G, as each chi_i is a character and G is
+    abelian.  The laws are [lambda_g x, y] = lambda_g [x, y] (left),
+    [rho_g x, y] = [x, lambda_g y] (balanced) and
+    [x, rho_g y] = rho_g [x, y] (right), each linear in x and y.  If a
+    law holds at g1 and at g2 on every basis pair, it holds at g1 g2:
+    for instance [lambda_g1 lambda_g2 x, y] = lambda_g1 [lambda_g2 x, y]
+    = lambda_g1 lambda_g2 [x, y], and [rho_g1 rho_g2 x, y] =
+    [rho_g2 x, lambda_g1 y] = [x, lambda_g2 lambda_g1 y].  G is finite,
+    so its generators generate it as a monoid, and the laws hold on G
+    exactly when they hold on the generators.  This holds for any
+    bracket table.  When a generator fails, the laws are checked at
+    every element of G, so the certificates and their order are those
+    of the sweep over G.
+    """
+    table = ring.table
+    degrees = ring.degrees
+    certificates: list[dict] = []
+    if _decided_from_spec(ring):
+        antisymmetry = jacobi = bimodule = yetter_drinfeld = True
+    else:
+        antisymmetry, jacobi, bimodule, yetter_drinfeld = _swept_axioms(ring, certificates)
 
     grading: bool | None = None
     if quotient is not None or ring.mode == "generic":

@@ -184,6 +184,19 @@ class Scalar(LinearCombination):
     def _space(self) -> tuple:
         return (self.ctx,)
 
+    @classmethod
+    def _trusted(cls, space: tuple, terms: dict) -> Scalar:
+        """As LinearCombination._trusted, with the one slot set directly:
+        scalar arithmetic builds through here, where the generic slot
+        loop would cost about as much as the rest of the build."""
+        x = object.__new__(cls)
+        x.ctx, = space
+        x.terms = terms
+        return x
+
+    def _like(self, terms) -> Scalar:
+        return self._trusted((self.ctx,), terms)
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod

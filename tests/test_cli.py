@@ -382,8 +382,10 @@ def test_hopf_on_a_large_group_answers_quickly(tmp_path):
 
 
 def test_axiom_sweep_work_follows_the_bracket_table(monkeypatch):
-    ring = colorlie.build_color_lie_ring(parse_spec_text(_two_generator_spec(6)))
-    assert ring.size == 72 and not ring.table
+    own = colorlie.build_color_lie_ring(parse_spec_text(_two_generator_spec(6)))
+    assert own.size == 72 and not own.table
+    # a copy is not the spec's own ring, so it is swept
+    ring = colorlie.ColorLieRing(own.mode, own.labels, own.degrees, own.table, own.epsilon, spec=own.spec)
     calls = []
     multiply = Scalar.__mul__
     monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from qdrinfeld.algebra import AlgebraSpec
 from qdrinfeld.colorlie import (
     Bicharacter,
     ColorAxiomReport,
@@ -18,7 +19,7 @@ from qdrinfeld.colorlie import (
 )
 from qdrinfeld.errors import HypothesisNotMet, NonUnitEpsilon, SpecError, ValueNotSign
 from qdrinfeld.groups import ADegree
-from qdrinfeld.pbw import check_vanishing
+from qdrinfeld.pbw import check_invariance, check_vanishing
 from qdrinfeld.scalar import Combination, Scalar, ScalarContext, accumulate, parse_scalar
 from qdrinfeld.specfile import load_fixture, parse_spec_text
 from qdrinfeld.uea import iso_check
@@ -125,8 +126,6 @@ def test_ring_requires_the_hypotheses():
     spec = load_fixture("ex2")
     chars = list(spec.chars)
     chars[-1] = chars[0]
-    from qdrinfeld.algebra import AlgebraSpec
-
     q = {(i, j): spec.q_scalar(i, j) for i in range(3) for j in range(i + 1, 3)}
     kappa = {pair: spec.kappa_pairs(*pair) for pair in spec.kappa_support()}
     broken = AlgebraSpec(spec.ctx, spec.group, chars, q, kappa)
@@ -371,15 +370,44 @@ def _own_rings():
             yield spec.name, build_color_lie_ring(spec, force=True)
 
 
-def test_module_laws_on_the_generators_match_the_dense_reference_on_own_rings():
-    compared = failed = 0
+def test_own_rings_match_the_dense_reference_decided_from_the_spec_or_swept():
+    compared = failed = invariant = swept = 0
     for label, ring in _own_rings():
         report = check_color_axioms(ring).as_dict()
         assert report == _dense_axioms(ring), label
         compared += 1
         failed += not report["bimodule"]
-    # where a law fails on a generator, the certificates of every element are compared
-    assert (compared, failed) == (105, 15)
+        if check_invariance(ring.spec)[0]:
+            invariant += 1
+            swept += not report["jacobi"]
+    # invariant rings are decided from the spec unless Jacobi fails on the
+    # identity letters, and then the sweep gives every certificate; where a
+    # module law fails on a generator, the certificates of every element are
+    # compared
+    assert (compared, failed, invariant, swept) == (105, 15, 90, 7)
+
+
+def _with_kappa(spec, pair, terms):
+    kappa = {key: spec.kappa_pairs(*key) for key in spec.kappa_support()}
+    kappa[pair] = terms
+    return AlgebraSpec(spec.ctx, spec.group, spec.chars, spec.q_table(), kappa, name=spec.name)
+
+
+def test_planted_kappa_faults_on_ex4_match_the_dense_reference():
+    spec = load_fixture("ex4")
+    (r, g, c), = spec.kappa_pairs(0, 2)
+    doubled = _with_kappa(spec, (0, 2), ((r, g, c + c),))
+    # chi_3 chi_4 = chi_3, so [v3, v4] = v3 keeps kappa invariant
+    planted = _with_kappa(spec, (2, 3), ((2, spec.group.identity(), Scalar.one(spec.ctx)),))
+    jacobi = []
+    for variant in (doubled, planted):
+        assert check_invariance(variant)[0]
+        ring = build_color_lie_ring(variant, force=True)
+        report = check_color_axioms(ring).as_dict()
+        assert report == _dense_axioms(ring)
+        jacobi.append(report["jacobi"])
+    # doubling lam1's coefficient keeps Jacobi; the planted term breaks it
+    assert jacobi == [True, False]
 
 
 def test_a_stray_bracket_term_takes_the_sweep_over_the_group():
@@ -397,10 +425,27 @@ def test_a_stray_bracket_term_takes_the_sweep_over_the_group():
 
 
 def test_module_law_work_on_ex1_is_a_quarter_of_the_sweep_over_the_group(monkeypatch):
-    ring = build_color_lie_ring(load_fixture("ex1"))
+    own = build_color_lie_ring(load_fixture("ex1"))
+    # a copy is not the spec's own ring, so it is swept
+    ring = ColorLieRing(own.mode, own.labels, own.degrees, own.table, own.epsilon, spec=own.spec)
     calls = []
     multiply = Scalar.__mul__
     monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
     assert check_color_axioms(ring).passed
     # the sweep over all nine elements of Z/3 x Z/3 made 6,030
     assert len(calls) <= 6030 // 4
+
+
+def test_own_rings_are_decided_with_few_scalar_multiplies(monkeypatch):
+    rings = {name: build_color_lie_ring(load_fixture(name)) for name in ("ex1", "ex4")}
+    calls = []
+    multiply = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    counts = {}
+    for name, ring in rings.items():
+        calls.clear()
+        assert check_color_axioms(ring).passed
+        counts[name] = len(calls)
+    # the sweep made 1,474 on ex1 and 992 on ex4
+    assert counts["ex1"] == 0
+    assert counts["ex4"] <= 992 // 4

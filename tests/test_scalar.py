@@ -248,17 +248,21 @@ def test_unit_monomials_skip_the_zero_filter(monkeypatch):
 
 def test_the_trusted_path_never_receives_a_zero(monkeypatch):
     # every build that skips the filter vouches for its terms; check that
-    # on the fixtures end to end and on the random corpora
-    trusted = LinearCombination._trusted.__func__
+    # on the fixtures end to end and on the random corpora; Scalar builds
+    # through its own override, so both are wrapped
     built = {}
 
-    def checked(cls, space, terms):
-        zeros = [key for key, coeff in terms.items() if coeff.is_zero()]
-        assert not zeros, (cls.__name__, zeros)
-        built[cls.__name__] = built.get(cls.__name__, 0) + 1
-        return trusted(cls, space, terms)
+    def checking(trusted):
+        def checked(cls, space, terms):
+            zeros = [key for key, coeff in terms.items() if coeff.is_zero()]
+            assert not zeros, (cls.__name__, zeros)
+            built[cls.__name__] = built.get(cls.__name__, 0) + 1
+            return trusted(cls, space, terms)
 
-    monkeypatch.setattr(LinearCombination, "_trusted", classmethod(checked))
+        return classmethod(checked)
+
+    for owner in (LinearCombination, Scalar):
+        monkeypatch.setattr(owner, "_trusted", checking(owner.__dict__["_trusted"].__func__))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in fixture_names():
