@@ -322,19 +322,6 @@ def kappa_element(spec: AlgebraSpec, i: int, j: int) -> NCElement:
     return NCElement._trusted((spec,), spec._kappa.get((i, j), {}))
 
 
-def extended_kappa(spec: AlgebraSpec, i: int, g: GroupElement, j: int, h: GroupElement) -> NCElement:
-    """kappa on mixed arguments v_i g and v_j h.
-
-    The group letter of the left argument acts on v_j before kappa is
-    applied, and both trailing letters collect on the right: the result is
-    chi_j(g) * sum c * v_r * (w g h) over the terms c * v_r w of
-    kappa(v_i, v_j).
-    """
-    factor = spec.char_value(j, g)
-    row = spec._kappa.get((i, j), {})
-    return NCElement._trusted((spec,), {(word, w * g * h): factor * c for (word, w), c in row.items()})
-
-
 def pbw_words(n: int, max_degree: int):
     """All nondecreasing words in n letters of length <= max_degree."""
     for d in range(max_degree + 1):
@@ -362,7 +349,6 @@ __all__ = [
     "normal_form",
     "defining_relation",
     "kappa_element",
-    "extended_kappa",
     "pbw_words",
     "all_words",
     "pbw_monomial_count",

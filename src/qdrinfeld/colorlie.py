@@ -14,7 +14,7 @@ import weakref
 from dataclasses import dataclass, fields
 from functools import reduce
 
-from .algebra import AlgebraSpec, extended_kappa
+from .algebra import AlgebraSpec
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
 from .groups import ADegree, GroupElement, SubgroupN
 from .pbw import check_invariance, check_pbw, decided_vanishing
@@ -175,6 +175,11 @@ class ColorLieRing:
 def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing:
     """Bracket table over the basis v_i (x) g from the correction map.
 
+    [v_i g, v_j h] = chi_j(g) kappa(v_i, v_j) gh, as g acts on v_j on its
+    way right.  So each entry is the row kappa(v_i, v_j) scaled once by
+    the unit chi_j(g), with its letters moved by g and then by h, which
+    is a bijection on keys: no coefficient vanishes.
+
     Requires the PBW verdict and the vanishing condition; force=True
     builds without deciding them, for callers that already hold the PBW
     report or want to explore anyway.  While a caller holds the ring,
@@ -192,25 +197,21 @@ def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing
     if ring is not None:
         return ring
     n = spec.n
-    labels = [(i, g) for i in range(n) for g in spec.group]
+    elements = list(spec.group)
+    labels = [(i, g) for i in range(n) for g in elements]
     index = {label: s for s, label in enumerate(labels)}
-    degrees = [
-        ADegree.generator_degree(n, i, spec.group) * ADegree.group_degree(n, g)
-        for i, g in labels
-    ]
-    order = len(spec.group)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    degrees = [ADegree(units[i], g) for i, g in labels]
     table: dict[tuple[int, int], Combo] = {}
     for s, (i, g) in enumerate(labels):
         for j in range(n):
-            if (i, j) not in spec._kappa:
-                continue  # extended_kappa is empty on the whole block of v_j
-            for t in range(j * order, (j + 1) * order):
-                value = extended_kappa(spec, i, g, j, labels[t][1])
-                if value.terms:
-                    table[(s, t)] = {
-                        index[(word[0], letter)]: coeff
-                        for (word, letter), coeff in value.terms.items()
-                    }
+            row = spec._kappa.get((i, j))
+            if row is None:
+                continue
+            factor = spec.char_value(j, g)
+            shifted = [(r, w * g, factor * c) for ((r,), w), c in row.items()]
+            for h in elements:
+                table[(s, index[(j, h)])] = {index[(r, w * h)]: c for r, w, c in shifted}
     ring = ColorLieRing(
         "from_spec",
         labels,
@@ -380,13 +381,19 @@ def _pairing_premise(ring: ColorLieRing) -> None:
         raise InternalInconsistency("the spec's pairing must pair group generators to 1")
 
 
+def _is_own_ring(spec: AlgebraSpec, ring: ColorLieRing) -> bool:
+    """Is ring the one build_color_lie_ring(spec) returns while it is held?
+    Asks the spec's weak reference, so it builds no ring."""
+    return spec._ring is not None and spec._ring() is ring
+
+
 def _decided_from_spec(ring: ColorLieRing) -> bool:
     """Do the four axioms hold on the spec's own ring, by its tables?
 
     False leaves the decision to the sweep; see check_color_axioms.
     """
     spec = ring.spec
-    if ring.mode != "from_spec" or spec._ring is None or spec._ring() is not ring:
+    if ring.mode != "from_spec" or not _is_own_ring(spec, ring):
         return False
     if not check_invariance(spec)[0]:
         return False
@@ -495,8 +502,7 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
     invariant (pbw.check_invariance) and the Jacobi identity holds on
     the n^3 triples (v_i e, v_j e, v_k e): then the four axioms hold on
     every basis tuple, as below, and the report has every flag true and
-    no certificate.
-    Its bracket is extended_kappa's,
+    no certificate.  Its bracket is build_color_lie_ring's
     [v_i g, v_j h] = chi_j(g) kappa(v_i, v_j) gh, and the pairing is
     bimultiplicative with group letters pairing to 1, so
     eps(v_i g, v_j h) = q_ij chi_j(g) chi_i(h)^-1.

@@ -144,7 +144,7 @@ def _parse_params(value: str, lineno: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _build_context(field_kv, default_conductor: int, default_line: int) -> ScalarContext:
+def _build_context(field_kv, default_conductor: int, default_line: int | None) -> ScalarContext:
     """The spec's field; the default conductor comes from the orders row."""
     lineno, conductor = default_line, default_conductor
     if "conductor" in field_kv:
@@ -165,19 +165,19 @@ def _build_context(field_kv, default_conductor: int, default_line: int) -> Scala
     try:
         return ScalarContext(conductor, params)
     except SpecError as exc:
-        raise ParseError(str(exc), field_kv.get("params", (0, ""))[0]) from None
+        raise ParseError(str(exc), field_kv.get("params", (None, ""))[0]) from None
 
 
 def _parse_algebra(sections, name: str) -> AlgebraSpec:
     for required in ("group", "action"):
         if required not in sections:
-            raise ParseError(f"missing section [{required}]", 0)
+            raise ParseError(f"missing section [{required}]")
     field_kv = _key_values(sections.get("field", []), {"conductor", "params"})
     group_kv = _key_values(sections["group"], {"orders"})
     action_kv = _key_values(sections["action"], {"characters"})
 
     if "orders" not in group_kv:
-        raise ParseError("missing 'orders' in [group]", 0)
+        raise ParseError("missing 'orders' in [group]")
     lineno, value = group_kv["orders"]
     orders = _int_row(_parse_json_list(value, lineno, "orders"), lineno, "orders")
     if not orders or any(m < 1 for m in orders):
@@ -187,7 +187,7 @@ def _parse_algebra(sections, name: str) -> AlgebraSpec:
     ctx = _build_context(field_kv, group.exponent, lineno)
 
     if "characters" not in action_kv:
-        raise ParseError("missing 'characters' in [action]", 0)
+        raise ParseError("missing 'characters' in [action]")
     lineno, value = action_kv["characters"]
     rows = _parse_json_list(value, lineno, "characters")
     if not rows:
@@ -264,13 +264,13 @@ def _parse_generic(sections, name: str) -> GenericLieData:
     torsion = AbelianGroup(orders)
     gen_count = free_rank + torsion.rank
     if gen_count == 0:
-        raise ParseError("the grading group needs at least one generator", 0)
+        raise ParseError("the grading group needs at least one generator")
 
     field_kv = _key_values(sections.get("field", []), {"conductor", "params"})
-    ctx = _build_context(field_kv, lcm(*orders) if orders else 1, kv.get("orders", (0,))[0])
+    ctx = _build_context(field_kv, lcm(*orders) if orders else 1, kv.get("orders", (None,))[0])
 
     if "basis" not in kv:
-        raise ParseError("missing 'basis' in [generic-lie]", 0)
+        raise ParseError("missing 'basis' in [generic-lie]")
     lineno, value = kv["basis"]
     basis = _parse_params(value, lineno)
     if not basis or len(set(basis)) != len(basis):
@@ -279,7 +279,7 @@ def _parse_generic(sections, name: str) -> GenericLieData:
         raise ParseError("basis labels collide with scalar parameters", lineno)
 
     if "degrees" not in kv:
-        raise ParseError("missing 'degrees' in [generic-lie]", 0)
+        raise ParseError("missing 'degrees' in [generic-lie]")
     lineno, value = kv["degrees"]
     rows = _parse_json_list(value, lineno, "degrees")
     if len(rows) != len(basis):
@@ -359,12 +359,12 @@ def parse_spec_text(text: str, name: str = ""):
     has_generic = "generic-lie" in sections
     has_algebra = bool(set(sections) & {"group", "action", "q", "kappa"})
     if has_generic and has_algebra:
-        raise ParseError("a file declares either an algebra or a generic ring", 0)
+        raise ParseError("a file declares either an algebra or a generic ring")
     if has_generic:
         return _parse_generic(sections, name)
     if has_algebra:
         return _parse_algebra(sections, name)
-    raise ParseError("no algebra or generic ring sections found", 0)
+    raise ParseError("no algebra or generic ring sections found")
 
 
 def parse_spec_file(path):
@@ -372,7 +372,7 @@ def parse_spec_file(path):
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0) from None
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     return parse_spec_text(text, name=path.stem)
 
 

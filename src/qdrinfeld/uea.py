@@ -31,7 +31,7 @@ from .algebra import (
 from .colorlie import (
     Combo,
     ColorLieRing,
-    build_color_lie_ring,
+    _is_own_ring,
     check_color_axioms,
     split_parts,
 )
@@ -189,9 +189,9 @@ def iso_check(spec: AlgebraSpec, ring: ColorLieRing):
     the deformation is rewritten in the enveloping algebra's own calculus.
     Returns (all residues vanish, certificates for the ones that do not).
 
-    The spec's own ring, build_color_lie_ring(spec), passes unreduced:
-    its residues vanish by the AlgebraSpec invariants q_ii = 1,
-    q_ij q_ji = 1 and kappa(v_j, v_i) = -q_ji kappa(v_i, v_j).  Let
+    The spec's own ring (colorlie._is_own_ring, which builds no ring)
+    passes unreduced: its residues vanish by the AlgebraSpec invariants
+    q_ii = 1, q_ij q_ji = 1 and kappa(v_j, v_i) = -q_ji kappa(v_i, v_j).  Let
     J(v_i, v_j) = v_i v_j - q_ij v_j v_i - kappa(v_i, v_j).
 
     - Forward, i < j: the normal form of J(v_i, v_j) is
@@ -200,16 +200,16 @@ def iso_check(spec: AlgebraSpec, ring: ColorLieRing):
       i = j, q_ii = 1 and kappa(v_i, v_i) is empty.
     - Other pairs: the pairing is bimultiplicative and group letters pair
       to 1, so eps(v_i g, v_j h) = q_ij chi_i(h)^-1 chi_j(g); the bracket
-      is extended_kappa and G is abelian, so the image of (v_i g, v_j h)
-      is chi_j(g) J(v_i, v_j) gh, and normal_form commutes with right
-      multiplication by a group letter (see its docstring).
+      is chi_j(g) kappa(v_i, v_j) gh and G is abelian, so the image of
+      (v_i g, v_j h) is chi_j(g) J(v_i, v_j) gh, and normal_form commutes
+      with right multiplication by a group letter (see its docstring).
     - Backward: _spec_from_ring reads back the spec's own q, each a unit
       of a single term, so NonUnitEpsilon cannot arise, and its own
       kappa; each defining relation reduces to 0 in one step.
 
     Any other ring has every ordered pair reduced, then every relation.
     """
-    if ring is build_color_lie_ring(spec, force=True):
+    if _is_own_ring(spec, ring):
         return True, []
     certificates = []
     engine = _spec_from_ring(ring)
@@ -253,6 +253,9 @@ def instantiate_spec(spec: AlgebraSpec, values: dict[str, Scalar] | None = None)
     ``values`` override them.  Raises SymbolicParameter when an override
     itself still contains a free parameter.
     """
+    for name in values or {}:
+        if name not in spec.ctx.params:
+            raise SpecError(f"unknown parameter {name!r}")
     if not spec.ctx.params:
         return spec
     target = ScalarContext(spec.ctx.conductor)
@@ -260,8 +263,6 @@ def instantiate_spec(spec: AlgebraSpec, values: dict[str, Scalar] | None = None)
     one = Scalar.one(target)
     table = {name: zeta if name in ("q", "p") else one for name in spec.ctx.params}
     for name, value in (values or {}).items():
-        if name not in spec.ctx.params:
-            raise SpecError(f"unknown parameter {name!r}")
         if not value.is_constant():
             raise SymbolicParameter(
                 f"instantiation for {name!r} is {value}, which still has free parameters"

@@ -8,7 +8,6 @@ from qdrinfeld.algebra import (
     NCElement,
     all_words,
     defining_relation,
-    extended_kappa,
     normal_form,
     pbw_monomial_count,
     pbw_words,
@@ -181,15 +180,6 @@ def test_defining_relation_reduces_to_zero():
 def test_defining_relation_index_guard():
     with pytest.raises(SpecError):
         defining_relation(EX2, 0, 1)
-
-
-def test_extended_kappa_collects_letters_on_the_right():
-    g = EX2.group.generator(0)
-    e = EX2.group.identity()
-    value = extended_kappa(EX2, 0, g, 1, e)
-    # chi_2(g) = -1, and the correction letter g joins the acting letter
-    lam = parse_scalar("lam", EX2.ctx)
-    assert value == NCElement.monomial(EX2, (2,), g * g, -lam)
 
 
 def test_spec_needs_a_conductor_divisible_by_the_group_exponent():

@@ -233,6 +233,13 @@ def test_uea_rejects_bad_instantiations():
     assert code == 1
 
 
+def test_an_unknown_instantiation_is_refused_without_parameters():
+    # ex1 has no free parameter, so no name can be instantiated
+    code, _, err = run(["uea", "ex1", "--instantiate", "zz=3", "--degree", "2"])
+    assert code == 1
+    assert "'zz'" in err and "Traceback" not in err
+
+
 def test_hopf_exit_codes():
     code, _, _ = run(["hopf", "ex2"])
     assert code == 0

@@ -24,7 +24,7 @@ from qdrinfeld.scalar import Combination, Scalar, ScalarContext, accumulate, par
 from qdrinfeld.specfile import load_fixture, parse_spec_text
 from qdrinfeld.uea import iso_check
 
-from randspec import corpus, multi_letter_corpus
+from randspec import corpus, multi_letter_corpus, parametric_corpus
 
 
 def ring_for(name):
@@ -46,6 +46,71 @@ def test_bracket_table_of_the_two_generator_deformation():
     # v3 is central in the bracket: it pairs to zero with everything
     for s in range(ring.size):
         assert ring.bracket(ring.index_of((2, e)), s) == {}
+
+
+def test_the_bracket_collects_letters_on_the_right():
+    spec = load_fixture("ex2")
+    ring = build_color_lie_ring(spec)
+    e = spec.group.identity()
+    g = spec.group.generator(0)
+    lam = parse_scalar("lam", spec.ctx)
+    # chi_2(g) = -1, and the correction letter g joins the acting letter
+    target = ring.index_of((2, g * g))
+    assert ring.bracket(ring.index_of((0, g)), ring.index_of((1, e))) == {target: -lam}
+
+
+def _reference_table(spec):
+    """The bracket table entry by entry, in the builder's key order:
+    [v_i g, v_j h] = chi_j(g) sum c v_r (w g h) over the terms c v_r w of
+    kappa(v_i, v_j)."""
+    labels = [(i, g) for i in range(spec.n) for g in spec.group]
+    index = {label: s for s, label in enumerate(labels)}
+    table = {}
+    for s, (i, g) in enumerate(labels):
+        for j in range(spec.n):
+            terms = spec.kappa_pairs(i, j)
+            for h in spec.group if terms else ():
+                factor = spec.char_value(j, g)
+                table[(s, index[(j, h)])] = {index[(r, w * g * h)]: factor * c for r, w, c in terms}
+    return table
+
+
+def test_the_bracket_table_is_kappa_shifted_by_the_group():
+    specs = [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
+    specs += corpus(200) + multi_letter_corpus(288, 1) + parametric_corpus(288, 1)
+    for spec in specs:
+        ring = build_color_lie_ring(spec, force=True)
+        expected = _reference_table(spec)
+        assert [(key, list(combo.items())) for key, combo in ring.table.items()] == [
+            (key, list(combo.items())) for key, combo in expected.items()
+        ], spec.name
+        assert ring.degrees == tuple(
+            ADegree.generator_degree(spec.n, i, spec.group) * ADegree.group_degree(spec.n, g)
+            for i, g in ring.labels
+        ), spec.name
+
+
+def test_the_ring_build_scales_each_kappa_row_once(monkeypatch):
+    spec = load_fixture("ex1")
+    counts = {"multiply": 0, "degree": 0}
+    multiply = Scalar.__mul__
+    init = ADegree.__init__
+
+    def counted_multiply(a, b):
+        counts["multiply"] += 1
+        return multiply(a, b)
+
+    def counted_init(self, *args):
+        counts["degree"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_multiply)
+    monkeypatch.setattr(ADegree, "__init__", counted_init)
+    ring = build_color_lie_ring(spec, force=True)
+    # entry by entry the build made 162 products for 162 entries, and 81 degrees
+    assert len(ring.table) == 162
+    assert counts["multiply"] <= 162 // 9
+    assert counts["degree"] <= ring.size == 27
 
 
 def test_axioms_pass_on_all_fixture_rings():

@@ -164,6 +164,21 @@ def test_memoized_coproduct_matches_the_left_to_right_product(name):
             assert coproduct(mono(spec, word, g), strong=True) == expected, (name, word, g)
 
 
+def test_coproduct_at_a_group_letter_makes_no_braided_product(monkeypatch):
+    # Delta(w g) is Delta(w) with the letter of its last slot moved by g
+    spec = load_fixture("ex1")
+    plain = {word: coproduct(mono(spec, word), strong=True) for word in all_words(spec.n, 2)}
+    calls = []
+    braided = hopf.braided_product
+    monkeypatch.setattr(hopf, "braided_product", lambda *args: calls.append(args) or braided(*args))
+    for word, delta in plain.items():
+        for g in spec.group:
+            shifted = {(l, r, h * g): c for (l, r, h), c in delta.terms.items()}
+            got = coproduct(mono(spec, word, g), strong=True)
+            assert got == BraidedTensorElement(spec, 2, shifted), (word, g)
+    assert calls == []
+
+
 def test_coproduct_is_linear_and_returns_fresh_elements():
     spec = load_fixture("ex4")
     letters = list(spec.group)
@@ -290,6 +305,21 @@ def test_finite_proof_work_does_not_grow_with_the_group(monkeypatch):
     report, large = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(12)), 2)
     assert report.passed and small == large
     assert small["braided_product"] > 0
+
+
+def test_finite_proof_checks_the_laws_on_the_v_i_only(monkeypatch):
+    # each generator of G added one more call, six in all on ex4
+    spec = load_fixture("ex4")
+    report, counts = _hopf_work(monkeypatch, spec, 3, names=("_law_certificates",))
+    assert report.passed
+    assert counts["_law_certificates"] == spec.n
+
+
+def test_every_law_holds_on_the_group_letters():
+    specs = [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
+    for spec in specs + corpus(60):
+        for g in spec.group:
+            assert hopf._law_certificates(spec, mono(spec, (), g)) == [], (spec.name, g)
 
 
 def _all_letters_sweep(spec, d):

@@ -69,6 +69,14 @@ def test_malformed_scalar_reports_its_line():
     assert "q^" in str(info.value)
 
 
+def test_a_missing_section_names_no_line():
+    text = MINIMAL.replace("[group]\norders = [2]\n", "")
+    with pytest.raises(ParseError) as info:
+        parse_spec_text(text)
+    assert info.value.line is None
+    assert str(info.value) == "missing section [group]"
+
+
 def test_duplicate_q_entry_rejected():
     with pytest.raises(ParseError):
         parse_spec_text(MINIMAL + "1 2 = -1\n")

@@ -247,6 +247,17 @@ def test_iso_check_reduces_nothing_on_the_spec_own_ring(monkeypatch):
     assert calls.count("j_generator_image") == bent.size ** 2 == 729
 
 
+def test_iso_check_builds_no_ring_once_the_own_ring_is_released(monkeypatch):
+    spec = load_fixture("ex2")
+    bent = perturbed_ring(spec, identity_pair(spec))
+    # perturbed_ring dropped the own ring it copied
+    assert spec._ring() is None
+    calls = _count_comparison_work(monkeypatch)
+    result = iso_check(spec, bent)
+    assert "ColorLieRing" not in calls
+    assert not result[0] and result == _reference_iso(spec, bent)
+
+
 def test_a_ring_of_an_equal_spec_is_not_the_own_ring(monkeypatch):
     # equal labels, degrees and table, but another spec and pairing object
     spec = load_fixture("ex2")
