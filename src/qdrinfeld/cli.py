@@ -133,7 +133,10 @@ def _cmd_uea(args) -> int:
         name, _, expr = item.partition("=")
         if not _:
             raise ParseError(f"--instantiate wants name=expr, got {item!r}")
-        values[name.strip()] = parse_scalar(expr.strip(), spec.ctx)
+        name = name.strip()
+        if name in values:
+            raise ParseError(f"--instantiate gives {name!r} more than once")
+        values[name] = parse_scalar(expr.strip(), spec.ctx)
     ring = build_color_lie_ring(spec)
     iso_ok, certificates = iso_check(spec, ring)
     pbw_count, quotient_dim = dimension_oracle(spec, args.degree, values or None)

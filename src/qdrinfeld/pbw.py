@@ -159,15 +159,6 @@ def _cyclic_sums(spec: AlgebraSpec, term):
         yield i, j, k, NCElement._trusted((spec,), terms)
 
 
-def _residues(spec: AlgebraSpec, term) -> tuple[bool, tuple[dict, ...]]:
-    violations = tuple(
-        {"i": i + 1, "j": j + 1, "k": k + 1, "residue": str(total)}
-        for i, j, k, total in _cyclic_sums(spec, term)
-        if not total.is_zero()
-    )
-    return not violations, violations
-
-
 def check_condition3(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
     """Degree-one obstruction: cyclic sums must vanish in the span of v_r g.
 
@@ -180,36 +171,12 @@ def check_condition3(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
             return kappa_element(spec, c, a).scale(spec.char_value(c, h) * coeff)
         return kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
 
-    return _residues(spec, term)
-
-
-def _remark2_holds(spec: AlgebraSpec) -> bool:
-    """Alternative degree-two form, computed in the q-symmetric algebra.
-
-    The cyclic sum is reduced in the spec itself.  Every kappa term has
-    length one, so the length-two part of its normal form is exactly the
-    normal form in the q-symmetric algebra.  The length-two words carry
-    their source letter h, so they never meet across letters.
-    """
-
-    def term(a, b, c, r, h, coeff):
-        twist = spec.q_scalar(c, a) * spec.char_value(c, h)
-        forward = NCElement.monomial(spec, (c, r), coeff=spec.q_scalar(b, c) * coeff)
-        return forward - NCElement.monomial(spec, (r, c), coeff=twist * coeff)
-
-    sums = (total for *_, total in _cyclic_sums(spec, term) if not total.is_zero())
-    return all(len(word) != 2 for total in sums for word, _ in normal_form(total).terms)
-
-
-def _remark3_holds(spec: AlgebraSpec) -> bool:
-    """Alternative degree-one form: corrections composed on either side."""
-
-    def term(a, b, c, r, h, coeff):
-        twist = spec.q_scalar(c, a) * spec.char_value(c, h)
-        composed = kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
-        return kappa_element(spec, r, c).scale(twist * coeff) - composed
-
-    return all(total.is_zero() for *_, total in _cyclic_sums(spec, term))
+    violations = tuple(
+        {"i": i + 1, "j": j + 1, "k": k + 1, "residue": str(total)}
+        for i, j, k, total in _cyclic_sums(spec, term)
+        if not total.is_zero()
+    )
+    return not violations, violations
 
 
 def check_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tuple[dict, ...]]:
@@ -241,22 +208,6 @@ def check_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tupl
                         }
                     )
     return not violations, tuple(violations)
-
-
-def check_jacobi_sum(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
-    """Cyclic q-weighted self-composition of the correction map.
-
-    The correction of (v_a, v_b) lands in the span of v_r h; composing
-    with v_c on the left extends over the group letter by right
-    multiplication.  The cyclic sum over each distinct triple must
-    vanish.  This is the obstruction that becomes the Jacobi identity
-    on the associated bracket.
-    """
-
-    def term(a, b, c, r, h, coeff):
-        return kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
-
-    return _residues(spec, term)
 
 
 def overlap_oracle(spec: AlgebraSpec) -> bool:
@@ -343,8 +294,6 @@ class PBWReport:
     strong_vanishing_violations: tuple
     fixed_point_free: bool
     oracle_confluent: bool
-    remark_cond2: bool
-    remark_cond3: bool
     verdict: bool
 
     def as_dict(self) -> dict:
@@ -356,24 +305,21 @@ class PBWReport:
 def check_pbw(spec: AlgebraSpec) -> PBWReport:
     """Run all sub-checks and assemble the report.
 
-    The alternative forms of the degree obstructions, together with
-    invariance, and the overlap oracle must each reproduce the primary
-    verdict; a disagreement means a bug, not a property of the input.
+    The verdict is conditions 1-3 together.  The overlap oracle decides
+    the same property independently and must reproduce it; a
+    disagreement means a bug, not a property of the input.
     """
     cond1, cond1_violations = check_invariance(spec)
     cond2, cond2_violations = check_condition2(spec)
     cond3, cond3_violations = check_condition3(spec)
     vanishing, vanishing_violations = decided_vanishing(spec, strong=False)
     strong, strong_violations = decided_vanishing(spec, strong=True)
-    remark2 = _remark2_holds(spec)
-    remark3 = _remark3_holds(spec)
     verdict = cond1 and cond2 and cond3
-    alternative = cond1 and remark2 and remark3
     oracle = decided_confluence(spec)
-    if not verdict == alternative == oracle:
+    if verdict != oracle:
         raise InternalInconsistency(
-            f"the closed-form verdict ({verdict}), its alternative forms ({alternative}) and "
-            f"the overlap oracle ({oracle}) disagree on {spec.name or 'an unnamed algebra'}"
+            f"the closed-form verdict ({verdict}) and the overlap oracle ({oracle}) "
+            f"disagree on {spec.name or 'an unnamed algebra'}"
         )
     return PBWReport(
         cond1=cond1,
@@ -388,7 +334,5 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
         strong_vanishing_violations=strong_violations,
         fixed_point_free=all(not chi.is_identity() for chi in spec.chars),
         oracle_confluent=oracle,
-        remark_cond2=remark2,
-        remark_cond3=remark3,
         verdict=verdict,
     )

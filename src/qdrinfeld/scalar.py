@@ -449,6 +449,8 @@ class _ExprParser:
             if k < 0:
                 self.error("a negative power needs a scalar base")
             return power(value, k, self.one, self.bounded(self.mul))
+        if k < 0 and not scalar.is_unit():
+            self.error(f"{scalar} has no negative power: not a unit (needs exactly one term)")
         base = scalar.inv() if k < 0 else scalar
         return self.lift(power(base, abs(k), Scalar.one(self.ctx), self.bounded(operator.mul)))
 

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .cyclotomic import CyclotomicNumber
 from .groups import ADegree, Character, char_exponent
-from .pbw import check_invariance, check_jacobi_sum, check_pbw, decided_vanishing
+from .pbw import check_condition3, check_invariance, check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import Scalar, ScalarContext, accumulate
 
@@ -391,6 +391,13 @@ def converse_construct(ring: ColorLieRing) -> AlgebraSpec:
     the recovered spec well behaved (action invariance, the character
     identity on correction terms, and the cyclic sum) are consequences of
     the bracket axioms, so they are asserted after the rebuild.
+
+    The cyclic sum is the Jacobi identity of the bracket: each term
+    v_r h of kappa(v_a, v_b) composes with v_c at the weight q_bc.
+    check_condition3 weighs a term v_a h by chi_c(h) instead, and with
+    c outside {a, b} weak vanishing gives chi_c(h) = q_ac q_bc q_ca =
+    q_bc there.  So once weak vanishing holds the two sums agree term
+    by term, and condition 3 is the Jacobi sum.
     """
     parts = split_parts(ring)
     if parts.negative:
@@ -399,7 +406,7 @@ def converse_construct(ring: ColorLieRing) -> AlgebraSpec:
     rebuilt = _spec_from_ring(ring)
     invariant, _ = check_invariance(rebuilt)
     vanishing, _ = decided_vanishing(rebuilt)
-    cyclic, _ = check_jacobi_sum(rebuilt)
+    cyclic, _ = check_condition3(rebuilt)
     if not (invariant and vanishing and cyclic):
         raise InternalInconsistency(
             "the rebuilt spec must inherit the compatibility conditions from "

@@ -63,8 +63,6 @@ def test_check_json_key_set():
         "cond3_violations",
         "fixed_point_free",
         "oracle_confluent",
-        "remark_cond2",
-        "remark_cond3",
         "spec",
         "strong_vanishing",
         "strong_vanishing_violations",
@@ -240,6 +238,15 @@ def test_an_unknown_instantiation_is_refused_without_parameters():
     assert "'zz'" in err and "Traceback" not in err
 
 
+def test_a_repeated_instantiation_is_refused():
+    code, out, err = run(
+        ["uea", "ex2", "--instantiate", "lam=1", "--instantiate", "lam=2", "--degree", "2"]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "'lam'" in err
+    assert "Traceback" not in err
+
+
 def test_hopf_exit_codes():
     code, _, _ = run(["hopf", "ex2"])
     assert code == 0
@@ -293,7 +300,7 @@ def test_unknown_root_of_unity_in_an_expression_is_an_input_error():
 
 
 def test_internal_inconsistency_exits_with_3(monkeypatch):
-    monkeypatch.setattr(pbw, "_remark3_holds", lambda spec: False)
+    monkeypatch.setattr(pbw, "check_condition3", lambda spec: (False, ()))
     code, out, err = run(["check", "ex2"])
     assert code == 3
     assert out == ""

@@ -127,3 +127,24 @@ def test_trusted_builds_fill_each_class_own_slots():
     )
     for x in elements:
         assert type(x)._trusted(x._space(), x.terms) == x
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # a function or class that nothing in the package names and no
+    # __all__ lists is dead code, such as a decider kept on in src/
+    # after its checks moved to the tests
+    trees = {module: ast.parse(Path(module.__file__).read_text()) for module in MODULES}
+    exported = {name for module in [qdrinfeld, *MODULES] for name in getattr(module, "__all__", ())}
+    referenced = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = {top.name} if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else set()
+            for node in ast.walk(top):
+                word = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if word is not None and word not in own:
+                    referenced.add(word)
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                name = top.name
+                assert name in referenced or name in exported, f"{module.__name__}.{name}"

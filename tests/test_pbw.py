@@ -1,17 +1,18 @@
 import ast
+import functools
 import itertools
 import re
 from importlib import resources
 
 import pytest
 
-from qdrinfeld.algebra import AlgebraSpec, NCElement, normal_form
+from qdrinfeld.algebra import AlgebraSpec, NCElement, kappa_element, normal_form
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.pbw import (
+    _cyclic_sums,
     check_condition2,
     check_condition3,
     check_invariance,
-    check_jacobi_sum,
     check_pbw,
     check_vanishing,
     decided_vanishing,
@@ -24,6 +25,70 @@ from qdrinfeld.uea import dimension_oracle
 from randspec import corpus, multi_letter_corpus, parametric_corpus
 
 FIXTURE_SPECS = [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
+
+
+# Three more forms of the degree obstructions, kept as references for
+# the closed-form conditions: the remarks' forms of conditions 2 and 3
+# and the Jacobi sum of the correction map.
+
+
+def _remark2_holds(spec) -> bool:
+    """Alternative degree-two form, computed in the q-symmetric algebra.
+
+    The cyclic sum is reduced in the spec itself.  Every kappa term has
+    length one, so the length-two part of its normal form is exactly the
+    normal form in the q-symmetric algebra.  The length-two words carry
+    their source letter h, so they never meet across letters.
+    """
+
+    def term(a, b, c, r, h, coeff):
+        twist = spec.q_scalar(c, a) * spec.char_value(c, h)
+        forward = NCElement.monomial(spec, (c, r), coeff=spec.q_scalar(b, c) * coeff)
+        return forward - NCElement.monomial(spec, (r, c), coeff=twist * coeff)
+
+    sums = (total for *_, total in _cyclic_sums(spec, term) if not total.is_zero())
+    return all(len(word) != 2 for total in sums for word, _ in normal_form(total).terms)
+
+
+def _remark3_holds(spec) -> bool:
+    """Alternative degree-one form: corrections composed on either side."""
+
+    def term(a, b, c, r, h, coeff):
+        twist = spec.q_scalar(c, a) * spec.char_value(c, h)
+        composed = kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
+        return kappa_element(spec, r, c).scale(twist * coeff) - composed
+
+    return all(total.is_zero() for *_, total in _cyclic_sums(spec, term))
+
+
+def _jacobi_sum(spec):
+    """Cyclic q-weighted self-composition of the correction map, with
+    check_condition3's certificates: every term v_r h of kappa(v_a, v_b)
+    composes with v_c at the weight q_bc, which becomes the Jacobi
+    identity of the associated bracket."""
+
+    def term(a, b, c, r, h, coeff):
+        return kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
+
+    violations = tuple(
+        {"i": i + 1, "j": j + 1, "k": k + 1, "residue": str(total)}
+        for i, j, k, total in _cyclic_sums(spec, term)
+        if not total.is_zero()
+    )
+    return not violations, violations
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_rows():
+    """(spec, report, remark 2, remark 3) on the fixtures and four corpora."""
+    specs = (
+        FIXTURE_SPECS
+        + corpus(200)
+        + multi_letter_corpus(288, 1)
+        + MULTI_LETTER_SPECS
+        + parametric_corpus(288, 1)
+    )
+    return [(spec, check_pbw(spec), _remark2_holds(spec), _remark3_holds(spec)) for spec in specs]
 
 
 def perturbed_action(spec):
@@ -247,7 +312,7 @@ def test_cyclic_sums_cancel_across_source_letters():
     report = check_pbw(spec)
     assert report.cond1 and report.cond2 and report.cond3
     assert report.verdict and report.oracle_confluent
-    assert report.remark_cond2 and report.remark_cond3
+    assert _remark2_holds(spec) and _remark3_holds(spec)
     assert dimension_oracle(spec, 3) == (80, 80)
 
 
@@ -279,12 +344,30 @@ def test_verdict_matches_the_dimension_count_on_small_multi_letter_specs():
         assert report.verdict == report.oracle_confluent == (pbw_count == quotient_dim), spec.name
 
 
+def test_the_remark_forms_reproduce_the_verdict():
+    rows = _reference_rows()
+    assert len(rows) == 1069
+    for spec, report, remark2, remark3 in rows:
+        assert (report.cond1 and remark2 and remark3) == report.verdict, spec.name
+
+
 def test_alternative_forms_agree_on_corpus():
-    for spec in corpus(100):
-        report = check_pbw(spec)
-        assert report.remark_cond2 == report.cond2, spec.name
+    for spec, report, remark2, remark3 in _reference_rows():
+        assert remark2 == report.cond2, spec.name
         if report.cond2:
-            assert report.remark_cond3 == report.cond3, spec.name
+            assert remark3 == report.cond3, spec.name
+
+
+def test_condition3_is_the_jacobi_sum_under_weak_vanishing():
+    # converse_construct reads condition 3 as the Jacobi sum only after
+    # weak vanishing holds, since without it the two can differ
+    differ = 0
+    for spec, report, *_ in _reference_rows():
+        same = _jacobi_sum(spec) == (report.cond3, report.cond3_violations)
+        if report.vanishing:
+            assert same, spec.name
+        differ += not same
+    assert differ > 0
 
 
 def test_fixed_point_free_collapses_cond2_to_vanishing():
@@ -299,17 +382,14 @@ def test_fixed_point_free_collapses_cond2_to_vanishing():
 
 
 def test_replacement_conditions_imply_the_verdict():
-    for spec in corpus(120):
-        inv_ok, _ = check_invariance(spec)
-        van_ok, _ = check_vanishing(spec)
-        jac_ok, _ = check_jacobi_sum(spec)
-        if inv_ok and van_ok and jac_ok:
-            assert check_pbw(spec).verdict, spec.name
+    for spec, report, *_ in _reference_rows():
+        if report.cond1 and report.vanishing and _jacobi_sum(spec)[0]:
+            assert report.verdict, spec.name
 
 
 def test_jacobi_sum_on_fixtures():
     for spec in FIXTURE_SPECS:
-        ok, certs = check_jacobi_sum(spec)
+        ok, certs = _jacobi_sum(spec)
         assert ok and certs == ()
 
 

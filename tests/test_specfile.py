@@ -161,8 +161,21 @@ def test_negative_powers_invert_scalar_values_only():
     assert str(parse_nc_expression("(q*lam)^-1*v1", ex2)) == "q^-1*lam^-1*v1"
     with pytest.raises(ParseError):
         parse_nc_expression("(q*v1)^-1", ex2)
-    with pytest.raises(SpecError):
+    with pytest.raises(ParseError):
         parse_nc_expression("(1 + q)^-1*v1", ex2)
+
+
+def test_a_negative_power_of_a_non_unit_is_refused_on_its_line():
+    source = format_spec(load_fixture("ex2"))
+    rows = {"1 2 -> 3 (1) lam": "1 2 -> 3 (1) (1+lam)^-1", "2 3 = -q": "2 3 = 0^-1"}
+    for row, bad in rows.items():
+        text = source.replace(row, bad)
+        with pytest.raises(ParseError) as info:
+            parse_spec_text(text)
+        assert info.value.line == text.splitlines().index(bad) + 1, bad
+        assert "not a unit" in str(info.value)
+    for unit in ("2^-1", "(1/2)^-1", "(q*lam)^-1"):
+        parse_spec_text(source.replace("1 2 -> 3 (1) lam", "1 2 -> 3 (1) " + unit))
 
 
 # q_12 = i, so q_21 = -i and kappa(v2, v1) = -q_21 kappa(v1, v2) = i kappa(v1, v2)
