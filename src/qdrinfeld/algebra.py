@@ -62,12 +62,16 @@ class AlgebraSpec:
         self._kappa = self._build_kappa(n, kappa)
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         self._word_char_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
-        # Delta of monomials (hopf.coproduct), the pairing
+        # Delta of monomials (hopf.coproduct), the normal forms of bare
+        # words (word_normal_form), the crossing twists of the braided
+        # product (hopf.braided_product), the pairing
         # (colorlie.Bicharacter.from_spec) and the decided facts
         # (pbw.decided_vanishing, pbw.decided_confluence), each computed
         # once per spec, and a weak reference to the ring
         # (colorlie.build_color_lie_ring), which points back to the spec
         self._delta_cache: dict = {}
+        self._nf_cache: dict = {}
+        self._twist_cache: dict = {}
         self._pairing = None
         self._ring = None
         self._facts: dict = {}
@@ -306,6 +310,24 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
         return out
 
     return element._like(rewrite(element.terms, rule))
+
+
+def word_normal_form(spec: AlgebraSpec, word: tuple[int, ...]) -> dict:
+    """Terms of the leftmost ``normal_form`` of v_word at the identity letter.
+
+    Computed once per word and kept on the spec.  Since ``normal_form``
+    commutes with right multiplication by a group letter, the normal form
+    of c * v_word * g is these terms scaled by c with every letter
+    multiplied by g.  The memo keeps terms dicts, not elements, so it holds
+    no reference back to the spec; the dicts are shared and must not be
+    mutated.
+    """
+    memo = spec._nf_cache
+    terms = memo.get(word)
+    if terms is None:
+        terms = normal_form(NCElement.monomial(spec, word)).terms
+        memo[word] = terms
+    return terms
 
 
 def defining_relation(spec: AlgebraSpec, j: int, i: int) -> NCElement:

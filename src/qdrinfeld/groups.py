@@ -19,13 +19,14 @@ from .scalar import Scalar, ScalarContext
 class AbelianGroup:
     """Direct product of cyclic groups Z/m_1 x ... x Z/m_k."""
 
-    __slots__ = ("orders",)
+    __slots__ = ("orders", "_identity")
 
     def __init__(self, orders) -> None:
         orders = tuple(int(m) for m in orders)
         if any(m < 1 for m in orders):
             raise SpecError(f"cyclic orders must be >= 1, got {orders}")
         self.orders = orders
+        self._identity = GroupElement(self, (0,) * len(orders))
 
     @property
     def rank(self) -> int:
@@ -42,7 +43,9 @@ class AbelianGroup:
         return out
 
     def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.rank)
+        """The identity element, one shared object per group: no code
+        mutates a group element after it is built."""
+        return self._identity
 
     def element(self, exps) -> GroupElement:
         return GroupElement(self, exps)

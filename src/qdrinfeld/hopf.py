@@ -12,6 +12,10 @@ letter to 1 (x) g, extended multiplicatively.  Delta of a monomial is
 memoized on its spec and built from its prefix, Delta(w v_j) =
 Delta(w) Delta(v_j), so each monomial's value is computed once per spec;
 Delta(w g) is Delta(w) with the letter of its last slot moved by g.
+Braided products and antipodes read per-spec normal forms of bare words
+(``algebra.word_normal_form``) shifted by G: ``normal_form`` commutes
+with right multiplication by a group letter, so c * v_w * g reduces to
+c times the memoized normal form of v_w with every letter moved by g.
 
 Whether Delta is well defined on the quotient is checked on the defining
 relations.  Delta is an algebra map from the free algebra into the
@@ -43,9 +47,10 @@ from .algebra import (
     NCElement,
     all_words,
     defining_relation,
-    normal_form,
     pbw_words,
+    word_normal_form,
 )
+from .algebra import normal_form  # noqa: F401  (bench/tracing.py patches this binding)
 from .errors import SpecError
 from .groups import GroupElement
 from .pbw import decided_confluence, decided_vanishing
@@ -124,28 +129,39 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
     The pairing is bimultiplicative with eps(e_a, e_b) = q_ab and
     eps(g, e_b) = chi_b(g) (``colorlie.Bicharacter.from_spec``), so the
     twist of |v_ar g| past |v_bl| is prod_{a in ar, b in bl} q_ab times
-    prod_{b in bl} chi_b(g), which is ``spec.word_char(bl, g)``.
+    prod_{b in bl} chi_b(g), which is ``spec.word_char(bl, g)``.  The
+    q-product is kept on the spec per (ar, bl).
+
+    Both slots are read from ``word_normal_form``.  The left slot is the
+    normal form of v_al v_bl.  The right slot, v_ar ag v_br bg =
+    ``spec.word_char(br, ag)`` v_ar v_br (ag bg), is that of v_ar v_br
+    with every letter multiplied by ag bg, since ``normal_form`` commutes
+    with right multiplication by a group letter (the proof is in its
+    docstring).
     """
     spec = x.spec
     if x.slots != 2 or y.slots != 2:
         raise SpecError("the braided product is defined on two-slot tensors")
     x._check(y)
-    identity = spec.group.identity()
+    twists = spec._twist_cache
+    word_char = spec.word_char
     result: dict = {}
     for (al, ar, ag), ac in x.terms.items():
-        right_a = NCElement.monomial(spec, ar, ag)
         for (bl, br, bg), bc in y.terms.items():
-            twist = spec.word_char(bl, ag)
-            for a in ar:
-                for b in bl:
-                    twist = twist * spec.q_scalar(a, b)
-            left = normal_form(NCElement.monomial(spec, al + bl, identity))
-            right = normal_form(right_a * NCElement.monomial(spec, br, bg))
-            base = ac * bc * twist
-            for (lw, lg), lc in left.terms.items():
-                for (rw, rg), rc in right.terms.items():
-                    coeff = base * lc * rc * spec.word_char(rw, lg)
-                    accumulate(result, (lw, rw, lg * rg), coeff)
+            crossing = twists.get((ar, bl))
+            if crossing is None:
+                crossing = Scalar.one(spec.ctx)
+                for a in ar:
+                    for b in bl:
+                        crossing = crossing * spec.q_scalar(a, b)
+                twists[(ar, bl)] = crossing
+            base = ac * bc * word_char(bl, ag) * crossing * word_char(br, ag)
+            shift = ag * bg
+            right = word_normal_form(spec, ar + br)
+            for (lw, lg), lc in word_normal_form(spec, al + bl).items():
+                for (rw, rg), rc in right.items():
+                    coeff = base * lc * rc * word_char(rw, lg)
+                    accumulate(result, (lw, rw, lg * rg * shift), coeff)
     return x._like(result)
 
 
@@ -230,7 +246,22 @@ def antipode(x: NCElement) -> NCElement:
                 factor = factor * spec.q_scalar(word[a], word[b])
             factor = -factor
         terms[(word[::-1], g)] = factor
-    return normal_form(x._like(terms))
+    return _reduced(x._like(terms))
+
+
+def _reduced(x: NCElement) -> NCElement:
+    """``normal_form(x)`` read from the spec's memo of bare words.
+
+    ``normal_form`` is linear and commutes with right multiplication by a
+    group letter, so x = sum c * v_w * g reduces to the sum of c times
+    ``word_normal_form(w)`` with every letter multiplied by g.
+    """
+    spec = x.spec
+    terms: dict = {}
+    for (word, g), coeff in x.terms.items():
+        for (w, h), c in word_normal_form(spec, word).items():
+            accumulate(terms, (w, h * g), coeff * c)
+    return x._like(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +385,11 @@ def _law_certificates(spec: AlgebraSpec, monomial: NCElement) -> list[dict]:
     fold_right = NCElement.zero(spec)
     for (l, r, rg), coeff in image.terms.items():
         left_part = antipode(NCElement.monomial(spec, l))
-        fold_left = fold_left + normal_form(
+        fold_left = fold_left + _reduced(
             left_part * NCElement.monomial(spec, r, rg)
         ).scale(coeff)
         right_part = antipode(NCElement.monomial(spec, r, rg))
-        fold_right = fold_right + normal_form(
+        fold_right = fold_right + _reduced(
             NCElement.monomial(spec, l) * right_part
         ).scale(coeff)
     if fold_left != expected or fold_right != expected:

@@ -20,6 +20,15 @@ def test_group_basics():
     assert G.identity().is_identity()
 
 
+def test_identity_is_one_shared_element_per_group():
+    for orders in ((), (4,), (2, 6)):
+        G = AbelianGroup(orders)
+        e = G.identity()
+        assert G.identity() is e
+        built = G.element((0,) * G.rank)
+        assert e == built and hash(e) == hash(built)
+
+
 def test_element_arithmetic_wraps_orders():
     G = AbelianGroup((4,))
     g = G.generator(0)

@@ -1,6 +1,7 @@
 import ast
 import functools
 import itertools
+import random
 import re
 from importlib import resources
 
@@ -20,7 +21,7 @@ from qdrinfeld.pbw import (
 )
 from qdrinfeld.scalar import Scalar, parse_scalar
 from qdrinfeld.specfile import fixture_path, format_spec, load_fixture, parse_spec_text
-from qdrinfeld.uea import dimension_oracle
+from qdrinfeld.uea import dimension_oracle, instantiate_spec
 
 from randspec import corpus, multi_letter_corpus, parametric_corpus
 
@@ -128,6 +129,25 @@ def test_the_parametric_corpus_agrees_with_the_overlap_oracle():
     # check_pbw raises when its verdict and the overlap oracle disagree
     verdicts = [check_pbw(spec).verdict for spec in parametric_corpus(288, 1)]
     assert 50 < sum(verdicts) < 238
+
+
+def test_a_generic_verdict_survives_specialisation():
+    # conditions 1-3 are identities in the Laurent ring over Q(zeta_m) in
+    # lam and q, so a generic PBW verdict holds at every point where the
+    # parameters are units, and a generic failure is a nonzero Laurent
+    # polynomial, which two random points both kill with probability at
+    # most (degree / 10^4)^2 (Schwartz-Zippel)
+    rng = random.Random(2026)
+    for spec in parametric_corpus(288, 1):
+        points = [
+            {name: Scalar.rational(spec.ctx, rng.randint(2, 10**4)) for name in spec.ctx.params}
+            for _ in range(2)
+        ]
+        special = [check_pbw(instantiate_spec(spec, point)).verdict for point in points]
+        if check_pbw(spec).verdict:
+            assert all(special), spec.name
+        else:
+            assert not all(special), spec.name
 
 
 def test_all_fixtures_have_the_basis_property():
