@@ -15,8 +15,10 @@ loop.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 
 from .errors import SpecError
 from .groups import AbelianGroup, Character, GroupElement, char_eval
@@ -204,6 +206,18 @@ class NCElement(Combination):
         return (self.spec,)
 
     @classmethod
+    def _trusted(cls, space: tuple, terms: dict) -> NCElement:
+        """As LinearCombination._trusted, with the one slot set directly,
+        as ``Scalar._trusted`` does."""
+        x = object.__new__(cls)
+        x.spec, = space
+        x.terms = terms
+        return x
+
+    def _like(self, terms) -> NCElement:
+        return self._trusted((self.spec,), terms)
+
+    @classmethod
     def monomial(cls, spec, word, g=None, coeff=None) -> NCElement:
         word = tuple(word)
         for j in word:
@@ -261,25 +275,71 @@ def _descent_position(word, strategy: str):
     return None
 
 
-def rewrite(terms: dict, rule) -> dict:
+def rewrite(terms: dict, rule, word=None) -> dict:
     """Reduce a sum of keys until no key is reducible.
 
     rule(key) is None for an irreducible key and otherwise the (key, factor)
     pairs that replace it, each scaled by the coefficient of the rewritten
     key.  The rule must strictly decrease a well-founded order on keys.
+
+    Pending keys sit in one dict with their summed coefficients, and the
+    key with the largest word, word(key) or the key itself, goes first: by
+    length, then lexicographically.  Every rule here replaces a word by
+    smaller ones in that order, so each key is rewritten once, with its
+    summed coefficient.  By linearity the result does not depend on the
+    order for any rule: a key that comes back is reduced again.
     """
     done: dict = {}
-    work = list(terms.items())
-    while work:
-        key, coeff = work.pop()
+    pending: dict = {}
+    replaced: dict = {}
+    shared = False
+    heap: list = []
+    push, pop, neg, tie = heapq.heappush, heapq.heappop, operator.neg, itertools.count()
+    for key, coeff in terms.items():
+        pending[key] = coeff
+        w = key if word is None else word(key)
+        push(heap, (-len(w), tuple(map(neg, w)), next(tie), key))
+    while heap:
+        key = pop(heap)[-1]
+        coeff = pending.pop(key)
         if coeff.is_zero():
             continue
         replacement = rule(key)
         if replacement is None:
             accumulate(done, key, coeff)
+            continue
+        replaced[key] = replacement
+        for new_key, factor in replacement:
+            acc = pending.get(new_key)
+            if acc is None:
+                pending[new_key] = coeff * factor
+                w = new_key if word is None else word(new_key)
+                push(heap, (-len(w), tuple(map(neg, w)), next(tie), new_key))
+            else:
+                pending[new_key] = acc + coeff * factor
+                shared = True
+    if len(done) < 2:
+        return done
+    # List the keys in the order a path-by-path worklist leaves them:
+    # replay its depth-first walk, last replacement first, with running
+    # sums, so that a key whose sum cancels moves to the back when it
+    # returns.  The replay expands each key once, so it is exact wherever
+    # the worklist expands no key twice.  Where no key was reached twice,
+    # no sum can cancel, and the walk carries the factors instead.
+    order: dict = {}
+    walk = list(terms.items())
+    while walk:
+        key, coeff = walk.pop()
+        if key not in done:
+            replacement = replaced.pop(key, ())
+            walk.extend(((k, coeff * f) for k, f in replacement) if shared else replacement)
+        elif shared:
+            accumulate(order, key, coeff)
         else:
-            work.extend((new_key, coeff * factor) for new_key, factor in replacement)
-    return done
+            order[key] = coeff
+    out = {key: done[key] for key in order if key in done}
+    out.update(done)
+    return out
 
 
 def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
@@ -309,7 +369,7 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
             out.append(((head + (r,) + tail, h * g), c * spec.word_char(tail, h)))
         return out
 
-    return element._like(rewrite(element.terms, rule))
+    return element._like(rewrite(element.terms, rule, operator.itemgetter(0)))
 
 
 def word_normal_form(spec: AlgebraSpec, word: tuple[int, ...]) -> dict:

@@ -349,6 +349,10 @@ def main(argv=None) -> int:
         if degree < 0:
             print("input error: the degree bound must be nonnegative", file=sys.stderr)
             return 1
+        # the Hopf sweep needs degree 1, and all runs it last
+        if degree == 0 and args.command in ("hopf", "all"):
+            print("input error: the degree bound must be at least 1", file=sys.stderr)
+            return 1
         if degree > SOFT_DEGREE_LIMIT:
             print(
                 f"note: degree {degree} exceeds the soft limit {SOFT_DEGREE_LIMIT}; "

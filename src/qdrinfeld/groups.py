@@ -4,12 +4,24 @@ The grading group for an n-generator algebra over a group with k cyclic
 factors is Z^n x G.  Subgroup membership (needed for the quotient grading)
 reduces to integer lattice membership in Z^(n+k) once each torsion relation
 m_t * e_(n+t) is adjoined as an extra lattice generator.
+
+Group letters are canonical.  ``AbelianGroup(orders)`` returns the one
+live group on those orders, and the group fills a table of its elements
+lazily, one per exponent vector.  Every way of making an element, the
+constructor, ``element``, ``generator``, ``identity``, iteration,
+products and inverses, returns the table's object.  So term keys that
+carry group letters hash and compare them by identity, and a product
+with the identity returns the other factor.  A weak registry keeps the
+groups, so a group and its elements die with the last spec that holds
+them.  Characters stay values, compared by their exponents.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from math import lcm
+from operator import add, mod, neg
 
 from .cyclotomic import CyclotomicNumber
 from .errors import SpecError
@@ -17,16 +29,38 @@ from .scalar import Scalar, ScalarContext
 
 
 class AbelianGroup:
-    """Direct product of cyclic groups Z/m_1 x ... x Z/m_k."""
+    """Direct product of cyclic groups Z/m_1 x ... x Z/m_k.
 
-    __slots__ = ("orders", "_identity")
+    There is one live group per tuple of orders, and each group keeps one
+    element per exponent vector, built the first time it is asked for.
+    So group letters compare and hash by identity.  The registry holds
+    its groups weakly: a group and its elements live as long as something
+    outside them, such as a spec, holds one of them.
+    """
 
-    def __init__(self, orders) -> None:
+    __slots__ = ("orders", "_elements", "_identity", "__weakref__")
+
+    def __new__(cls, orders) -> AbelianGroup:
         orders = tuple(int(m) for m in orders)
-        if any(m < 1 for m in orders):
-            raise SpecError(f"cyclic orders must be >= 1, got {orders}")
-        self.orders = orders
-        self._identity = GroupElement(self, (0,) * len(orders))
+        group = _GROUPS.get(orders)
+        if group is None:
+            if any(m < 1 for m in orders):
+                raise SpecError(f"cyclic orders must be >= 1, got {orders}")
+            group = object.__new__(cls)
+            group.orders = orders
+            group._elements = {}
+            group._identity = group._element((0,) * len(orders))
+            _GROUPS[orders] = group
+        return group
+
+    def _element(self, exps: tuple) -> GroupElement:
+        """The element on exponents already reduced modulo the orders."""
+        element = self._elements.get(exps)
+        if element is None:
+            element = object.__new__(GroupElement)
+            element.group, element.exps = self, exps
+            self._elements[exps] = element
+        return element
 
     @property
     def rank(self) -> int:
@@ -43,8 +77,6 @@ class AbelianGroup:
         return out
 
     def identity(self) -> GroupElement:
-        """The identity element, one shared object per group: no code
-        mutates a group element after it is built."""
         return self._identity
 
     def element(self, exps) -> GroupElement:
@@ -57,73 +89,70 @@ class AbelianGroup:
 
     def __iter__(self):
         for exps in itertools.product(*(range(m) for m in self.orders)):
-            yield GroupElement(self, exps)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AbelianGroup) and self.orders == other.orders
-
-    def __hash__(self) -> int:
-        return hash(self.orders)
+            yield self._element(exps)
 
     def __repr__(self) -> str:
         return f"AbelianGroup({list(self.orders)})"
 
 
+# the live groups by their orders; a group leaves when it dies
+_GROUPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class _ExponentVector:
     """Exponents modulo the cyclic orders of a group.
 
-    Group elements and characters are both such vectors; equality needs
-    the same subclass as well as the same group and exponents.
+    Group elements and characters are both such vectors; each type makes
+    its products and inverses through its own _like.
     """
 
     __slots__ = ("group", "exps")
     _noun = "element"
 
-    def __init__(self, group: AbelianGroup, exps) -> None:
+    @classmethod
+    def _reduced(cls, group: AbelianGroup, exps) -> tuple:
+        """Outside exponents checked for length and reduced modulo the orders."""
         exps = tuple(int(e) for e in exps)
         if len(exps) != group.rank:
-            raise SpecError(f"{self._noun} needs {group.rank} exponents, got {len(exps)}")
-        self.group = group
-        self.exps = tuple(e % m for e, m in zip(exps, group.orders))
-
-    def _like(self, exps: tuple):
-        """A vector of this type and group on exponents already reduced.
-
-        Products and inverses of valid vectors of one group need no
-        conversion or length check, only the reduction modulo the orders.
-        """
-        x = object.__new__(type(self))
-        x.group, x.exps = self.group, exps
-        return x
+            raise SpecError(f"{cls._noun} needs {group.rank} exponents, got {len(exps)}")
+        return tuple(e % m for e, m in zip(exps, group.orders))
 
     def __mul__(self, other):
         group = self.group
-        if group is not other.group and group != other.group:
+        if group is not other.group:
             raise SpecError("group mismatch")
-        return self._like(tuple(
-            (a + b) % m for a, b, m in zip(self.exps, other.exps, group.orders)
-        ))
+        return self._like(tuple(map(mod, map(add, self.exps, other.exps), group.orders)))
 
     def inverse(self):
-        return self._like(tuple(-e % m for e, m in zip(self.exps, self.group.orders)))
+        return self._like(tuple(map(mod, map(neg, self.exps), self.group.orders)))
 
     def is_identity(self) -> bool:
         return all(e == 0 for e in self.exps)
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.group == other.group
-            and self.exps == other.exps
-        )
-
-    def __hash__(self) -> int:
-        # equal vectors have equal exponents; the group only refines equality
-        return hash(self.exps)
-
 
 class GroupElement(_ExponentVector):
+    """A group letter: its group's one element on its exponent vector.
+
+    Every way of making one returns that element, so equality and hashing
+    are the identity defaults.
+    """
+
     __slots__ = ()
+
+    def __new__(cls, group: AbelianGroup, exps) -> GroupElement:
+        return group._element(cls._reduced(group, exps))
+
+    def _like(self, exps: tuple) -> GroupElement:
+        return self.group._element(exps)
+
+    def __mul__(self, other: GroupElement) -> GroupElement:
+        # most products in the Hopf layer have an identity factor
+        identity = self.group._identity
+        if other is identity:
+            return self
+        if self is identity and other.group is self.group:
+            return other
+        return _ExponentVector.__mul__(self, other)
 
     def __str__(self) -> str:
         return "g(" + ",".join(str(e) for e in self.exps) + ")"
@@ -136,10 +165,30 @@ class Character(_ExponentVector):
 
     The value on generator t is the primitive root zeta_(m_t) raised to
     exps[t], embedded into Q(zeta_m) of the ambient scalar context.
+    Characters are compared by value, and never equal a group element.
     """
 
     __slots__ = ()
     _noun = "character"
+
+    def __init__(self, group: AbelianGroup, exps) -> None:
+        self.group = group
+        self.exps = self._reduced(group, exps)
+
+    def _like(self, exps: tuple) -> Character:
+        x = object.__new__(Character)
+        x.group, x.exps = self.group, exps
+        return x
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is Character
+            and self.group is other.group
+            and self.exps == other.exps
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.exps)
 
     def __repr__(self) -> str:
         return f"Character{self.exps}"
@@ -147,7 +196,7 @@ class Character(_ExponentVector):
 
 def char_exponent(chi: Character, g: GroupElement, m: int) -> int:
     """The k in range(m) with chi(g) = zeta_m^k."""
-    if chi.group != g.group:
+    if chi.group is not g.group:
         raise SpecError("group mismatch")
     total = 0
     for e, a, order in zip(chi.exps, g.exps, chi.group.orders):
@@ -294,7 +343,7 @@ class SubgroupN:
         width = n + group.rank
         lattice = IntegerLattice(width)
         for deg in self.generators:
-            if len(deg.free) != n or deg.tors.group != group:
+            if len(deg.free) != n or deg.tors.group is not group:
                 raise SpecError("subgroup generator lives in the wrong grading group")
             lattice.add(deg.as_int_vector())
         for t, order in enumerate(group.orders):
@@ -304,7 +353,7 @@ class SubgroupN:
         self._lattice = lattice
 
     def contains(self, deg: ADegree) -> bool:
-        if len(deg.free) != self.n or deg.tors.group != self.group:
+        if len(deg.free) != self.n or deg.tors.group is not self.group:
             raise SpecError("degree lives in the wrong grading group")
         return self._lattice.contains(deg.as_int_vector())
 

@@ -79,6 +79,17 @@ class BraidedTensorElement(Combination):
         return (self.spec, self.slots)
 
     @classmethod
+    def _trusted(cls, space: tuple, terms: dict) -> BraidedTensorElement:
+        """As LinearCombination._trusted, with both slots set directly."""
+        x = object.__new__(cls)
+        x.spec, x.slots = space
+        x.terms = terms
+        return x
+
+    def _like(self, terms) -> BraidedTensorElement:
+        return self._trusted((self.spec, self.slots), terms)
+
+    @classmethod
     def zero(cls, spec: AlgebraSpec) -> BraidedTensorElement:
         return cls._trusted((spec, 2), {})
 

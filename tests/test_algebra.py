@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qdrinfeld import algebra
 from qdrinfeld.algebra import (
     AlgebraSpec,
     NCElement,
@@ -12,10 +13,12 @@ from qdrinfeld.algebra import (
     pbw_monomial_count,
     pbw_words,
 )
+from qdrinfeld.colorlie import generic_color_lie_ring
 from qdrinfeld.errors import SpecError
 from qdrinfeld.groups import AbelianGroup, Character
-from qdrinfeld.scalar import Combination, Scalar, ScalarContext, parse_scalar
+from qdrinfeld.scalar import Combination, Scalar, ScalarContext, accumulate, parse_scalar
 from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression, parse_spec_text
+from qdrinfeld.uea import build_uea
 
 from test_cli import _two_generator_spec
 
@@ -233,3 +236,88 @@ def test_the_first_q_pair_that_is_not_inverse_is_named():
     q = {(0, 1): zeta, (1, 0): zeta.inv(), (2, 1): zeta, (1, 2): zeta}
     with pytest.raises(SpecError, match="^q_23 and q_32 are not inverse$"):
         AlgebraSpec(ctx, group, chars, q, {})
+
+
+def _reference_rewrite(terms, rule, expanded):
+    """The path-by-path worklist that ``rewrite`` replaced: each path of
+    rewrites is followed on its own and equal keys are never merged.
+    expanded counts how often each key is rewritten."""
+    done = {}
+    work = list(terms.items())
+    while work:
+        key, coeff = work.pop()
+        if coeff.is_zero():
+            continue
+        replacement = rule(key)
+        if replacement is None:
+            accumulate(done, key, coeff)
+        else:
+            expanded[key] = expanded.get(key, 0) + 1
+            work.extend((new_key, coeff * factor) for new_key, factor in replacement)
+    return done
+
+
+def _reference_normal_form(monkeypatch, element, strategy, expanded):
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            algebra, "rewrite", lambda terms, rule, word=None: _reference_rewrite(terms, rule, expanded)
+        )
+        return normal_form(element, strategy)
+
+
+def test_merged_rewriting_matches_the_path_by_path_reference(monkeypatch):
+    # equal values everywhere, and the worklist's key order wherever it
+    # rewrites no key twice; the gl11 golden pins the order of the generic rule
+    rng = random.Random(11)
+    exact = 0
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        spec = load_fixture(name)
+        letters = list(spec.group)
+        for _ in range(60):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                word = tuple(rng.randrange(spec.n) for _ in range(rng.randint(0, 5)))
+                terms[(word, rng.choice(letters))] = Scalar.rational(spec.ctx, rng.randint(1, 5))
+            element = NCElement(spec, terms)
+            for strategy in ("leftmost", "rightmost"):
+                expanded = {}
+                reference = _reference_normal_form(monkeypatch, element, strategy, expanded)
+                merged = normal_form(element, strategy)
+                assert merged == reference
+                if all(count == 1 for count in expanded.values()):
+                    exact += 1
+                    assert list(merged.terms) == list(reference.terms)
+    ring = generic_color_lie_ring(load_fixture("gl11"))
+    pres = build_uea(ring)
+    one = Scalar.one(ring.epsilon.ctx)
+    for word in itertools.product(range(ring.size), repeat=4):
+        expanded = {}
+        reference = _reference_rewrite({word: one}, pres._rule, expanded)
+        merged = pres.reduce({word: one})
+        assert merged == reference
+        if all(count == 1 for count in expanded.values()):
+            exact += 1
+            assert list(merged) == list(reference)
+    assert exact > 700  # 775 of the 856 cases
+
+
+def test_a_power_rewrites_each_key_once(monkeypatch):
+    # the path-by-path worklist made 130,976 rule calls on (v1+v2)^9 at the
+    # leftmost strategy; merged, each key is rewritten once
+    calls = []
+    rewrite = algebra.rewrite
+
+    def counted(terms, rule, word=None):
+        def counting_rule(key):
+            calls.append(key)
+            return rule(key)
+
+        return rewrite(terms, counting_rule, word)
+
+    monkeypatch.setattr(algebra, "rewrite", counted)
+    power = parse_nc_expression("(v1+v2)^9", EX2)
+    for strategy in ("leftmost", "rightmost"):
+        calls.clear()
+        reduced = normal_form(power, strategy)
+        assert len(reduced.terms) == 30
+        assert len(calls) == len(set(calls)) <= 2000

@@ -272,6 +272,21 @@ def test_negative_degree_is_an_input_error():
     assert err == "input error: the degree bound must be nonnegative\n"
 
 
+def test_degree_zero_is_refused_before_the_hopf_sweep_runs():
+    # all used to run check, lie and uea before the Hopf stage refused it
+    for command in ("all", "hopf"):
+        code, out, err = run([command, "ex1", "--degree", "0"])
+        assert code == 1
+        assert out == ""
+        assert err == "input error: the degree bound must be at least 1\n"
+
+
+def test_degree_zero_still_counts_dimensions():
+    code, out, _ = run(["uea", "ex2", "--degree", "0", "--json"])
+    assert code == 0
+    assert json.loads(out)["degree"] == 0
+
+
 def test_converse_round_trip():
     for name in ("ex2", "ex3"):
         code, out, _ = run(["converse", name, "--json"])

@@ -1,14 +1,23 @@
+import gc
+import itertools
+import warnings
+
 import pytest
 
+from qdrinfeld import cli, groups
+from qdrinfeld.algebra import normal_form
 from qdrinfeld.errors import SpecError
 from qdrinfeld.groups import (
     ADegree,
     AbelianGroup,
     Character,
+    GroupElement,
     SubgroupN,
     char_eval,
+    char_exponent,
 )
 from qdrinfeld.scalar import Scalar, ScalarContext
+from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression, parse_spec_text
 
 
 def test_group_basics():
@@ -138,3 +147,140 @@ def test_congruence_mod_mixed_generator():
     y = ADegree((0, 0), G.generator(0).inverse())
     assert N.congruent(x, y)
     assert not N.congruent(x, ADegree((0, 0), G.identity()))
+
+
+def test_one_group_per_tuple_of_orders():
+    G = AbelianGroup((3, 3))
+    assert AbelianGroup([3, 3]) is G and AbelianGroup(("3", 3)) is G
+    assert AbelianGroup((3,)) is not G and AbelianGroup((3, 3, 1)) is not G
+    with pytest.raises(SpecError, match=r"cyclic orders must be >= 1, got \(3, 0\)"):
+        AbelianGroup((3, 0))
+
+
+def test_every_construction_path_returns_the_table_element():
+    G = AbelianGroup((2, 6))
+    table = {exps: G.element(exps) for exps in itertools.product(range(2), range(6))}
+    assert G._elements == table
+    for exps, g in table.items():
+        assert g.exps == exps and g.group is G
+        assert GroupElement(G, exps) is g
+        # outside exponents are reduced before the lookup
+        assert G.element([e + 2 * m for e, m in zip(exps, G.orders)]) is g
+        assert G.element([e - m for e, m in zip(exps, G.orders)]) is g
+    assert G.identity() is table[(0, 0)]
+    assert [G.generator(t) for t in range(2)] == [table[(1, 0)], table[(0, 1)]]
+    assert all(a is b for a, b in zip(G, table.values()))
+    assert len(G._elements) == len(G)
+    e = G.identity()
+    for (a_exps, a), (b_exps, b) in itertools.product(table.items(), repeat=2):
+        product = tuple((x + y) % m for x, y, m in zip(a_exps, b_exps, G.orders))
+        assert a * b is table[product]
+    for exps, g in table.items():
+        assert g.inverse() is table[tuple(-x % m for x, m in zip(exps, G.orders))]
+        # a product with the identity is the other factor itself
+        assert g * e is g and e * g is g
+        assert g.is_identity() == (g is e)
+
+
+def test_parsed_letters_are_the_table_elements():
+    spec = load_fixture("ex1")
+    G = spec.group
+    assert G is AbelianGroup(G.orders)
+    for (word, g), _ in parse_nc_expression("v2*g(1,2) + g(4,-1)*v1", spec).terms.items():
+        assert g is G._elements[g.exps]
+    for i, j in spec.kappa_support():
+        for _, g, _ in spec.kappa_pairs(i, j):
+            assert g is G._elements[g.exps]
+
+
+def test_characters_stay_values():
+    G = AbelianGroup((3, 3))
+    chi, psi = Character(G, (1, 2)), Character(G, (4, -1))
+    assert chi is not psi and chi == psi and hash(chi) == hash(psi)
+    assert chi * chi.inverse() == Character(G, (0, 0))
+    assert type(chi * psi) is Character and (chi * psi).is_identity() is False
+    assert chi != G.element((1, 2)) and G.element((1, 2)) != chi
+    assert len({chi, psi, G.element((1, 2))}) == 2
+    with pytest.raises(SpecError, match="character needs 2 exponents, got 1"):
+        Character(G, (1,))
+    with pytest.raises(SpecError, match="element needs 2 exponents, got 3"):
+        G.element((1, 2, 3))
+
+
+def test_a_group_mismatch_still_raises():
+    G, H = AbelianGroup((3,)), AbelianGroup((3, 1))
+    pairs = [
+        (G.generator(0), H.generator(0)),
+        (G.identity(), H.generator(0)),
+        (G.generator(0), H.identity()),
+        (G.identity(), H.identity()),
+        (Character(G, (1,)), Character(H, (1, 0))),
+    ]
+    for a, b in pairs:
+        with pytest.raises(SpecError, match="group mismatch"):
+            a * b
+    with pytest.raises(SpecError, match="group mismatch"):
+        char_exponent(Character(G, (1,)), H.generator(0), 3)
+
+
+_LONELY = """
+[field]
+conductor = 35
+
+[group]
+orders = [5, 7]
+
+[action]
+characters = [[1, 0], [0, 1]]
+
+[kappa]
+1 2 -> 1 (2, 3) 1
+"""
+
+
+def _alive(orders):
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, GroupElement) and obj.group.orders == orders
+        or isinstance(obj, AbelianGroup) and obj.orders == orders
+    ]
+
+
+def test_a_group_and_its_elements_die_with_the_last_spec():
+    # no other test builds Z/5 x Z/7, so the spec below holds the only
+    # references; the elements point back to their group, so the pair
+    # waits for the cycle collector
+    gc.collect()
+    assert (5, 7) not in groups._GROUPS and not _alive((5, 7))
+    spec = parse_spec_text(_LONELY)
+    normal_form(parse_nc_expression("v2*v1*g(1,1)", spec))
+    assert AbelianGroup((5, 7)) is spec.group is groups._GROUPS[(5, 7)]
+    assert len(_alive((5, 7))) == 1 + len(spec.group._elements) > 2
+    del spec
+    gc.collect()
+    assert (5, 7) not in groups._GROUPS and not _alive((5, 7))
+
+
+def test_a_fixture_pass_builds_one_element_per_group_element(monkeypatch):
+    # one run_all(name, 2) pass over the six fixtures used to build 2,289
+    # GroupElement objects; now each fixture builds at most the |G|
+    # elements of its group, 22 in all, and fewer where a group is still
+    # alive from an earlier fixture or test
+    built = []
+    element = AbelianGroup._element
+
+    def counted(group, exps):
+        if exps not in group._elements:
+            built.append((group.orders, exps))
+        return element(group, exps)
+
+    monkeypatch.setattr(AbelianGroup, "_element", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in fixture_names():
+            cli.run_all(name, 2)
+    assert len(built) <= 22
+    # and every element alive is its table's
+    for obj in gc.get_objects():
+        if type(obj) is GroupElement:
+            assert obj.group._elements[obj.exps] is obj

@@ -8,7 +8,7 @@ from qdrinfeld import cli
 from qdrinfeld.algebra import NCElement
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.errors import NotAUnit, ParseError, SpecError
-from qdrinfeld.hopf import check_hopf_axioms
+from qdrinfeld.hopf import BraidedTensorElement, check_hopf_axioms
 from qdrinfeld.pbw import check_pbw
 from qdrinfeld.scalar import Combination, LinearCombination, Scalar, ScalarContext, parse_scalar
 from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression
@@ -248,8 +248,9 @@ def test_unit_monomials_skip_the_zero_filter(monkeypatch):
 
 def test_the_trusted_path_never_receives_a_zero(monkeypatch):
     # every build that skips the filter vouches for its terms; check that
-    # on the fixtures end to end and on the random corpora; Scalar builds
-    # through its own override, so both are wrapped
+    # on the fixtures end to end and on the random corpora; Scalar,
+    # NCElement and BraidedTensorElement build through their own
+    # overrides, so all four are wrapped
     built = {}
 
     def checking(trusted):
@@ -261,7 +262,7 @@ def test_the_trusted_path_never_receives_a_zero(monkeypatch):
 
         return classmethod(checked)
 
-    for owner in (LinearCombination, Scalar):
+    for owner in (LinearCombination, Scalar, NCElement, BraidedTensorElement):
         monkeypatch.setattr(owner, "_trusted", checking(owner.__dict__["_trusted"].__func__))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
