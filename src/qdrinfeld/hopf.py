@@ -29,12 +29,21 @@ braided square is associative.  Where either fails, degree-bounded
 multiples u rel w are swept instead.  Strong vanishing alone is not
 enough: the guided spec ``corpus(60)[22]`` of ``tests/randspec.py`` has
 it, is not confluent, and has every bare relation in the kernel of Delta
-but not every multiple.  Under both premises the remaining laws are
-decided on the v_i as well, and the degree-bounded sweep runs only
-where a premise or one of those finite checks fails (see
-``check_hopf_axioms``).  The sweep tests the laws on each PBW monomial
-at the identity letter, and at the other group letters only where that
-one fails: a law holds on w g exactly when it holds on w (see ``_sweep``).
+but not every multiple.  Where multiples are swept, the right flank is
+extended by one braided product per letter, Delta(u rel w v_k) =
+Delta(u rel w) Delta(v_k), which needs bilinearity and the memo's left
+to right bracketing only, so it holds on every spec; a multiple with
+zero coproduct is not extended (see ``_relation_certificates``).
+
+The remaining laws hold on the unit and on each v_i by construction, on
+every spec: Delta(v_i) = v_i (x) 1 + 1 (x) v_i exactly, S(v_i) = -v_i,
+eps(v_i) = 0, and a single letter is in normal form (see
+``check_hopf_axioms``).  So under both premises only Delta(rel) = 0 and
+S(rel) = 0 are checked, and the degree-bounded sweep runs only where a
+premise or one of those checks fails.  The sweep tests the laws on each
+PBW monomial of degree >= 2 at the identity letter, and at the other
+group letters only where that one fails: a law holds on w g exactly when
+it holds on w (see ``_sweep``).
 """
 
 from __future__ import annotations
@@ -148,7 +157,10 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
     ``spec.word_char(br, ag)`` v_ar v_br (ag bg), is that of v_ar v_br
     with every letter multiplied by ag bg, since ``normal_form`` commutes
     with right multiplication by a group letter (the proof is in its
-    docstring).
+    docstring).  The two characters of ag are read as one,
+    ``spec.word_char(bl + br, ag)``, since a word character is a product
+    over the letters; a migration factor that is the shared one is not
+    multiplied in.
     """
     spec = x.spec
     if x.slots != 2 or y.slots != 2:
@@ -156,6 +168,7 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
     x._check(y)
     twists = spec._twist_cache
     word_char = spec.word_char
+    one = spec.ctx._one_terms
     result: dict = {}
     for (al, ar, ag), ac in x.terms.items():
         for (bl, br, bg), bc in y.terms.items():
@@ -166,12 +179,16 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
                     for b in bl:
                         crossing = crossing * spec.q_scalar(a, b)
                 twists[(ar, bl)] = crossing
-            base = ac * bc * word_char(bl, ag) * crossing * word_char(br, ag)
+            base = ac * bc * word_char(bl + br, ag) * crossing
             shift = ag * bg
             right = word_normal_form(spec, ar + br)
             for (lw, lg), lc in word_normal_form(spec, al + bl).items():
+                left = base * lc
                 for (rw, rg), rc in right.items():
-                    coeff = base * lc * rc * word_char(rw, lg)
+                    coeff = left * rc
+                    migrate = word_char(rw, lg)
+                    if migrate.terms is not one:
+                        coeff = coeff * migrate
                     accumulate(result, (lw, rw, lg * rg * shift), coeff)
     return x._like(result)
 
@@ -333,31 +350,64 @@ class HopfReport:
 
 def _relation_certificates(spec: AlgebraSpec, flank: int) -> list[dict]:
     """A certificate for each multiple u * rel * w with flank words of
-    combined length <= flank whose coproduct is nonzero."""
+    combined length <= flank whose coproduct is nonzero, in the order of
+    (i, j, u, w), flanks by length and then lexicographically.
+
+    The left flank is expanded: Delta(u * rel) is the coproduct of the
+    free element.  The right flank grows by one braided product per
+    letter, Delta(u rel w' v_k) = Delta(u rel w') * Delta(v_k), where
+    Delta(v_k) = v_k (x) 1 + 1 (x) v_k.  Proof: a term c v_x g of
+    u * rel * w' becomes c chi_k(g) v_x v_k g of u * rel * w' v_k, since
+    g v_k = chi_k(g) v_k g.  The memo builds Delta(v_x v_k) as
+    ``braided_product(Delta(v_x), Delta(v_k))`` and Delta(v_x g) as
+    shift_g Delta(v_x) (``_monomial_delta``).  A term of the first factor
+    of ``braided_product`` whose letter is ag g instead of ag picks up
+    ``word_char(bl + br, g)`` and has its output letter moved by g; every
+    term of Delta(v_k) has bl + br = (k), so (shift_g A) * Delta(v_k) =
+    chi_k(g) shift_g (A * Delta(v_k)), which is the twist of
+    g v_k = chi_k(g) v_k g.  So Delta(c v_x g) * Delta(v_k) =
+    Delta(c chi_k(g) v_x v_k g), and the braided product is bilinear,
+    which sums the terms.  No associativity is used, so this holds on
+    every spec, ex1 (where strong vanishing fails) included.  It follows
+    that every right extension of a multiple with zero coproduct has zero
+    coproduct too, so those are skipped.  The left flank does not factor
+    that way: Delta(v_u v_x) is bracketed from the left through u's
+    letters, and splitting it as Delta(v_u) * Delta(v_x) would need
+    associativity.
+    """
     n = spec.n
+    identity = spec.group.identity()
+    letters = [
+        BraidedTensorElement._trusted((spec, 2), _monomial_delta(spec, (k,), identity))
+        for k in range(n)
+    ]
     certificates = []
     for i in range(n):
         for j in range(i + 1, n):
             relation = defining_relation(spec, j, i)
             for u in all_words(n, flank):
+                # the nonzero residues, keyed by the right flank
+                residues = {(): coproduct(NCElement.monomial(spec, u) * relation, strong=True)}
                 for w in all_words(n, flank - len(u)):
-                    multiple = (
-                        NCElement.monomial(spec, u)
-                        * relation
-                        * NCElement.monomial(spec, w)
+                    if w:
+                        prefix = residues.get(w[:-1])
+                        if prefix is None:
+                            continue
+                        residues[w] = braided_product(prefix, letters[w[-1]])
+                    residue = residues[w]
+                    if residue.is_zero():
+                        del residues[w]
+                        continue
+                    certificates.append(
+                        {
+                            "law": "coproduct on relations",
+                            "i": i + 1,
+                            "j": j + 1,
+                            "left": _word_str(u),
+                            "right": _word_str(w),
+                            "residue": str(residue),
+                        }
                     )
-                    residue = coproduct(multiple, strong=True)
-                    if not residue.is_zero():
-                        certificates.append(
-                            {
-                                "law": "coproduct on relations",
-                                "i": i + 1,
-                                "j": j + 1,
-                                "left": _word_str(u),
-                                "right": _word_str(w),
-                                "residue": str(residue),
-                            }
-                        )
     return certificates
 
 
@@ -417,16 +467,16 @@ def _law_certificates(spec: AlgebraSpec, monomial: NCElement) -> list[dict]:
 
 
 def _finite_checks_pass(spec: AlgebraSpec) -> bool:
-    """Delta and S kill each bare relation, and every law holds on each
-    v_i; the group letters need no check (see check_hopf_axioms)."""
+    """Delta and S kill each bare relation; the laws on the unit, the v_i
+    and the group letters hold by construction (see check_hopf_axioms)."""
     if _relation_certificates(spec, 0):
         return False
     n = spec.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not antipode(defining_relation(spec, j, i)).is_zero():
-                return False
-    return not any(_law_certificates(spec, NCElement.monomial(spec, (i,))) for i in range(n))
+    return all(
+        antipode(defining_relation(spec, j, i)).is_zero()
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
 
 
 def _sweep(spec: AlgebraSpec, d: int) -> HopfReport:
@@ -455,12 +505,19 @@ def _sweep(spec: AlgebraSpec, d: int) -> HopfReport:
     the identity.  The group yields its identity first, and that result
     is kept, so the certificates and their order are those of the sweep
     over every letter.
+
+    The monomials of degree < 2, the unit and the v_i, are not visited:
+    every law holds on them by construction, on every spec (the proof is
+    in ``check_hopf_axioms``), so ``_law_certificates`` is empty on them
+    at the identity, and by the shift at every letter.
     """
     strong, _ = decided_vanishing(spec, strong=True)
     flank = 0 if strong and decided_confluence(spec) else d - 1
     certificates = _relation_certificates(spec, flank)
     well_defined = not certificates
     for word in pbw_words(spec.n, d):
+        if len(word) < 2:
+            continue
         letters = iter(spec.group)
         found = _law_certificates(spec, NCElement.monomial(spec, word, next(letters)))
         certificates += found
@@ -486,8 +543,21 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     finitely many checks decide the laws in every degree:
 
     * Delta(rel) = 0 for each bare relation;
-    * S(rel) = 0 for each bare relation;
-    * coassociativity, both counit laws and both antipode laws on each v_i.
+    * S(rel) = 0 for each bare relation.
+
+    Coassociativity, both counit laws and both antipode laws hold on the
+    unit and on each v_i by construction, on every spec, with no premise.
+    Delta(1) = 1 (x) 1, eps(1) = 1 and S(1) = 1 make every law hold on
+    the unit.  Delta(v_i) is the memo's braided product of the unit
+    tensor with v_i (x) 1 + 1 (x) v_i, whose twist and migration factors
+    all read the empty word or the identity letter and whose slots are
+    single letters, already in normal form; so Delta(v_i) = v_i (x) 1 +
+    1 (x) v_i exactly, and antipode gives S(v_i) = -v_i, eps(v_i) = 0.
+    Then both sides of coassociativity are v_i (x) 1 (x) 1 +
+    1 (x) v_i (x) 1 + 1 (x) 1 (x) v_i, the terms of Delta(v_i) with an
+    empty slot are v_i on either side, and both antipode folds are
+    -v_i + v_i = 0 = eps(v_i).  So none of these is checked, and
+    ``_sweep`` skips the monomials of degree < 2 as well.
 
     The extension to all of A is the standard one for braided bialgebras
     (Takeuchi, "Survey of braided Hopf algebras", Contemp. Math. 267,
@@ -505,7 +575,7 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     braided triple tensor power, and so are the two counit maps into A
     (the counit kills every relation, whose terms all have positive word
     length); two algebra maps that agree on a generating set agree
-    everywhere.
+    everywhere, and they agree on each v_i by the paragraph above.
     The set on which an antipode law holds is closed under products:
     with Delta(ab) = Delta(a) Delta(b) and S(ab) a twist times S(b) S(a),
     the law for ab folds into the law for a and then for b.  The v_i
@@ -527,11 +597,18 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     multiples: on ex1, where strong vanishing fails, Delta(rel_12) = 0
     but Delta(v1 * rel_12) != 0, and on the non-confluent
     ``corpus(60)[22]``, where it holds, every bare residue is zero and a
-    flank residue is not.  The remaining laws sweep sorted monomials of
-    degree <= d at the identity letter, and at the other group letters
-    only where the identity letter fails, since each law holds on w g
-    exactly when it holds on w (see ``_sweep``); linearity extends all
-    of them to the full slice.
+    flank residue is not.  The right flank is still extended by one
+    braided product per letter, Delta(u rel w v_k) = Delta(u rel w)
+    Delta(v_k): that uses the bilinearity of the braided product and the
+    memo's bracketing, not associativity, so it holds on ex1 too, and
+    every right extension of a multiple with zero coproduct has zero
+    coproduct (the proof is in ``_relation_certificates``).  The left
+    flank is expanded.
+    The remaining laws sweep sorted monomials of degree 2 to d at the
+    identity letter, and at the other group letters only where the
+    identity letter fails, since each law holds on w g exactly when it
+    holds on w (see ``_sweep``); they hold on the unit and the v_i by
+    construction, and linearity extends all of them to the full slice.
     """
     if d < 1:
         raise SpecError("the degree bound must be at least 1")

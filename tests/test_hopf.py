@@ -11,6 +11,7 @@ from qdrinfeld import algebra, hopf
 from qdrinfeld.algebra import NCElement, all_words, defining_relation, normal_form, pbw_words
 from qdrinfeld.cli import run_all
 from qdrinfeld.colorlie import Bicharacter
+from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.hopf import (
     BraidedTensorElement,
     antipode,
@@ -266,6 +267,38 @@ def test_a_fixture_pass_reduces_each_word_once(monkeypatch):
     assert calls <= 1034 // 4
 
 
+def test_the_hopf_check_halves_the_field_multiplies_on_ex1(monkeypatch):
+    # 18,920 field multiplies before the Hopf memos, 15,234 with them, and
+    # 7,649 with right flanks built from shorter ones
+    spec = load_fixture("ex1")
+    calls = 0
+    multiply = CyclotomicNumber.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    with pytest.warns(UserWarning):
+        assert not check_hopf_axioms(spec, 4).passed
+    assert calls <= 18920 // 2
+
+
+def test_a_fixture_pass_bounds_the_braided_products(monkeypatch):
+    # 74 per pass when every relation multiple was expanded on its own,
+    # 68 with right flanks built from shorter ones
+    names = ("ex1", "ex2", "ex3", "ex4", "gl11", "zero-kappa")
+    calls = []
+    braided = hopf.braided_product
+    monkeypatch.setattr(hopf, "braided_product", lambda *args: calls.append(args) or braided(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in names:
+            run_all(name, 2)
+    assert len(calls) <= 70
+
+
 def test_coproduct_at_a_group_letter_makes_no_braided_product(monkeypatch):
     # Delta(w g) is Delta(w) with the letter of its last slot moved by g
     spec = load_fixture("ex1")
@@ -411,19 +444,109 @@ def test_finite_proof_work_does_not_grow_with_the_group(monkeypatch):
     assert small["braided_product"] > 0
 
 
-def test_finite_proof_checks_the_laws_on_the_v_i_only(monkeypatch):
-    # each generator of G added one more call, six in all on ex4
-    spec = load_fixture("ex4")
-    report, counts = _hopf_work(monkeypatch, spec, 3, names=("_law_certificates",))
+def test_finite_proof_checks_no_law_on_a_monomial(monkeypatch):
+    # the laws hold on the unit, the v_i and the group letters by
+    # construction; checking them on the v_i made spec.n calls, and each
+    # generator of G one more before that
+    report, counts = _hopf_work(monkeypatch, load_fixture("ex4"), 3, names=("_law_certificates",))
     assert report.passed
-    assert counts["_law_certificates"] == spec.n
+    assert counts["_law_certificates"] == 0
 
 
 def test_every_law_holds_on_the_group_letters():
+    # and on each v_i g: what the finite proof and the sweep take as given
     specs = [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
     for spec in specs + corpus(60):
         for g in spec.group:
-            assert hopf._law_certificates(spec, mono(spec, (), g)) == [], (spec.name, g)
+            for word in [()] + [(i,) for i in range(spec.n)]:
+                found = hopf._law_certificates(spec, mono(spec, word, g))
+                assert found == [], (spec.name, word, g)
+
+
+def _expanded_relation_certificates(spec, flank):
+    """Reference for ``hopf._relation_certificates``: the coproduct of
+    every multiple u * rel * w expanded as a free element, with no right
+    flank built from a shorter one and no multiple skipped."""
+    n = spec.n
+    certificates = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            relation = defining_relation(spec, j, i)
+            for u in all_words(n, flank):
+                for w in all_words(n, flank - len(u)):
+                    multiple = mono(spec, u) * relation * mono(spec, w)
+                    residue = coproduct(multiple, strong=True)
+                    if not residue.is_zero():
+                        certificates.append(
+                            {
+                                "law": "coproduct on relations",
+                                "i": i + 1,
+                                "j": j + 1,
+                                "left": hopf._word_str(u),
+                                "right": hopf._word_str(w),
+                                "residue": str(residue),
+                            }
+                        )
+    return certificates
+
+
+def _assert_the_relation_certificates_match(spec, flanks):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for flank in flanks:
+            expected = _expanded_relation_certificates(spec, flank)
+            assert hopf._relation_certificates(spec, flank) == expected, (spec.name, flank)
+
+
+def test_relation_certificates_match_the_expanded_reference_on_ex1():
+    # 2, 16 and 84 certificates at flanks 1, 2 and 3, on a spec where
+    # strong vanishing fails
+    _assert_the_relation_certificates_match(load_fixture("ex1"), range(4))
+
+
+def test_relation_certificates_match_the_expanded_reference_on_random_specs():
+    for spec in corpus(60):
+        _assert_the_relation_certificates_match(spec, (1, 2))
+    spec = parse_spec_text(STRONG_NOT_CONFLUENT, "strong-not-confluent")
+    _assert_the_relation_certificates_match(spec, range(4))
+    specs = [spec for spec in parametric_corpus(72, 1) if spec.n * len(spec.group) <= 12]
+    assert len(specs) >= 30
+    for spec in specs:
+        _assert_the_relation_certificates_match(spec, (1, 2))
+
+
+def test_right_flanks_extend_the_nonzero_residues_only(monkeypatch):
+    # each right flank letter costs one braided product with Delta(v_k),
+    # and a multiple with zero coproduct is not extended: on ex1 at flank
+    # 3, 84 of the 120 prefixes u * rel have zero coproduct
+    spec = load_fixture("ex1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = _expanded_relation_certificates(spec, 3)
+    nonzero = {(c["i"], c["j"], c["left"], c["right"]) for c in expected}
+    multiples = [
+        (i + 1, j + 1, u, w)
+        for i in range(3)
+        for j in range(i + 1, 3)
+        for u in all_words(3, 3)
+        for w in all_words(3, 3 - len(u))
+    ]
+    prefixes = [(i, j, u) for i, j, u, w in multiples if not w]
+    zero = [(i, j, u) for i, j, u in prefixes if (i, j, hopf._word_str(u), "1") not in nonzero]
+    assert (len(zero), len(prefixes)) == (84, 120)
+    extended = [
+        (i, j, u, w)
+        for i, j, u, w in multiples
+        if w and (i, j, hopf._word_str(u), hopf._word_str(w[:-1])) in nonzero
+    ]
+
+    hopf._relation_certificates(spec, 3)  # fills the coproduct memo
+    factors = []
+    braided = hopf.braided_product
+    monkeypatch.setattr(hopf, "braided_product", lambda x, y: factors.append(y) or braided(x, y))
+    assert hopf._relation_certificates(spec, 3) == expected
+    assert len(factors) == len(extended)
+    assert all(y == _letter_delta(spec, w[-1]) for y, (_, _, _, w) in zip(factors, extended))
 
 
 def _all_letters_sweep(spec, d):
@@ -431,7 +554,7 @@ def _all_letters_sweep(spec, d):
     sorted monomial of degree <= d at every group letter."""
     strong, _ = check_vanishing(spec, strong=True)
     flank = 0 if strong and overlap_oracle(spec) else d - 1
-    certificates = hopf._relation_certificates(spec, flank)
+    certificates = _expanded_relation_certificates(spec, flank)
     well_defined = not certificates
     for word in pbw_words(spec.n, d):
         for g in spec.group:
@@ -498,10 +621,12 @@ def test_a_covariant_fault_is_swept_on_every_letter(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 def test_sweep_checks_the_laws_once_per_monomial_on_ex1(d, monkeypatch):
     # every law holds on ex1's monomials, so no letter but the identity is
-    # tried: the all-letters sweep makes 90 calls at degree 2 and 180 at 3
+    # tried, and none is tried on the monomials of degree < 2, where the
+    # laws hold by construction: the all-letters sweep makes 90 calls at
+    # degree 2 and 180 at 3, and the sweep of every degree 10 and 20
     report, counts = _hopf_work(monkeypatch, load_fixture("ex1"), d, ("_law_certificates",))
     assert not report.passed
-    assert counts["_law_certificates"] == len(list(pbw_words(3, d)))
+    assert counts["_law_certificates"] == len(list(pbw_words(3, d))) - len(list(pbw_words(3, 1)))
 
 
 def test_sweep_work_does_not_grow_with_the_group(monkeypatch):
@@ -544,34 +669,35 @@ def test_finite_proof_agrees_with_the_sweep_on_random_specs():
 
 
 def test_a_failed_finite_check_falls_back_to_the_sweep(monkeypatch):
-    laws = hopf._law_certificates
-    planted = {"law": "counit", "monomial": "v1", "left": "planted", "right": "planted"}
+    relations = hopf._relation_certificates
+    planted = {
+        "law": "coproduct on relations",
+        "i": 1,
+        "j": 2,
+        "left": "1",
+        "right": "1",
+        "residue": "planted",
+    }
 
-    def failing_on_v1(spec, monomial):
-        found = laws(spec, monomial)
-        return found + [planted] if monomial == mono(spec, (0,)) else found
+    def failing_on_rel_12(spec, flank):
+        return [planted] + relations(spec, flank)
 
-    monkeypatch.setattr(hopf, "_law_certificates", failing_on_v1)
+    monkeypatch.setattr(hopf, "_relation_certificates", failing_on_rel_12)
     report = check_hopf_axioms(load_fixture("ex4"), 2)
-    assert not report.passed and not report.counit_laws
+    assert not report.passed and not report.delta_well_defined
+    assert report.coassociative and report.counit_laws and report.antipode_law
     assert report.certificates == (planted,)
     assert report == hopf._sweep(load_fixture("ex4"), 2)
 
 
 def _flank_residues(spec, d):
-    """Reference sweep: (i, j, u, w) of every multiple u * rel_ij * w with
-    flank words of combined length < d whose coproduct is nonzero."""
-    n = spec.n
-    found = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            relation = defining_relation(spec, j, i)
-            for u in all_words(n, d - 1):
-                for w in all_words(n, d - 1 - len(u)):
-                    multiple = mono(spec, u) * relation * mono(spec, w)
-                    if not coproduct(multiple, strong=True).is_zero():
-                        found.append((i, j, u, w))
-    return found
+    """Reference sweep: (i, j, left, right) of every multiple
+    u * rel_ij * w with flank words of combined length < d whose
+    coproduct is nonzero."""
+    return [
+        (cert["i"], cert["j"], cert["left"], cert["right"])
+        for cert in _expanded_relation_certificates(spec, d - 1)
+    ]
 
 
 @pytest.mark.parametrize("name", ["ex2", "ex3", "ex4", "zero-kappa"])
