@@ -287,12 +287,11 @@ def rewrite(terms: dict, rule, word=None) -> dict:
     length, then lexicographically.  Every rule here replaces a word by
     smaller ones in that order, so each key is rewritten once, with its
     summed coefficient.  By linearity the result does not depend on the
-    order for any rule: a key that comes back is reduced again.
+    order for any rule: a key that comes back is reduced again.  The
+    result lists its keys in the order they were found irreducible.
     """
     done: dict = {}
     pending: dict = {}
-    replaced: dict = {}
-    shared = False
     heap: list = []
     push, pop, neg, tie = heapq.heappush, heapq.heappop, operator.neg, itertools.count()
     for key, coeff in terms.items():
@@ -308,7 +307,6 @@ def rewrite(terms: dict, rule, word=None) -> dict:
         if replacement is None:
             accumulate(done, key, coeff)
             continue
-        replaced[key] = replacement
         for new_key, factor in replacement:
             acc = pending.get(new_key)
             if acc is None:
@@ -317,29 +315,7 @@ def rewrite(terms: dict, rule, word=None) -> dict:
                 push(heap, (-len(w), tuple(map(neg, w)), next(tie), new_key))
             else:
                 pending[new_key] = acc + coeff * factor
-                shared = True
-    if len(done) < 2:
-        return done
-    # List the keys in the order a path-by-path worklist leaves them:
-    # replay its depth-first walk, last replacement first, with running
-    # sums, so that a key whose sum cancels moves to the back when it
-    # returns.  The replay expands each key once, so it is exact wherever
-    # the worklist expands no key twice.  Where no key was reached twice,
-    # no sum can cancel, and the walk carries the factors instead.
-    order: dict = {}
-    walk = list(terms.items())
-    while walk:
-        key, coeff = walk.pop()
-        if key not in done:
-            replacement = replaced.pop(key, ())
-            walk.extend(((k, coeff * f) for k, f in replacement) if shared else replacement)
-        elif shared:
-            accumulate(order, key, coeff)
-        else:
-            order[key] = coeff
-    out = {key: done[key] for key in order if key in done}
-    out.update(done)
-    return out
+    return done
 
 
 def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:

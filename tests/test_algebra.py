@@ -238,10 +238,9 @@ def test_the_first_q_pair_that_is_not_inverse_is_named():
         AlgebraSpec(ctx, group, chars, q, {})
 
 
-def _reference_rewrite(terms, rule, expanded):
+def _reference_rewrite(terms, rule):
     """The path-by-path worklist that ``rewrite`` replaced: each path of
-    rewrites is followed on its own and equal keys are never merged.
-    expanded counts how often each key is rewritten."""
+    rewrites is followed on its own and equal keys are never merged."""
     done = {}
     work = list(terms.items())
     while work:
@@ -252,24 +251,20 @@ def _reference_rewrite(terms, rule, expanded):
         if replacement is None:
             accumulate(done, key, coeff)
         else:
-            expanded[key] = expanded.get(key, 0) + 1
             work.extend((new_key, coeff * factor) for new_key, factor in replacement)
     return done
 
 
-def _reference_normal_form(monkeypatch, element, strategy, expanded):
+def _reference_normal_form(monkeypatch, element, strategy):
     with monkeypatch.context() as patch:
         patch.setattr(
-            algebra, "rewrite", lambda terms, rule, word=None: _reference_rewrite(terms, rule, expanded)
+            algebra, "rewrite", lambda terms, rule, word=None: _reference_rewrite(terms, rule)
         )
         return normal_form(element, strategy)
 
 
 def test_merged_rewriting_matches_the_path_by_path_reference(monkeypatch):
-    # equal values everywhere, and the worklist's key order wherever it
-    # rewrites no key twice; the gl11 golden pins the order of the generic rule
     rng = random.Random(11)
-    exact = 0
     for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
         spec = load_fixture(name)
         letters = list(spec.group)
@@ -280,25 +275,13 @@ def test_merged_rewriting_matches_the_path_by_path_reference(monkeypatch):
                 terms[(word, rng.choice(letters))] = Scalar.rational(spec.ctx, rng.randint(1, 5))
             element = NCElement(spec, terms)
             for strategy in ("leftmost", "rightmost"):
-                expanded = {}
-                reference = _reference_normal_form(monkeypatch, element, strategy, expanded)
-                merged = normal_form(element, strategy)
-                assert merged == reference
-                if all(count == 1 for count in expanded.values()):
-                    exact += 1
-                    assert list(merged.terms) == list(reference.terms)
+                reference = _reference_normal_form(monkeypatch, element, strategy)
+                assert normal_form(element, strategy) == reference
     ring = generic_color_lie_ring(load_fixture("gl11"))
     pres = build_uea(ring)
     one = Scalar.one(ring.epsilon.ctx)
     for word in itertools.product(range(ring.size), repeat=4):
-        expanded = {}
-        reference = _reference_rewrite({word: one}, pres._rule, expanded)
-        merged = pres.reduce({word: one})
-        assert merged == reference
-        if all(count == 1 for count in expanded.values()):
-            exact += 1
-            assert list(merged) == list(reference)
-    assert exact > 700  # 775 of the 856 cases
+        assert pres.reduce({word: one}) == _reference_rewrite({word: one}, pres._rule)
 
 
 def test_a_power_rewrites_each_key_once(monkeypatch):
