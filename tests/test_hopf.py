@@ -269,7 +269,7 @@ def test_a_fixture_pass_reduces_each_word_once(monkeypatch):
 
 def test_the_hopf_check_halves_the_field_multiplies_on_ex1(monkeypatch):
     # 18,920 field multiplies before the Hopf memos, 15,234 with them, and
-    # 7,649 with right flanks built from shorter ones
+    # 7,581 with right flanks built from shorter ones
     spec = load_fixture("ex1")
     calls = 0
     multiply = CyclotomicNumber.__mul__
