@@ -1,4 +1,4 @@
-"""Byte-for-byte outputs of the CLI, the PBW report and the generic rewriter.
+"""Byte-for-byte outputs of the CLI, the PBW and Hopf reports and the generic rewriter.
 
 The files under tests/golden/ hold the exact output of a known-good
 revision.  Refactors must leave every one of them unchanged.  When an
@@ -18,6 +18,7 @@ from pathlib import Path
 
 from qdrinfeld.cli import main
 from qdrinfeld.colorlie import generic_color_lie_ring
+from qdrinfeld.hopf import check_hopf_axioms
 from qdrinfeld.pbw import check_pbw
 from qdrinfeld.scalar import Scalar
 from qdrinfeld.specfile import fixture_names, load_fixture
@@ -50,6 +51,7 @@ HUMAN = {
 # case name -> (subcommand, extra options, fixtures): slower runs on a few fixtures
 SELECTED = {
     "hopf-d3": ("hopf", ("--degree", "3"), ("ex1", "ex2")),
+    "hopf-d4": ("hopf", ("--degree", "4"), ("ex1",)),
 }
 
 # one descending word of degree >= 3 with a group letter per algebra fixture
@@ -116,6 +118,13 @@ def pbw_corpus_output() -> str:
     return "\n".join(lines) + "\n"
 
 
+def hopf_corpus_output() -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lines = [json.dumps(check_hopf_axioms(spec, 3).as_dict()) for spec in corpus(60)]
+    return "\n".join(lines) + "\n"
+
+
 def generic_reduce_output() -> str:
     ring = generic_color_lie_ring(load_fixture("gl11"))
     pres = build_uea(ring)
@@ -136,6 +145,7 @@ def all_outputs() -> dict[str, str]:
     outputs.update({f"cli/{case}.txt": text for case, text in human_outputs().items()})
     outputs.update({f"cli/{case}.txt": text for case, text in all_json_outputs().items()})
     outputs["pbw_corpus.txt"] = pbw_corpus_output()
+    outputs["hopf_corpus.txt"] = hopf_corpus_output()
     outputs["gl11_reduce.txt"] = generic_reduce_output()
     return outputs
 
@@ -175,6 +185,10 @@ def test_degree_three_hopf_sweeps_match_golden():
 
 def test_pbw_reports_on_the_corpus_match_golden():
     _assert_golden("pbw_corpus.txt", pbw_corpus_output())
+
+
+def test_hopf_reports_on_the_corpus_match_golden():
+    _assert_golden("hopf_corpus.txt", hopf_corpus_output())
 
 
 def test_generic_rewriter_matches_golden():
