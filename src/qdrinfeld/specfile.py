@@ -114,7 +114,8 @@ def _parse_json_list(value: str, lineno: int, what: str):
 
 
 def _int_row(row, lineno: int, what: str) -> list[int]:
-    if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+    # not isinstance: JSON true and false are bools, which are ints too
+    if not isinstance(row, list) or not all(type(x) is int for x in row):
         raise ParseError(f"{what} must be a list of integers", lineno)
     return row
 

@@ -77,6 +77,20 @@ def test_a_missing_section_names_no_line():
     assert str(info.value) == "missing section [group]"
 
 
+def test_a_boolean_in_an_integer_row_is_refused_on_its_line():
+    # bool is an int subclass, so [true, 2] once parsed as Z/1 x Z/2
+    rows = {
+        "orders = [2]": "orders = [true, 2]",
+        "characters = [[1], [1]]": "characters = [[1], [false]]",
+    }
+    for row, bad in rows.items():
+        text = MINIMAL.replace(row, bad)
+        with pytest.raises(ParseError) as info:
+            parse_spec_text(text)
+        assert info.value.line == text.splitlines().index(bad) + 1, bad
+        assert "list of integers" in str(info.value)
+
+
 def test_duplicate_q_entry_rejected():
     with pytest.raises(ParseError):
         parse_spec_text(MINIMAL + "1 2 = -1\n")
