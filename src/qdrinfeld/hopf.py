@@ -11,17 +11,20 @@ The coproduct sends each generator to v (x) 1 + 1 (x) v and each group
 letter to 1 (x) g, extended multiplicatively.  Delta of a monomial is
 memoized on its spec and built from its prefix, Delta(w v_j) =
 Delta(w) Delta(v_j), so each monomial's value is computed once per spec;
-Delta(w g) is Delta(w) with the letter of its last slot moved by g.
-Braided products and antipodes read per-spec normal forms of bare words
-(``algebra.word_normal_form``) shifted by G: ``normal_form`` commutes
-with right multiplication by a group letter, so c * v_w * g reduces to
-c times the memoized normal form of v_w with every letter moved by g.
+Delta(v_j) is stored as it stands, and Delta(w g) is Delta(w) with the
+letter of its last slot moved by g.  Braided products and antipodes read
+per-spec normal forms of bare words (``algebra.word_normal_form``)
+shifted by G: ``normal_form`` commutes with right multiplication by a
+group letter, so c * v_w * g reduces to c times the memoized normal form
+of v_w with every letter moved by g.
 
 ``check_hopf_axioms`` decides the laws, and its docstring has the
-proofs.  It checks the coproduct on the defining relations, and on their
-degree-bounded multiples where a premise of descent fails.  On a sorted
-word the coproduct is the quantum shuffle coproduct, so coassociativity
-and the counit laws hold on every spec.  The antipode law holds wherever
+proofs.  The coproduct kills every bare defining relation on every spec,
+so where strong vanishing and confluence hold no relation is checked;
+where one fails, the degree-bounded multiples of the relations with a
+nonempty left flank are.  On a sorted word the coproduct is the quantum
+shuffle coproduct, so coassociativity and the counit laws hold on every
+spec.  The antipode law holds wherever
 the rewriting is confluent, and is swept on PBW monomials elsewhere.
 """
 
@@ -167,9 +170,11 @@ def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement) -> dict:
     """Terms of Delta(v_word g) from the spec's memo, computing missing entries.
 
     Delta(w v_j) is the braided product of the memoized Delta(w) with
-    v_j (x) 1 + 1 (x) v_j, so the bracketing is left to right.  On any
-    spec, Delta(w g) is Delta(w) with the last slot's letter multiplied
-    by g, and takes no braided product: that of Delta(w) with 1 (x) g
+    v_j (x) 1 + 1 (x) v_j, so the bracketing is left to right.  A single
+    letter is stored as v_j (x) 1 + 1 (x) v_j itself: its product with
+    the unit has twist 1, and both slots are normal.  On any spec,
+    Delta(w g) is Delta(w) with the last slot's letter multiplied by g,
+    and takes no braided product: that of Delta(w) with 1 (x) g
     has twist 1 against a degree-zero factor, leaves the normal slots of
     Delta(w) alone and moves the empty slot at no cost.  The memo keeps
     terms dicts, not elements, so it holds no reference back to the spec
@@ -189,10 +194,11 @@ def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement) -> dict:
         terms = BraidedTensorElement.unit(spec).terms
     else:
         one = Scalar.one(spec.ctx)
-        prefix = _monomial_delta(spec, word[:-1], identity)
-        factor = {((word[-1],), (), identity): one, ((), (word[-1],), identity): one}
-        tensor = BraidedTensorElement._trusted
-        terms = braided_product(tensor((spec,), prefix), tensor((spec,), factor)).terms
+        terms = {((word[-1],), (), identity): one, ((), (word[-1],), identity): one}
+        if len(word) > 1:
+            prefix = _monomial_delta(spec, word[:-1], identity)
+            tensor = BraidedTensorElement._trusted
+            terms = braided_product(tensor((spec,), prefix), tensor((spec,), terms)).terms
     memo[key] = terms
     return terms
 
@@ -317,10 +323,13 @@ def _relation_certificates(spec: AlgebraSpec, flank: int) -> list[dict]:
     which sums the terms.  No associativity is used, so this holds on
     every spec, ex1 (where strong vanishing fails) included.  It follows
     that every right extension of a multiple with zero coproduct has zero
-    coproduct too, so those are skipped.  The left flank does not factor
-    that way: Delta(v_u v_x) is bracketed from the left through u's
-    letters, and splitting it as Delta(v_u) * Delta(v_x) would need
-    associativity.
+    coproduct too, so those are skipped.  The empty left flank is skipped
+    with them: Delta(rel) = 0 on every spec (part (0) of "Relations" in
+    ``check_hopf_axioms``), so neither rel nor any rel * w has a
+    certificate, and the emission order of the others is unchanged.  The
+    left flank does not factor that way: Delta(v_u v_x) is bracketed from
+    the left through u's letters, and splitting it as Delta(v_u) *
+    Delta(v_x) would need associativity.
     """
     n = spec.n
     identity = spec.group.identity()
@@ -333,6 +342,8 @@ def _relation_certificates(spec: AlgebraSpec, flank: int) -> list[dict]:
         for j in range(i + 1, n):
             relation = defining_relation(spec, j, i)
             for u in all_words(n, flank):
+                if not u:
+                    continue
                 # the nonzero residues, keyed by the right flank
                 residues = {(): coproduct(NCElement.monomial(spec, u) * relation, strong=True)}
                 for w in all_words(n, flank - len(u)):
@@ -396,20 +407,38 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     braided Hopf algebras" (Contemp. Math. 267, 2000) and Majid,
     *Foundations of Quantum Group Theory* (CUP 1995), ch. 10.
 
-    Relations.  Strong vanishing makes each relation homogeneous for the
-    degree pairing, so the twist is well defined on the quotient A, and
-    confluence (the overlap oracle, by Bergman's diamond lemma) makes
-    ``normal_form`` a function on A, so the braided square is
+    Relations.  (0) The bare relations.  For j > i, rel_ji = v_j v_i -
+    q_ji v_i v_j - kappa(v_j, v_i), where kappa(v_j, v_i) = sum c_rh v_r h
+    has words of length one, and Delta(v_r h) = v_r (x) h + 1 (x) v_r h.
+    In Delta(v_j v_i) = (v_j (x) 1 + 1 (x) v_j)(v_i (x) 1 + 1 (x) v_i)
+    the mixed terms are v_j (x) v_i and, twisted by the crossing, q_ji
+    v_i (x) v_j.  The slots of v_j v_i (x) 1 and 1 (x) v_j v_i take the
+    one rewrite step v_j v_i = q_ji v_i v_j + kappa(v_j, v_i), and the
+    letter h of a kappa term in the left slot migrates right, giving
+    v_r (x) h, so
+    Delta(v_j v_i) = q_ji (v_i v_j (x) 1 + 1 (x) v_i v_j) + v_j (x) v_i
+    + q_ji v_i (x) v_j + Delta(kappa(v_j, v_i)).  The word v_i v_j is
+    sorted, so no slot of Delta(v_i v_j) = v_i v_j (x) 1 + v_i (x) v_j +
+    q_ij v_j (x) v_i + 1 (x) v_i v_j is rewritten, and
+    Delta(rel_ji) = (1 - q_ji q_ij) v_j (x) v_i = 0, since the spec
+    stores q_ji = q_ij^-1.  No premise is used: every bare relation is in
+    the kernel of the coproduct on every spec, ex1 and the non-confluent
+    specs included.
+
+    (1) The multiples.  Strong vanishing makes each relation homogeneous
+    for the degree pairing, so the twist is well defined on the quotient
+    A, and confluence (the overlap oracle, by Bergman's diamond lemma)
+    makes ``normal_form`` a function on A, so the braided square is
     associative.  Delta is an algebra map from the free algebra, so under
-    both premises Delta(u rel w) = Delta(u) Delta(rel) Delta(w) and the
-    bare relations decide.  Otherwise every multiple u * rel * w with
-    flank words of combined length < d is checked, since the bare
-    relation does not stand in for its multiples: on ex1, where strong
-    vanishing fails, Delta(rel_12) = 0 but Delta(v1 * rel_12) != 0, and
-    on the non-confluent ``corpus(60)[22]`` of ``tests/randspec.py``,
-    where it holds, every bare residue is zero and a flank residue is
-    not.  The right flank is built from shorter ones
-    (``_relation_certificates`` has the proof).
+    both premises Delta(u rel w) = Delta(u) Delta(rel) Delta(w), which is
+    0 by (0), and no relation is visited.  Otherwise every multiple
+    u * rel * w with flank words of combined length < d is checked, since
+    the bare relation does not stand in for its multiples: on ex1, where
+    strong vanishing fails, Delta(v1 * rel_12) != 0, and on the
+    non-confluent ``corpus(60)[22]`` of ``tests/randspec.py``, where it
+    holds, a flank residue is not zero either.  By (0) the multiples with
+    an empty left flank are not visited, and the right flank is built
+    from shorter ones (``_relation_certificates`` has the proof).
 
     (a) No rewriting.  Let w = w_1 ... w_k be sorted.  The memo builds
     Delta(v_w) from the left, one Delta(v_{w_i}) at a time, so each slot
@@ -465,7 +494,7 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
             stacklevel=2,
         )
     confluent = decided_confluence(spec)
-    relations = _relation_certificates(spec, 0 if strong and confluent else d - 1)
+    relations = [] if strong and confluent else _relation_certificates(spec, d - 1)
     antipodes = []
     if not confluent:
         for word in pbw_words(spec.n, d):

@@ -24,11 +24,17 @@ from qdrinfeld.hopf import (
 )
 from qdrinfeld.errors import SpecError
 from qdrinfeld.groups import ADegree
-from qdrinfeld.pbw import check_pbw, check_vanishing, overlap_oracle
+from qdrinfeld.pbw import (
+    check_pbw,
+    check_vanishing,
+    decided_confluence,
+    decided_vanishing,
+    overlap_oracle,
+)
 from qdrinfeld.scalar import Combination, Scalar, accumulate
-from qdrinfeld.specfile import load_fixture, parse_spec_text
+from qdrinfeld.specfile import format_spec, load_fixture, parse_spec_text
 
-from randspec import corpus, parametric_corpus
+from randspec import corpus, multi_letter_corpus, parametric_corpus
 from test_cli import _two_generator_spec
 
 
@@ -351,7 +357,9 @@ def test_the_hopf_check_halves_the_field_multiplies_on_ex1(monkeypatch):
 
 def test_a_fixture_pass_bounds_the_braided_products(monkeypatch):
     # 74 per pass when every relation multiple was expanded on its own,
-    # 68 with right flanks built from shorter ones
+    # 68 with right flanks built from shorter ones, and 27 with no bare
+    # relation visited and Delta(v_k) stored as it stands: ex1's flank
+    # sweep is all that is left
     names = ("ex1", "ex2", "ex3", "ex4", "gl11", "zero-kappa")
     calls = []
     braided = hopf.braided_product
@@ -360,7 +368,7 @@ def test_a_fixture_pass_bounds_the_braided_products(monkeypatch):
         warnings.simplefilter("ignore")
         for name in names:
             run_all(name, 2)
-    assert len(calls) <= 70
+    assert len(calls) <= 27
 
 
 def test_coproduct_at_a_group_letter_makes_no_braided_product(monkeypatch):
@@ -462,8 +470,9 @@ def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
 
 
 def test_bare_relation_sweep_bounds_the_braided_products_on_ex4(monkeypatch):
-    # ex4 is strong and confluent, so only the bare relations are swept:
-    # the flank sweep at degree 3 makes 501 braided products
+    # ex4 is strong and confluent, so no relation is swept (the bare
+    # relations were, before their proof): the flank sweep at degree 3
+    # makes 501 braided products
     count = 0
     braided = hopf.braided_product
 
@@ -499,22 +508,43 @@ def test_finite_proof_work_does_not_grow_with_the_degree(monkeypatch):
     # the sweep makes 22 braided products and 90 antipodes at degree 2
     # on ex4, and 42 and 330 at degree 3 (65/360 and 145/1320 when it
     # visited every group letter); the finite proof computed S(rel) for
-    # each of the 6 bare relations, and now computes no antipode at all
+    # each of the 6 bare relations, and later Delta(rel) only, which is 0
+    # on every spec, so it now computes neither
     report, low = _hopf_work(monkeypatch, load_fixture("ex4"), 2)
     assert report.passed
     report, high = _hopf_work(monkeypatch, load_fixture("ex4"), 5)
     assert report.passed and low == high
-    assert low["braided_product"] > 0 and low["antipode"] == 0
+    assert low["braided_product"] == 0 and low["antipode"] == 0
 
 
 def test_finite_proof_work_does_not_grow_with_the_group(monkeypatch):
     # the all-letters sweep at degree 2 visited every one of the 36 or 144
-    # group letters
+    # group letters; the spec is strong and confluent, so no relation is
+    # visited either
     report, small = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(6)), 2)
     assert report.passed
     report, large = _hopf_work(monkeypatch, parse_spec_text(_two_generator_spec(12)), 2)
     assert report.passed and small == large
-    assert small["braided_product"] > 0
+    assert small["braided_product"] == 0
+
+
+def test_a_strong_confluent_spec_makes_no_hopf_work(monkeypatch):
+    # the relation leg is proved (part (0) of "Relations" in
+    # check_hopf_axioms) and the antipode law too, so nothing is computed:
+    # checking the bare relations of these four at degree 2 took 38
+    # braided products, 13 coproducts and 42 normal forms.  Strong
+    # vanishing and confluence are decided first, since the overlap
+    # oracle reduces words of its own
+    def every_degree(spec):
+        for d in range(1, 6):
+            report, counts = _hopf_work(monkeypatch, spec, d, ("braided_product", "coproduct"))
+            assert report.passed, (spec.name, d)
+            assert counts == {"braided_product": 0, "coproduct": 0}, (spec.name, d)
+
+    for name in ("ex2", "ex3", "ex4", "zero-kappa"):
+        spec = load_fixture(name)
+        assert decided_vanishing(spec, strong=True)[0] and decided_confluence(spec)
+        assert _rewrite_calls(monkeypatch, lambda: every_degree(spec)) == 0, name
 
 
 def test_finite_proof_checks_no_law_on_a_monomial(monkeypatch):
@@ -538,10 +568,25 @@ def test_every_law_holds_on_the_group_letters():
                 assert found == [], (spec.name, word, g)
 
 
+# (format_spec(spec), flank) -> the certificates of the reference below
+_EXPANDED = {}
+
+
 def _expanded_relation_certificates(spec, flank):
     """Reference for ``hopf._relation_certificates``: the coproduct of
     every multiple u * rel * w expanded as a free element, with no right
-    flank built from a shorter one and no multiple skipped."""
+    flank built from a shorter one and no multiple skipped.
+
+    Computed once per spec text and flank in a session, since several
+    tests compare against the same references; the list is shared and
+    must not be mutated."""
+    key = (format_spec(spec), flank)
+    if key not in _EXPANDED:
+        _EXPANDED[key] = _expand_relation_multiples(spec, flank)
+    return _EXPANDED[key]
+
+
+def _expand_relation_multiples(spec, flank):
     n = spec.n
     certificates = []
     for i in range(n):
@@ -571,6 +616,23 @@ def _assert_the_relation_certificates_match(spec, flanks):
         for flank in flanks:
             expected = _expanded_relation_certificates(spec, flank)
             assert hopf._relation_certificates(spec, flank) == expected, (spec.name, flank)
+
+
+def test_the_coproduct_kills_every_bare_relation():
+    # part (0) of "Relations" in check_hopf_axioms: Delta(rel_ji) =
+    # (1 - q_ji q_ij) v_j (x) v_i = 0 on every spec, whichever of strong
+    # vanishing and confluence holds
+    specs = [load_fixture(name) for name in FIXTURES] + corpus(200)
+    specs += multi_letter_corpus(288, 1) + multi_letter_corpus(288, 3)
+    specs += parametric_corpus(288, 1)
+    kinds = set()
+    for spec in specs:
+        kinds.add((decided_vanishing(spec, strong=True)[0], decided_confluence(spec)))
+        for i in range(spec.n):
+            for j in range(i + 1, spec.n):
+                relation = defining_relation(spec, j, i)
+                assert coproduct(relation, strong=True).is_zero(), (spec.name, i, j)
+    assert kinds == set(itertools.product((True, False), repeat=2))
 
 
 def test_relation_certificates_match_the_expanded_reference_on_ex1():
@@ -694,7 +756,7 @@ def _all_letters_sweep(spec, d):
     sorted monomial of degree <= d at every group letter."""
     strong, _ = check_vanishing(spec, strong=True)
     flank = 0 if strong and overlap_oracle(spec) else d - 1
-    certificates = _expanded_relation_certificates(spec, flank)
+    certificates = list(_expanded_relation_certificates(spec, flank))
     well_defined = not certificates
     for word in pbw_words(spec.n, d):
         for g in spec.group:
@@ -851,16 +913,24 @@ def test_a_failed_finite_check_falls_back_to_the_sweep(monkeypatch):
     def failing_on_rel_12(spec, flank):
         return [planted] + relations(spec, flank)
 
-    # ex4 is confluent, so the laws stay decided by proof: the report is
-    # the all-letters sweep's with the planted certificate
-    reference = _all_letters_sweep(load_fixture("ex4"), 2)
-    monkeypatch.setattr(hopf, "_relation_certificates", failing_on_rel_12)
-    monkeypatch.setattr(hopf, "_antipode_certificates", _no_sweep)
-    report = check_hopf_axioms(load_fixture("ex4"), 2)
-    assert not report.passed and not report.delta_well_defined
-    assert report.coassociative and report.counit_laws and report.antipode_law
-    assert report.certificates == (planted,)
-    assert report == dataclasses.replace(reference, delta_well_defined=False, certificates=(planted,))
+    # the relation leg runs on ex1, where strong vanishing fails; it is
+    # confluent, so the other laws stay decided by proof: the report is
+    # the all-letters sweep's with the planted certificate first.  At
+    # degree 1 the planted certificate is the only one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        references = {d: _all_letters_sweep(load_fixture("ex1"), d) for d in (1, 2)}
+        assert references[1].delta_well_defined and not references[2].delta_well_defined
+        monkeypatch.setattr(hopf, "_relation_certificates", failing_on_rel_12)
+        monkeypatch.setattr(hopf, "_antipode_certificates", _no_sweep)
+        for d, reference in references.items():
+            report = check_hopf_axioms(load_fixture("ex1"), d)
+            assert not report.passed and not report.delta_well_defined
+            assert report.coassociative and report.counit_laws and report.antipode_law
+            certificates = (planted, *reference.certificates)
+            assert report == dataclasses.replace(
+                reference, delta_well_defined=False, certificates=certificates
+            )
 
 
 def _flank_residues(spec, d):
