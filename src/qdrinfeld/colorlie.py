@@ -172,27 +172,34 @@ class ColorLieRing:
         return f"ColorLieRing(mode={self.mode!r}, size={self.size})"
 
 
-def build_color_lie_ring(spec: AlgebraSpec, force: bool = False) -> ColorLieRing:
-    """Bracket table over the basis v_i (x) g from the correction map.
+def build_color_lie_ring(spec: AlgebraSpec) -> ColorLieRing:
+    """The spec's own ring (see _own_ring) under the hypotheses of the
+    paper's theorems: the PBW verdict and the weak vanishing condition.
+
+    Raises HypothesisNotMet naming the spec and the hypothesis that fails.
+    """
+    report = check_pbw(spec)
+    if not (report.verdict and report.vanishing):
+        hypothesis = "weak vanishing" if report.verdict else "the PBW verdict"
+        raise HypothesisNotMet(
+            f"{spec.name or 'an unnamed algebra'} fails {hypothesis}, which the bracket ring needs"
+        )
+    return _own_ring(spec)
+
+
+def _own_ring(spec: AlgebraSpec) -> ColorLieRing:
+    """Bracket table over the basis v_i (x) g from the correction map,
+    built without deciding the hypotheses.
 
     [v_i g, v_j h] = chi_j(g) kappa(v_i, v_j) gh, as g acts on v_j on its
     way right.  So each entry is the row kappa(v_i, v_j) scaled once by
     the unit chi_j(g), with its letters moved by g and then by h, which
     is a bijection on keys: no coefficient vanishes.
 
-    Requires the PBW verdict and the vanishing condition; force=True
-    builds without deciding them, for callers that already hold the PBW
-    report or want to explore anyway.  While a caller holds the ring,
-    every call returns that same object, the spec's own ring; the spec
-    keeps it weakly, so both die without the cycle collector.
+    While a caller holds the ring, every call returns that same object,
+    the spec's own ring; the spec keeps it weakly, so both die without
+    the cycle collector.
     """
-    if not force:
-        report = check_pbw(spec)
-        if not (report.verdict and report.vanishing):
-            raise HypothesisNotMet(
-                "bracket construction needs the PBW property and the vanishing "
-                "condition; pass force=True to explore anyway"
-            )
     ring = spec._ring and spec._ring()
     if ring is not None:
         return ring
@@ -382,7 +389,7 @@ def _pairing_premise(ring: ColorLieRing) -> None:
 
 
 def _is_own_ring(spec: AlgebraSpec, ring: ColorLieRing) -> bool:
-    """Is ring the one build_color_lie_ring(spec) returns while it is held?
+    """Is ring the one _own_ring(spec) returns while it is held?
     Asks the spec's weak reference, so it builds no ring."""
     return spec._ring is not None and spec._ring() is ring
 

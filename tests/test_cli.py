@@ -165,17 +165,34 @@ def test_run_all_decides_pbw_once(monkeypatch):
     assert calls == ["ex2"]
 
 
-def test_run_all_builds_one_ring(monkeypatch):
+def test_run_all_builds_no_ring_on_the_algebra_fixtures(monkeypatch):
+    # inside the hypotheses lie and uea come from the paper's theorems
+    # (run_all's docstring), so nothing is built or computed for them
+    calls = []
+    for module in (cli, colorlie, uea):
+        for name in ("check_pbw", "check_color_axioms", "iso_check", "dimension_oracle"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
     built = []
     construct = colorlie.ColorLieRing.__init__
 
-    def counted(ring, *args, **kwargs):
-        built.append(1)
-        construct(ring, *args, **kwargs)
+    def counted_ring(ring, mode, *args, **kwargs):
+        built.append(mode)
+        construct(ring, mode, *args, **kwargs)
 
-    monkeypatch.setattr(colorlie.ColorLieRing, "__init__", counted)
-    assert run_all("ex2", 2)["passed"]
-    assert len(built) == 1
+    monkeypatch.setattr(colorlie.ColorLieRing, "__init__", counted_ring)
+    with pytest.warns(UserWarning, match="ex1"):
+        for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+            run_all(name, 2)
+    assert built == [] and calls == ["check_pbw"] * 5
+    assert run_all("gl11", 2)["passed"]
+    assert built == ["generic"]
 
 
 def test_run_all_decides_each_spec_fact_once(monkeypatch):
@@ -361,6 +378,100 @@ def test_check_on_a_large_group_answers_quickly(tmp_path):
     code, out, err = run(["check", str(path)])
     assert time.monotonic() - started < 5
     assert code == 0 and "verdict: PBW" in out, err
+
+
+# ROADMAP item 21's probe: not PBW generically, though kappa vanishes at lam = 1
+NOT_PBW_AT_LAM = """[field]
+conductor = 6
+params = lam
+
+[group]
+orders = [3]
+
+[action]
+characters = [[1], [2], [2]]
+
+[q]
+1 2 = -zeta(6)
+1 3 = 1 - zeta(6)
+2 3 = -1
+
+[kappa]
+2 3 -> 1 (2) (lam - 1)*(-1 + zeta(6))
+"""
+
+
+def test_all_decides_nothing_past_a_failed_check(tmp_path):
+    path = tmp_path / "item21.qdo"
+    path.write_text(NOT_PBW_AT_LAM)
+    code, out, _ = run(["all", str(path), "--json"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["verdicts"] == {
+        "check": False,
+        "strong_vanishing": False,
+        "lie": None,
+        "uea": None,
+        "hopf": None,
+        "hopf_exploratory": None,
+    }
+    assert {key: data["certificates"][key] for key in ("lie", "uea", "hopf")} == {
+        "lie": [],
+        "uea": [],
+        "hopf": [],
+    }
+    assert data["passed"] is False and data["exit_code"] == 2
+    code, _, err = run(["uea", str(path)])
+    assert code == 2 and "hypothesis not met: item21 fails the PBW verdict" in err
+
+
+# PBW (condition 2's mixed entry cancels between its two kappa terms) but
+# chi_3(g) != q_23 on the v1 g term of kappa(v1, v2): weak vanishing fails
+PBW_WITHOUT_WEAK_VANISHING = """[field]
+conductor = 12
+
+[group]
+orders = [2]
+
+[action]
+characters = [[0], [0], [1]]
+
+[q]
+1 2 = zeta(12)^2
+1 3 = zeta(12) - zeta(12)^3
+2 3 = 1 - zeta(12)^2
+
+[kappa]
+1 2 -> 1 (1) 1
+2 3 -> 3 (1) -1 - zeta(12)^2
+"""
+
+
+def test_all_decides_nothing_without_weak_vanishing(tmp_path):
+    path = tmp_path / "mixed.qdo"
+    path.write_text(PBW_WITHOUT_WEAK_VANISHING)
+    code, out, _ = run(["all", str(path), "--json"])
+    data = json.loads(out)
+    assert code == 2 and data["passed"] is False
+    assert data["verdicts"]["check"] is True
+    assert [data["verdicts"][key] for key in ("lie", "uea", "hopf")] == [None] * 3
+
+
+def test_all_on_a_large_non_invariant_spec_answers_quickly(tmp_path):
+    # ROADMAP item 17's probe on Z/6 x Z/6: not PBW, as kappa is not
+    # invariant, so nothing may sweep the (n|G|)^3 triples of its ring
+    path = tmp_path / "z6.qdo"
+    path.write_text(
+        "[field]\nconductor = 12\nparams = lam\n[group]\norders = [6, 6]\n"
+        "[action]\ncharacters = [[0, 1], [1, 0], [1, 1]]\n"
+        "[q]\n1 2 = 1\n1 3 = 1\n2 3 = 1\n"
+        "[kappa]\n1 2 -> 3 (1,0) lam; 1 (0,1) 1\n1 3 -> 2 (0,1) 1\n"
+    )
+    started = time.monotonic()
+    code, out, err = run(["all", str(path), "--degree", "1", "--json"])
+    assert time.monotonic() - started < 5
+    assert code == 2 and len(out.encode()) < 10_000, err
+    assert json.loads(out)["verdicts"]["lie"] is None
 
 
 def _two_generator_spec(order):

@@ -10,6 +10,7 @@ from qdrinfeld.colorlie import (
     Bicharacter,
     ColorAxiomReport,
     ColorLieRing,
+    _own_ring,
     build_color_lie_ring,
     build_N_and_quotient,
     check_braiding_compatibility,
@@ -19,12 +20,13 @@ from qdrinfeld.colorlie import (
 )
 from qdrinfeld.errors import HypothesisNotMet, NonUnitEpsilon, SpecError, ValueNotSign
 from qdrinfeld.groups import ADegree
-from qdrinfeld.pbw import check_invariance, check_vanishing
+from qdrinfeld.pbw import check_invariance, check_pbw, check_vanishing
 from qdrinfeld.scalar import Combination, Scalar, ScalarContext, accumulate, parse_scalar
 from qdrinfeld.specfile import load_fixture, parse_spec_text
 from qdrinfeld.uea import iso_check
 
 from randspec import corpus, multi_letter_corpus, parametric_corpus
+from test_cli import PBW_WITHOUT_WEAK_VANISHING
 
 
 def ring_for(name):
@@ -79,7 +81,7 @@ def test_the_bracket_table_is_kappa_shifted_by_the_group():
     specs = [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
     specs += corpus(200) + multi_letter_corpus(288, 1) + parametric_corpus(288, 1)
     for spec in specs:
-        ring = build_color_lie_ring(spec, force=True)
+        ring = _own_ring(spec)
         expected = _reference_table(spec)
         assert [(key, list(combo.items())) for key, combo in ring.table.items()] == [
             (key, list(combo.items())) for key, combo in expected.items()
@@ -106,7 +108,7 @@ def test_the_ring_build_scales_each_kappa_row_once(monkeypatch):
 
     monkeypatch.setattr(Scalar, "__mul__", counted_multiply)
     monkeypatch.setattr(ADegree, "__init__", counted_init)
-    ring = build_color_lie_ring(spec, force=True)
+    ring = _own_ring(spec)
     # entry by entry the build made 162 products for 162 entries, and 81 degrees
     assert len(ring.table) == 162
     assert counts["multiply"] <= 162 // 9
@@ -193,20 +195,31 @@ def test_ring_requires_the_hypotheses():
     chars[-1] = chars[0]
     q = {(i, j): spec.q_scalar(i, j) for i in range(3) for j in range(i + 1, 3)}
     kappa = {pair: spec.kappa_pairs(*pair) for pair in spec.kappa_support()}
-    broken = AlgebraSpec(spec.ctx, spec.group, chars, q, kappa)
-    with pytest.raises(HypothesisNotMet):
+    broken = AlgebraSpec(spec.ctx, spec.group, chars, q, kappa, name="ex2-recharactered")
+    with pytest.raises(HypothesisNotMet) as refused:
         build_color_lie_ring(broken)
-    ring = build_color_lie_ring(broken, force=True)
+    assert str(refused.value) == (
+        "ex2-recharactered fails the PBW verdict, which the bracket ring needs"
+    )
+    ring = _own_ring(broken)
     # a held ring does not let a later call skip the hypotheses
     with pytest.raises(HypothesisNotMet):
         build_color_lie_ring(broken)
     assert ring.spec is broken
 
 
+def test_the_refusal_names_weak_vanishing_when_only_it_fails():
+    spec = parse_spec_text(PBW_WITHOUT_WEAK_VANISHING, name="mixed-cancel")
+    assert check_pbw(spec).verdict
+    with pytest.raises(HypothesisNotMet) as refused:
+        build_color_lie_ring(spec)
+    assert str(refused.value) == "mixed-cancel fails weak vanishing, which the bracket ring needs"
+
+
 def test_one_ring_per_spec_while_it_is_held():
     spec = load_fixture("ex2")
     ring = build_color_lie_ring(spec)
-    assert build_color_lie_ring(spec, force=True) is ring
+    assert _own_ring(spec) is ring
     assert build_color_lie_ring(load_fixture("ex2")) is not ring
 
 
@@ -427,12 +440,12 @@ def test_sparse_sweep_matches_the_dense_reference_on_perturbed_rings():
 
 def _own_rings():
     for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
-        yield name, build_color_lie_ring(load_fixture(name), force=True)
+        yield name, _own_ring(load_fixture(name))
     for spec in corpus(60):
-        yield spec.name, build_color_lie_ring(spec, force=True)
+        yield spec.name, _own_ring(spec)
     for spec in multi_letter_corpus(72, 2):
         if spec.n * len(spec.group) <= 12:
-            yield spec.name, build_color_lie_ring(spec, force=True)
+            yield spec.name, _own_ring(spec)
 
 
 def test_own_rings_match_the_dense_reference_decided_from_the_spec_or_swept():
@@ -467,7 +480,7 @@ def test_planted_kappa_faults_on_ex4_match_the_dense_reference():
     jacobi = []
     for variant in (doubled, planted):
         assert check_invariance(variant)[0]
-        ring = build_color_lie_ring(variant, force=True)
+        ring = _own_ring(variant)
         report = check_color_axioms(ring).as_dict()
         assert report == _dense_axioms(ring)
         jacobi.append(report["jacobi"])

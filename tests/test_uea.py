@@ -3,7 +3,13 @@
 import pytest
 
 from qdrinfeld import pbw, uea
-from qdrinfeld.colorlie import ColorLieRing, build_color_lie_ring, generic_color_lie_ring
+from qdrinfeld.colorlie import (
+    ColorLieRing,
+    _own_ring,
+    build_color_lie_ring,
+    check_color_axioms,
+    generic_color_lie_ring,
+)
 from qdrinfeld.errors import (
     AxiomsFailed,
     NotPurelyPositive,
@@ -31,7 +37,7 @@ from qdrinfeld.algebra import (
 )
 from qdrinfeld.cyclotomic import CyclotomicNumber
 
-from randspec import corpus, multi_letter_corpus
+from randspec import corpus, multi_letter_corpus, parametric_corpus
 from test_cli import _two_generator_spec
 
 
@@ -197,11 +203,11 @@ def test_iso_check_flags_a_bracket_bent_off_the_identity():
 def _rings_to_compare():
     for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
         spec = load_fixture(name)
-        yield name, spec, build_color_lie_ring(spec, force=True)
+        yield name, spec, _own_ring(spec)
         if spec.n > 1 and spec.kappa_pairs(0, 1):
             yield (name, "perturbed"), spec, perturbed_ring(spec, identity_pair(spec))
     for spec in corpus(60):
-        yield spec.name, spec, build_color_lie_ring(spec, force=True)
+        yield spec.name, spec, _own_ring(spec)
     for order in (4, 6):
         spec = parse_spec_text(_two_generator_spec(order))
         yield order, spec, build_color_lie_ring(spec)
@@ -375,6 +381,31 @@ def test_converse_recovers_the_fixture_specs():
         spec = load_fixture(name)
         rebuilt = converse_construct(build_color_lie_ring(spec))
         assert format_spec(rebuilt) == format_spec(spec), name
+
+
+def test_the_papers_theorems_hold_where_all_takes_them():
+    # PBW with weak vanishing: the bracket ring is a color Lie ring and its
+    # enveloping algebra is the deformation, so run_all takes lie and uea as
+    # true; the deciders are its reference here, on shapes no fixture has
+    gated = outside = 0
+    for spec in corpus(200) + multi_letter_corpus(288, 1) + parametric_corpus(288, 1):
+        report = check_pbw(spec)
+        if not (report.verdict and report.vanishing):
+            outside += 1
+            continue
+        gated += 1
+        own = build_color_lie_ring(spec)
+        assert check_color_axioms(own).passed, spec.name
+        # a copy is not the spec's own ring, so the sweep decides it
+        copy = ColorLieRing(own.mode, own.labels, own.degrees, own.table, own.epsilon, spec=spec)
+        assert check_color_axioms(copy).passed, spec.name
+        assert format_spec(converse_construct(own)) == format_spec(spec), spec.name
+        if spec.n * len(spec.group) <= 12:
+            assert iso_check(spec, copy) == (True, []), spec.name
+            for d in (2, 3):
+                pbw_count, quotient_dim = dimension_oracle(spec, d)
+                assert pbw_count == quotient_dim, (spec.name, d)
+    assert (gated, outside) == (433, 343)
 
 
 def test_converse_requires_a_positive_basis():
