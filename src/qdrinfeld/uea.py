@@ -28,13 +28,7 @@ from .algebra import (
     pbw_monomial_count,
     rewrite,
 )
-from .colorlie import (
-    Combo,
-    ColorLieRing,
-    _is_own_ring,
-    check_color_axioms,
-    split_parts,
-)
+from .colorlie import Combo, ColorLieRing, check_color_axioms, split_parts
 from .errors import (
     AxiomsFailed,
     InternalInconsistency,
@@ -189,28 +183,10 @@ def iso_check(spec: AlgebraSpec, ring: ColorLieRing):
     the deformation is rewritten in the enveloping algebra's own calculus.
     Returns (all residues vanish, certificates for the ones that do not).
 
-    The spec's own ring (colorlie._is_own_ring, which builds no ring)
-    passes unreduced: its residues vanish by the AlgebraSpec invariants
-    q_ii = 1, q_ij q_ji = 1 and kappa(v_j, v_i) = -q_ji kappa(v_i, v_j).  Let
-    J(v_i, v_j) = v_i v_j - q_ij v_j v_i - kappa(v_i, v_j).
-
-    - Forward, i < j: the normal form of J(v_i, v_j) is
-      (1 - q_ij q_ji) v_i v_j - (q_ij kappa(v_j, v_i) + kappa(v_i, v_j)),
-      which is 0.  For i > j one rewrite step is the relation itself; for
-      i = j, q_ii = 1 and kappa(v_i, v_i) is empty.
-    - Other pairs: the pairing is bimultiplicative and group letters pair
-      to 1, so eps(v_i g, v_j h) = q_ij chi_i(h)^-1 chi_j(g); the bracket
-      is chi_j(g) kappa(v_i, v_j) gh and G is abelian, so the image of
-      (v_i g, v_j h) is chi_j(g) J(v_i, v_j) gh, and normal_form commutes
-      with right multiplication by a group letter (see its docstring).
-    - Backward: _spec_from_ring reads back the spec's own q, each a unit
-      of a single term, so NonUnitEpsilon cannot arise, and its own
-      kappa; each defining relation reduces to 0 in one step.
-
-    Any other ring has every ordered pair reduced, then every relation.
+    Every ordered pair is reduced, then every relation.  On the spec's
+    own ring under the paper's hypotheses every residue vanishes;
+    colorlie.require_hypotheses has the proof.
     """
-    if _is_own_ring(spec, ring):
-        return True, []
     certificates = []
     engine = _spec_from_ring(ring)
     for s in range(ring.size):

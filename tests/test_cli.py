@@ -12,6 +12,8 @@ from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.scalar import Scalar
 from qdrinfeld.specfile import fixture_names, format_spec, load_fixture, parse_spec_text
 
+from randspec import corpus
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -191,6 +193,13 @@ def test_run_all_builds_no_ring_on_the_algebra_fixtures(monkeypatch):
         for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
             run_all(name, 2)
     assert built == [] and calls == ["check_pbw"] * 5
+    # lie and uea read the same gate; uea still counts dimensions
+    calls.clear()
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        for argv in (["lie", name], ["lie", name, "--quotient"], ["uea", name, "--degree", "2"]):
+            run(argv)
+    assert built == []
+    assert calls == ["check_pbw", "check_pbw", "check_pbw", "dimension_oracle"] * 5
     assert run_all("gl11", 2)["passed"]
     assert built == ["generic"]
 
@@ -425,6 +434,19 @@ def test_all_decides_nothing_past_a_failed_check(tmp_path):
     assert code == 2 and "hypothesis not met: item21 fails the PBW verdict" in err
 
 
+def test_all_prints_the_certificates_of_a_failed_check(tmp_path):
+    path = tmp_path / "item21.qdo"
+    path.write_text(NOT_PBW_AT_LAM)
+    _, out, _ = run(["check", str(path)])
+    printed = [line for line in out.splitlines() if line.startswith("  ")]
+    _, out, _ = run(["check", str(path), "--json"])
+    assert printed == ["  " + json.dumps(cert) for cert in json.loads(out)["cond2_violations"]]
+    assert len(printed) == 2
+    code, out, _ = run(["all", str(path)])
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("  ")] == printed
+
+
 # PBW (condition 2's mixed entry cancels between its two kappa terms) but
 # chi_3(g) != q_23 on the v1 g term of kappa(v1, v2): weak vanishing fails
 PBW_WITHOUT_WEAK_VANISHING = """[field]
@@ -455,6 +477,29 @@ def test_all_decides_nothing_without_weak_vanishing(tmp_path):
     assert code == 2 and data["passed"] is False
     assert data["verdicts"]["check"] is True
     assert [data["verdicts"][key] for key in ("lie", "uea", "hopf")] == [None] * 3
+
+
+def test_lie_and_uea_refuse_exactly_where_all_decides_nothing(tmp_path):
+    # one gate for the three commands: the hypotheses of the paper's theorems
+    texts = [(spec.name, format_spec(spec)) for spec in corpus(60)]
+    texts += [("item21", NOT_PBW_AT_LAM), ("mixed", PBW_WITHOUT_WEAK_VANISHING)]
+    outside = []
+    for index, (name, text) in enumerate(texts):
+        path = tmp_path / f"{index}.qdo"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            refused = run_all(str(path), 2)["verdicts"]["lie"] is None
+        for argv in (["lie", str(path)], ["uea", str(path), "--degree", "2"]):
+            code, _, err = run(argv)
+            if refused:
+                assert code == 2 and err.startswith("hypothesis not met:"), (name, argv)
+            else:
+                assert code == 0, (name, argv, err)
+        if refused:
+            outside.append(name)
+    # 19 of the 60 corpus specs fail the PBW verdict or weak vanishing
+    assert outside[-2:] == ["item21", "mixed"] and len(outside) == 21
 
 
 def test_all_on_a_large_non_invariant_spec_answers_quickly(tmp_path):
@@ -492,7 +537,7 @@ def test_lie_on_a_large_group_answers_quickly(tmp_path):
 
 
 def test_uea_on_a_large_group_answers_quickly(tmp_path):
-    # 82,944 basis pairs: on the spec's own ring the comparison map reduces none
+    # 82,944 basis pairs: the paper's theorems decide the comparison map
     path = tmp_path / "z12.qdo"
     path.write_text(_two_generator_spec(12))
     started = time.monotonic()
@@ -522,10 +567,8 @@ def test_hopf_on_a_large_group_answers_quickly(tmp_path):
 
 
 def test_axiom_sweep_work_follows_the_bracket_table(monkeypatch):
-    own = colorlie.build_color_lie_ring(parse_spec_text(_two_generator_spec(6)))
-    assert own.size == 72 and not own.table
-    # a copy is not the spec's own ring, so it is swept
-    ring = colorlie.ColorLieRing(own.mode, own.labels, own.degrees, own.table, own.epsilon, spec=own.spec)
+    ring = colorlie.build_color_lie_ring(parse_spec_text(_two_generator_spec(6)))
+    assert ring.size == 72 and not ring.table
     calls = []
     multiply = Scalar.__mul__
     monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))

@@ -1,9 +1,9 @@
 """Exported names resolve, the package re-exports its modules' objects,
-and every import is used.
+every import is used, and every private helper is used.
 
 A deleted function that is still listed in an ``__all__`` fails here
-rather than on the first ``from qdrinfeld import *``, and an import left
-behind by a deletion fails here without a linter.
+rather than on the first ``from qdrinfeld import *``, and an import or a
+helper left behind by a deletion fails here without a linter.
 """
 
 import ast
@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import qdrinfeld
@@ -148,3 +149,26 @@ def test_every_top_level_definition_is_used_or_exported():
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 name = top.name
                 assert name in referenced or name in exported, f"{module.__name__}.{name}"
+
+
+def test_every_private_helper_is_named_on_another_line():
+    # a module-level _helper that no other line of code in src/ names
+    # (docstrings and comments do not count) is left over from a deletion
+    names: dict[str, list[tuple[str, int]]] = {}
+    helpers = []
+    for module in [qdrinfeld, *MODULES]:
+        path = Path(module.__file__)
+        with path.open() as source:
+            for token in tokenize.generate_tokens(source.readline):
+                if token.type == tokenize.NAME:
+                    names.setdefault(token.string, []).append((path.name, token.start[0]))
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_"):
+                helpers.append((path.name, top.name, top.lineno, top.end_lineno))
+    assert helpers
+    for file, name, first, last in helpers:
+        elsewhere = [
+            (where, line) for where, line in names.get(name, [])
+            if where != file or not first <= line <= last
+        ]
+        assert elsewhere, f"{file}: {name} is named by no other line"
