@@ -68,7 +68,7 @@ class AlgebraSpec:
         # words (word_normal_form), the crossing twists of the braided
         # product (hopf.braided_product), the pairing
         # (colorlie.Bicharacter.from_spec) and the decided facts
-        # (pbw.decided_vanishing, pbw.decided_confluence), each computed
+        # (pbw.decided_vanishing, pbw.check_pbw), each computed
         # once per spec
         self._delta_cache: dict = {}
         self._nf_cache: dict = {}

@@ -3,8 +3,10 @@
 Every command takes a spec argument that is either a bundled fixture name
 (ex1, ex2, ex3, ex4, gl11, zero-kappa) or a path to a spec file.  Exit
 codes: 0 when every requested check passes, 2 when a mathematical check
-fails (certificates are printed or serialized), 1 on input errors, 3 when
-two computations that must agree did not (a bug in this package).
+fails (certificates are printed or serialized) or when `lie`, `uea`,
+`hopf` or `converse` refuses a spec outside the paper's hypotheses
+("hypothesis not met"), 1 on input errors, 3 when two computations that
+must agree did not (a bug in this package).
 """
 
 from __future__ import annotations
@@ -237,16 +239,17 @@ def run_all(argument: str, degree: int = 3) -> dict:
     report: the PBW verdict (conditions 1-3, which check_pbw holds
     against the overlap oracle) and weak vanishing.  Outside them the
     paper claims nothing: lie, uea, hopf and hopf_exploratory are None
-    with no certificates, nothing else runs, and the run fails, as `lie`
-    and `uea` refuse such a spec.
+    with no certificates, nothing else runs, and the run fails, as `lie`,
+    `uea` and `hopf` refuse such a spec.
 
     Inside them lie and uea are True with no certificates, and nothing
     is built or computed for them: these are the verdicts that
     check_color_axioms, iso_check and the dimension count of `uea` at
     the default point give on the spec's own ring, by the proofs in
-    require_hypotheses' docstring.  Hopf runs as it does alone; when
-    strong vanishing fails its sweep is marked exploratory: its failures
-    are reported but the structure was never claimed to exist.
+    require_hypotheses' docstring.  Hopf is check_hopf_axioms, which
+    reads the same gate and raises outside it; when strong vanishing
+    fails its sweep is marked exploratory: its failures are reported but
+    the structure was never claimed to exist.
     """
     started = time.monotonic()
     loaded = _load(argument)
@@ -271,11 +274,10 @@ def run_all(argument: str, degree: int = 3) -> dict:
         verdicts.update(lie=None, uea=None, hopf=None, hopf_exploratory=None)
         certificates.update(lie=[], uea=[], hopf=[])
         try:
-            require_hypotheses(spec, pbw)
+            hopf = check_hopf_axioms(spec, degree)
         except HypothesisNotMet:
             pass
         else:
-            hopf = check_hopf_axioms(spec, degree)
             verdicts.update(lie=True, uea=True, hopf=hopf.passed, hopf_exploratory=not strong)
             certificates["hopf"] = list(hopf.certificates)
         if not strong:
@@ -345,7 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME=EXPR",
         help="parameter value for the dimension count (repeatable)",
     )
-    add("hopf", _cmd_hopf, "coalgebra laws on a degree-bounded slice", degree=True)
+    add(
+        "hopf",
+        _cmd_hopf,
+        "coalgebra laws on a degree-bounded slice, where the spec is PBW with weak "
+        "vanishing (exit 2 otherwise)",
+        degree=True,
+    )
     add("converse", _cmd_converse, "rebuild the spec from its bracket ring")
     add("normal-form", _cmd_normal_form, "reduce an element expression", expr=True)
     add("fmt", _cmd_fmt, "echo the canonical spec text")

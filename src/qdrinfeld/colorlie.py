@@ -16,7 +16,7 @@ from functools import reduce
 from .algebra import AlgebraSpec
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
 from .groups import ADegree, GroupElement, SubgroupN
-from .pbw import PBWReport, check_pbw, decided_vanishing
+from .pbw import check_pbw, decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import Combination, Scalar, ScalarContext, accumulate
 from .specfile import GenericLieData
@@ -171,11 +171,11 @@ class ColorLieRing:
         return f"ColorLieRing(mode={self.mode!r}, size={self.size})"
 
 
-def require_hypotheses(spec: AlgebraSpec, report: PBWReport | None = None) -> None:
+def require_hypotheses(spec: AlgebraSpec) -> None:
     """Raise HypothesisNotMet, naming the spec and the hypothesis that
     fails, unless the hypotheses of the paper's two theorems hold: the
-    PBW verdict and the weak vanishing condition, read from the given
-    report or from check_pbw's.
+    PBW verdict and the weak vanishing condition, read from check_pbw's
+    report, which is decided once per spec.
 
     This is the one place where the theorems are applied: under
     the hypotheses, the bracket ring is a color Lie ring over kG and its
@@ -183,6 +183,8 @@ def require_hypotheses(spec: AlgebraSpec, report: PBWReport | None = None) -> No
     report what follows from that, as proved below, without building a
     ring; check_color_axioms, iso_check and dimension_oracle compute it
     for any ring or spec, and the tests compare the two.
+    check_hopf_axioms and build_color_lie_ring, and with them `hopf` and
+    `converse`, call it too.
 
     - On the spec's own ring (_own_ring), check_color_axioms passes with
       no certificate, and with build_N_and_quotient's N its grading
@@ -267,8 +269,7 @@ def require_hypotheses(spec: AlgebraSpec, report: PBWReport | None = None) -> No
       pbw_count sorted ones; and the rows lie in the ideal, in which no
       combination of sorted words lies.  So quotient_dim == pbw_count.
     """
-    if report is None:
-        report = check_pbw(spec)
+    report = check_pbw(spec)
     if not (report.verdict and report.vanishing):
         hypothesis = "weak vanishing" if report.verdict else "the PBW verdict"
         raise HypothesisNotMet(

@@ -249,9 +249,9 @@ def overlap_oracle(spec: AlgebraSpec) -> bool:
 def _decided(spec: AlgebraSpec, key, decide):
     """decide() on the first call for key, the answer kept on the spec after.
 
-    The answers are booleans and tuples of plain dicts, with no reference
-    back to the spec, so the memo dies with it.  They are shared between
-    callers and must not be mutated.
+    The answers are booleans, tuples of plain dicts and the PBWReport
+    made of them, with no reference back to the spec, so the memo dies
+    with it.  They are shared between callers and must not be mutated.
     """
     facts = spec._facts
     if key not in facts:
@@ -271,11 +271,6 @@ def decided_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tu
         return ok, violations
     weak = tuple(v for v in violations if v["k"] not in (v["i"], v["j"]))
     return not weak, weak
-
-
-def decided_confluence(spec: AlgebraSpec) -> bool:
-    """``overlap_oracle``, decided once per spec."""
-    return _decided(spec, "confluence", lambda: overlap_oracle(spec))
 
 
 @dataclass(frozen=True)
@@ -303,19 +298,23 @@ class PBWReport:
 
 
 def check_pbw(spec: AlgebraSpec) -> PBWReport:
-    """Run all sub-checks and assemble the report.
+    """Run all sub-checks and assemble the report, decided once per spec.
 
     The verdict is conditions 1-3 together.  The overlap oracle decides
     the same property independently and must reproduce it; a
     disagreement means a bug, not a property of the input.
     """
+    return _decided(spec, "pbw", lambda: _pbw_report(spec))
+
+
+def _pbw_report(spec: AlgebraSpec) -> PBWReport:
     cond1, cond1_violations = check_invariance(spec)
     cond2, cond2_violations = check_condition2(spec)
     cond3, cond3_violations = check_condition3(spec)
     vanishing, vanishing_violations = decided_vanishing(spec, strong=False)
     strong, strong_violations = decided_vanishing(spec, strong=True)
     verdict = cond1 and cond2 and cond3
-    oracle = decided_confluence(spec)
+    oracle = overlap_oracle(spec)
     if verdict != oracle:
         raise InternalInconsistency(
             f"the closed-form verdict ({verdict}) and the overlap oracle ({oracle}) "

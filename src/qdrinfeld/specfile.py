@@ -371,9 +371,11 @@ def parse_spec_text(text: str, name: str = ""):
 def parse_spec_file(path):
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
     return parse_spec_text(text, name=path.stem)
 
 

@@ -52,6 +52,15 @@ def test_malformed_file_is_an_input_error(tmp_path):
     assert code == 1
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "bin.qdo"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(["check", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "bin.qdo" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_check_json_key_set():
     code, out, _ = run(["check", "ex2", "--json"])
     assert code == 0
@@ -154,25 +163,36 @@ def test_a_pass_over_the_fixtures_skips_products_by_one(monkeypatch):
     assert len(calls) <= 9545 // 3
 
 
-def test_run_all_decides_pbw_once(monkeypatch):
+def _counted_pbw_reports(monkeypatch) -> list:
+    """The specs, by name, whose PBW report is computed from now on; a
+    report read back from the spec's memo is not counted."""
     calls = []
+    compute = pbw._pbw_report
 
     def counted(spec):
         calls.append(spec.name)
-        return pbw.check_pbw(spec)
+        return compute(spec)
 
-    for module in (cli, colorlie, uea):
-        monkeypatch.setattr(module, "check_pbw", counted)
+    monkeypatch.setattr(pbw, "_pbw_report", counted)
+    return calls
+
+
+def test_run_all_decides_pbw_once(monkeypatch):
+    # run_all and the Hopf check's gate both ask for the report
+    calls = _counted_pbw_reports(monkeypatch)
     assert run_all("ex2", 2)["passed"]
     assert calls == ["ex2"]
+    calls.clear()
+    code, _, _ = run(["hopf", "ex2", "--degree", "2"])
+    assert code == 0 and calls == ["ex2"]
 
 
 def test_run_all_builds_no_ring_on_the_algebra_fixtures(monkeypatch):
     # inside the hypotheses lie and uea come from the paper's theorems
     # (run_all's docstring), so nothing is built or computed for them
-    calls = []
+    calls = _counted_pbw_reports(monkeypatch)
     for module in (cli, colorlie, uea):
-        for name in ("check_pbw", "check_color_axioms", "iso_check", "dimension_oracle"):
+        for name in ("check_color_axioms", "iso_check", "dimension_oracle"):
             if hasattr(module, name):
                 original = getattr(module, name)
 
@@ -192,14 +212,15 @@ def test_run_all_builds_no_ring_on_the_algebra_fixtures(monkeypatch):
     with pytest.warns(UserWarning, match="ex1"):
         for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
             run_all(name, 2)
-    assert built == [] and calls == ["check_pbw"] * 5
+    names = ["ex1", "ex2", "ex3", "ex4", "zero-kappa"]
+    assert built == [] and calls == names
     # lie and uea read the same gate; uea still counts dimensions
     calls.clear()
-    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+    for name in names:
         for argv in (["lie", name], ["lie", name, "--quotient"], ["uea", name, "--degree", "2"]):
             run(argv)
     assert built == []
-    assert calls == ["check_pbw", "check_pbw", "check_pbw", "dimension_oracle"] * 5
+    assert calls == [item for name in names for item in [name] * 3 + ["dimension_oracle"]]
     assert run_all("gl11", 2)["passed"]
     assert built == ["generic"]
 
@@ -479,8 +500,8 @@ def test_all_decides_nothing_without_weak_vanishing(tmp_path):
     assert [data["verdicts"][key] for key in ("lie", "uea", "hopf")] == [None] * 3
 
 
-def test_lie_and_uea_refuse_exactly_where_all_decides_nothing(tmp_path):
-    # one gate for the three commands: the hypotheses of the paper's theorems
+def test_gated_commands_refuse_exactly_where_all_decides_nothing(tmp_path):
+    # one gate for the five commands: the hypotheses of the paper's theorems
     texts = [(spec.name, format_spec(spec)) for spec in corpus(60)]
     texts += [("item21", NOT_PBW_AT_LAM), ("mixed", PBW_WITHOUT_WEAK_VANISHING)]
     outside = []
@@ -489,13 +510,21 @@ def test_lie_and_uea_refuse_exactly_where_all_decides_nothing(tmp_path):
         path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            refused = run_all(str(path), 2)["verdicts"]["lie"] is None
-        for argv in (["lie", str(path)], ["uea", str(path), "--degree", "2"]):
-            code, _, err = run(argv)
-            if refused:
-                assert code == 2 and err.startswith("hypothesis not met:"), (name, argv)
-            else:
-                assert code == 0, (name, argv, err)
+            verdicts = run_all(str(path), 2)["verdicts"]
+            refused = verdicts["lie"] is None
+            commands = {
+                ("lie", str(path)): 0,
+                ("uea", str(path), "--degree", "2"): 0,
+                # the Hopf laws may fail inside the hypotheses, as on ex1
+                ("hopf", str(path), "--degree", "2"): 0 if verdicts["hopf"] else 2,
+                ("converse", str(path)): 0,
+            }
+            for argv, expected in commands.items():
+                code, _, err = run(list(argv))
+                if refused:
+                    assert code == 2 and err.startswith("hypothesis not met:"), (name, argv)
+                else:
+                    assert code == expected and not err, (name, argv, err)
         if refused:
             outside.append(name)
     # 19 of the 60 corpus specs fail the PBW verdict or weak vanishing

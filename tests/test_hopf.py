@@ -12,7 +12,7 @@ import pytest
 from qdrinfeld import algebra, hopf
 from qdrinfeld.algebra import NCElement, all_words, defining_relation, normal_form, pbw_words
 from qdrinfeld.cli import run_all
-from qdrinfeld.colorlie import Bicharacter
+from qdrinfeld.colorlie import Bicharacter, require_hypotheses
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.hopf import (
     BraidedTensorElement,
@@ -22,12 +22,11 @@ from qdrinfeld.hopf import (
     coproduct,
     counit,
 )
-from qdrinfeld.errors import SpecError
+from qdrinfeld.errors import HypothesisNotMet, SpecError
 from qdrinfeld.groups import ADegree
 from qdrinfeld.pbw import (
     check_pbw,
     check_vanishing,
-    decided_confluence,
     decided_vanishing,
     overlap_oracle,
 )
@@ -270,6 +269,19 @@ def _algebra_specs():
     return [load_fixture(name) for name in FIXTURES] + corpus(60)
 
 
+def _gated(specs):
+    """The specs that meet the paper's hypotheses, which check_hopf_axioms
+    requires; it refuses the others."""
+    kept = []
+    for spec in specs:
+        try:
+            require_hypotheses(spec)
+        except HypothesisNotMet:
+            continue
+        kept.append(spec)
+    return kept
+
+
 def _shifted(x, g):
     return x._like({(*key[:-1], key[-1] * g): c for key, c in x.terms.items()})
 
@@ -417,8 +429,8 @@ def test_the_memo_dies_with_its_spec():
     antipode(mono(spec, (2, 0), spec.group.generator(0)))
     assert spec._delta_cache and spec._nf_cache and spec._twist_cache
     check_pbw(spec)
-    # strong vanishing, which also answers the weak form, and confluence
-    assert set(spec._facts) == {"vanishing", "confluence"}
+    # strong vanishing, which also answers the weak form, and the PBW report
+    assert set(spec._facts) == {"vanishing", "pbw"}
     ref = weakref.ref(spec)
     gc.disable()
     try:
@@ -431,13 +443,11 @@ def test_the_memo_dies_with_its_spec():
 def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
     # without the per-spec memo the sweep makes 1308 braided products; the
     # memo must keep a fourth of them or less.  ex4 now takes the finite
-    # proof, so ex1's relation multiples and the antipode sweep of the
-    # non-confluent corpus(60)[22] keep the same guard: with the coproduct
-    # memo dropping every write, check_hopf_axioms(ex1, 2) makes 76 braided
-    # products (1011 when every law was swept at every group letter of
-    # every monomial) and check_hopf_axioms(corpus(60)[22], 3) makes 435.
-    # braided_product reads its twist from the q table and the word
-    # characters, so no sweep evaluates the pairing.
+    # proof, so ex1's relation multiples keep the same guard: with the
+    # coproduct memo dropping every write, check_hopf_axioms(ex1, 2) makes
+    # 76 braided products (1011 when every law was swept at every group
+    # letter of every monomial).  braided_product reads its twist from the
+    # q table and the word characters, so no sweep evaluates the pairing.
     counts = {"braided_product": 0, "eval": 0}
     braided = hopf.braided_product
     evaluate = Bicharacter.eval
@@ -460,12 +470,6 @@ def test_axiom_sweep_reuses_coproducts_and_pairings(monkeypatch):
     with pytest.warns(UserWarning):
         assert not check_hopf_axioms(load_fixture("ex1"), 2).passed
     assert counts["braided_product"] <= 1011 // 4
-    assert counts["eval"] == 0
-
-    counts.update(braided_product=0)
-    report = check_hopf_axioms(corpus(60)[22], 3)
-    assert not report.antipode_law
-    assert counts["braided_product"] <= 435 // 4
     assert counts["eval"] == 0
 
 
@@ -532,9 +536,10 @@ def test_a_strong_confluent_spec_makes_no_hopf_work(monkeypatch):
     # the relation leg is proved (part (0) of "Relations" in
     # check_hopf_axioms) and the antipode law too, so nothing is computed:
     # checking the bare relations of these four at degree 2 took 38
-    # braided products, 13 coproducts and 42 normal forms.  Strong
-    # vanishing and confluence are decided first, since the overlap
-    # oracle reduces words of its own
+    # braided products, 13 coproducts and 42 normal forms.  The PBW
+    # report, which the gate reads and which holds strong vanishing and
+    # the overlap oracle's answer, is decided first, since the oracle
+    # reduces words of its own
     def every_degree(spec):
         for d in range(1, 6):
             report, counts = _hopf_work(monkeypatch, spec, d, ("braided_product", "coproduct"))
@@ -543,24 +548,25 @@ def test_a_strong_confluent_spec_makes_no_hopf_work(monkeypatch):
 
     for name in ("ex2", "ex3", "ex4", "zero-kappa"):
         spec = load_fixture(name)
-        assert decided_vanishing(spec, strong=True)[0] and decided_confluence(spec)
+        report = check_pbw(spec)
+        assert report.strong_vanishing and report.oracle_confluent
         assert _rewrite_calls(monkeypatch, lambda: every_degree(spec)) == 0, name
 
 
 def test_finite_proof_checks_no_law_on_a_monomial(monkeypatch):
-    # the laws hold on every monomial of a confluent spec by construction;
-    # checking them on the v_i made spec.n calls, and each generator of G
-    # one more before that.  ex1 is confluent but not strong, so its
-    # relation multiples are still swept, and its monomials no longer
+    # the laws hold on every monomial under the hypotheses by construction
+    # (part (c) of check_hopf_axioms), so no antipode is taken; checking
+    # them on the v_i made spec.n calls, and each generator of G one more
+    # before that.  ex1 is not strong, so its relation multiples are still
+    # swept, and its monomials no longer
     for name, passed in (("ex4", True), ("ex1", False)):
-        names = ("_antipode_certificates",)
-        report, counts = _hopf_work(monkeypatch, load_fixture(name), 3, names=names)
-        assert report.passed == passed
-        assert counts["_antipode_certificates"] == 0
+        report, counts = _hopf_work(monkeypatch, load_fixture(name), 3)
+        assert report.passed == passed and report.antipode_law
+        assert counts["antipode"] == 0
 
 
 def test_every_law_holds_on_the_group_letters():
-    # and on each v_i g: what the antipode sweep takes as given
+    # and on each v_i g, on every spec: no fold rewrites there
     for spec in _algebra_specs():
         for g in spec.group:
             for word in [()] + [(i,) for i in range(spec.n)]:
@@ -627,7 +633,7 @@ def test_the_coproduct_kills_every_bare_relation():
     specs += parametric_corpus(288, 1)
     kinds = set()
     for spec in specs:
-        kinds.add((decided_vanishing(spec, strong=True)[0], decided_confluence(spec)))
+        kinds.add((decided_vanishing(spec, strong=True)[0], overlap_oracle(spec)))
         for i in range(spec.n):
             for j in range(i + 1, spec.n):
                 relation = defining_relation(spec, j, i)
@@ -725,7 +731,8 @@ def _delta_on_right(image):
 def _law_certificates(spec, monomial):
     """Reference check of one monomial: a certificate for each of
     coassociativity, the counit laws and the antipode laws that fails,
-    in that order, each computed from the coproduct."""
+    in that order, each computed from the coproduct; the antipode folds
+    take ``_reference_antipode`` and ``normal_form``."""
     certificates = []
     image = coproduct(monomial, strong=True)
     left3, right3 = _delta_on_left(image), _delta_on_right(image)
@@ -748,7 +755,23 @@ def _law_certificates(spec, monomial):
                 "right": str(from_right),
             }
         )
-    return certificates + hopf._antipode_certificates(spec, monomial)
+    expected = counit(monomial)
+    fold_left = fold_right = NCElement.zero(spec)
+    for (l, r, g), c in image.terms.items():
+        v_l, v_r = mono(spec, l), mono(spec, r, g)
+        fold_left = fold_left + normal_form(_reference_antipode(v_l) * v_r).scale(c)
+        fold_right = fold_right + normal_form(v_l * _reference_antipode(v_r)).scale(c)
+    if fold_left != expected or fold_right != expected:
+        certificates.append(
+            {
+                "law": "antipode",
+                "monomial": str(monomial),
+                "left": str(fold_left),
+                "right": str(fold_right),
+                "expected": str(expected),
+            }
+        )
+    return certificates
 
 
 def _all_letters_sweep(spec, d):
@@ -787,15 +810,19 @@ def test_sweep_matches_the_all_letters_reference_on_fixtures(name, d):
 
 
 def test_sweep_matches_the_all_letters_reference_on_random_specs():
-    # 19 of the 60 specs are not confluent, and 17 of those fail the
-    # antipode law at degree 3
-    for spec in corpus(60):
+    # check_hopf_axioms refuses the other 19 of the 60 specs
+    specs = _gated(corpus(60))
+    assert len(specs) == 41
+    for spec in specs:
         for d in (2, 3):
             _assert_the_report_matches_the_all_letters_reference(spec, d)
 
 
 def test_the_hopf_check_matches_the_all_letters_reference_with_parameters():
-    specs = [spec for spec in parametric_corpus(72, 1) if spec.n * len(spec.group) <= 12]
+    # 36 of the 64 small specs meet the hypotheses; the Hopf check refuses
+    # the others
+    specs = [spec for spec in parametric_corpus(96, 1) if spec.n * len(spec.group) <= 12]
+    specs = _gated(specs)
     assert len(specs) >= 30
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -803,64 +830,49 @@ def test_the_hopf_check_matches_the_all_letters_reference_with_parameters():
             assert check_hopf_axioms(spec, 2) == _all_letters_sweep(spec, 2), spec.name
 
 
-def test_a_covariant_fault_is_swept_on_every_letter(monkeypatch):
-    # doubling the antipode on every element with a length-2 word breaks
-    # the antipode law on each degree-2 monomial at every group letter,
-    # and the identity letter must send the sweep to the others.  The
-    # spec is not confluent, so its antipode law is swept, not proved
-    spec = corpus(60)[22]
-    assert not overlap_oracle(spec)
-    anti = hopf.antipode
-    two = Scalar.rational(spec.ctx, 2)
-
-    def doubled(x):
-        value = anti(x)
-        return value.scale(two) if any(len(word) == 2 for word, _ in x.terms) else value
-
-    monkeypatch.setattr(hopf, "antipode", doubled)
-    report = check_hopf_axioms(spec, 2)
-    assert report == _all_letters_sweep(corpus(60)[22], 2)
-    # one relation multiple, and the 6 degree-2 monomials at both letters
-    assert len(report.certificates) == 13
-    antipodes = [cert for cert in report.certificates if cert["law"] == "antipode"]
-    assert len(antipodes) == 6 * len(spec.group)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_the_antipode_sweep_checks_each_monomial_once(d, monkeypatch):
-    # the antipode law holds on the monomials of corpus(60)[1], which is not
-    # confluent, so no letter but the identity is tried, and none is tried
-    # on the monomials of degree < 2, where the law holds by construction:
-    # 3 calls at degree 2 and 7 at 3 (12 and 20 at every group letter).
-    # ex1 is confluent, so the law is proved there and never checked (the
-    # three-law sweep made 6 and 16 calls)
-    spec = corpus(60)[1]
-    assert not overlap_oracle(spec)
-    names = ("_antipode_certificates",)
-    report, counts = _hopf_work(monkeypatch, spec, d, names)
-    assert report.antipode_law
-    assert counts["_antipode_certificates"] == len(list(pbw_words(2, d))) - len(list(pbw_words(2, 1)))
-    report, counts = _hopf_work(monkeypatch, load_fixture("ex1"), d, names)
-    assert not report.passed and report.antipode_law
-    assert counts["_antipode_certificates"] == 0
-
-
 def test_sweep_work_does_not_grow_with_the_group(monkeypatch):
-    # the kappa row breaks strong vanishing, so the spec sweeps; the
-    # all-letters sweep makes 103 braided products and 480 antipodes at
-    # k = 4, and 223 and 1080 at k = 6
+    # the kappa row is invariant, as v2 has the trivial character, and
+    # breaks strong vanishing at k = 1, so the spec meets the hypotheses
+    # and sweeps the relation multiples: 8 braided products at k = 4, 6
+    # and 12, and no antipode
     def swept(order):
-        text = _two_generator_spec(order) + "[kappa]\n1 2 -> 1 (1,0) 1\n"
+        text = (
+            f"[group]\norders = [{order}, {order}]\n[action]\ncharacters = [[1, 0], [0, 0]]\n"
+            f"[q]\n1 2 = zeta({order})\n[kappa]\n1 2 -> 1 (1,0) 1\n"
+        )
         report, counts = _hopf_work(monkeypatch, parse_spec_text(text), 2)
         assert not report.strong_vanishing and not report.delta_well_defined
         return counts
 
     small = swept(4)
-    assert small == swept(6)
-    assert small["braided_product"] > 0 and small["antipode"] > 0
+    assert small == swept(6) == swept(12)
+    assert small["braided_product"] > 0 and small["antipode"] == 0
 
 
-def _no_sweep(spec, monomial):
+def test_gated_reports_do_not_depend_on_the_rewriting_order(monkeypatch):
+    # under the hypotheses the rewriting is confluent, so normal_form is a
+    # function on the quotient (Bergman's diamond lemma) and the report
+    # cannot depend on which descent is rewritten first.  Outside them it
+    # can: reducing rightmost changed 17 of the 19 reports of the specs of
+    # corpus(60) that the Hopf check now refuses
+    def reports():
+        specs = _gated([load_fixture(name) for name in FIXTURES] + corpus(60))
+        assert len(specs) == 46
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return [check_hopf_axioms(spec, 3) for spec in specs]
+
+    leftmost = reports()
+    assert any(report.certificates for report in leftmost)
+
+    def rightmost(spec, word):
+        return normal_form(mono(spec, word), "rightmost").terms
+
+    monkeypatch.setattr(hopf, "word_normal_form", rightmost)
+    assert reports() == leftmost
+
+
+def _no_sweep(spec, flank):
     raise AssertionError(f"{spec.name} should be decided by the finite checks")
 
 
@@ -877,24 +889,23 @@ def _antipode_kills_the_relations(spec):
 def test_finite_proof_agrees_with_the_sweep_on_fixtures(name, monkeypatch):
     reference = _all_letters_sweep(load_fixture(name), 3)
     assert _antipode_kills_the_relations(load_fixture(name))
-    monkeypatch.setattr(hopf, "_antipode_certificates", _no_sweep)
     assert check_hopf_axioms(load_fixture(name), 3) == reference
 
 
 def test_finite_proof_agrees_with_the_sweep_on_random_specs(monkeypatch):
     # S(rel) = 0, which the finite proof no longer checks, holds on each
+    # gated spec with strong vanishing
     checked = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for spec in corpus(60):
-            if not (check_vanishing(spec, strong=True)[0] and overlap_oracle(spec)):
+        for spec in _gated(corpus(60)):
+            if not check_vanishing(spec, strong=True)[0]:
                 continue
             assert _antipode_kills_the_relations(spec), spec.name
             reference = _all_letters_sweep(spec, 2)
             with monkeypatch.context() as patch:
                 # the coproduct kills every relation multiple by proof here
                 patch.setattr(hopf, "_relation_certificates", _no_sweep)
-                patch.setattr(hopf, "_antipode_certificates", _no_sweep)
                 assert check_hopf_axioms(spec, 2) == reference, spec.name
             checked += 1
     assert checked >= 30
@@ -914,8 +925,8 @@ def test_a_failed_finite_check_falls_back_to_the_sweep(monkeypatch):
     def failing_on_rel_12(spec, flank):
         return [planted] + relations(spec, flank)
 
-    # the relation leg runs on ex1, where strong vanishing fails; it is
-    # confluent, so the other laws stay decided by proof: the report is
+    # the relation leg runs on ex1, where strong vanishing fails; it meets
+    # the hypotheses, so the other laws stay decided by proof: the report is
     # the all-letters sweep's with the planted certificate first.  At
     # degree 1 the planted certificate is the only one
     with warnings.catch_warnings():
@@ -923,7 +934,6 @@ def test_a_failed_finite_check_falls_back_to_the_sweep(monkeypatch):
         references = {d: _all_letters_sweep(load_fixture("ex1"), d) for d in (1, 2)}
         assert references[1].delta_well_defined and not references[2].delta_well_defined
         monkeypatch.setattr(hopf, "_relation_certificates", failing_on_rel_12)
-        monkeypatch.setattr(hopf, "_antipode_certificates", _no_sweep)
         for d, reference in references.items():
             report = check_hopf_axioms(load_fixture("ex1"), d)
             assert not report.passed and not report.delta_well_defined
@@ -986,19 +996,16 @@ characters = [[0], [1], [0]]
 """
 
 
-def test_strong_vanishing_without_confluence_keeps_the_flank_sweep():
+def test_strong_vanishing_without_confluence_is_refused():
+    # a flank residue is nonzero, but without confluence it describes the
+    # rewriting order, not the algebra; the PBW verdict fails, so the Hopf
+    # check refuses the spec
     spec = parse_spec_text(STRONG_NOT_CONFLUENT, "strong-not-confluent")
     assert check_vanishing(spec, strong=True)[0]
     assert not overlap_oracle(spec)
     assert _flank_residues(spec, 2)
-    report = check_hopf_axioms(spec, 2)
-    assert not report.delta_well_defined
-    flanked = [
-        cert
-        for cert in report.certificates
-        if cert["law"] == "coproduct on relations" and (cert["left"], cert["right"]) != ("1", "1")
-    ]
-    assert flanked
+    with pytest.raises(HypothesisNotMet, match="strong-not-confluent fails the PBW verdict"):
+        check_hopf_axioms(spec, 2)
 
 
 def test_tensor_element_arithmetic():

@@ -9,6 +9,7 @@ from qdrinfeld.specfile import (
     format_spec,
     load_fixture,
     parse_nc_expression,
+    parse_spec_file,
     parse_spec_text,
 )
 
@@ -243,3 +244,20 @@ def test_all_zero_transposed_kappa_row_leaves_no_kappa_section():
     spec = _transpose_spec("2 1 -> 3 (1) 0 ; 1 (0) 0*lam\n")
     assert spec.kappa_support() == []
     assert "[kappa]" not in format_spec(spec)
+
+
+def test_a_spec_file_is_read_as_utf8(tmp_path):
+    # whatever the locale's encoding
+    path = tmp_path / "plane.qdo"
+    path.write_bytes(("# quantum plane, q = -1 (Größe 2)\n" + MINIMAL).encode("utf-8"))
+    spec = parse_spec_file(path)
+    assert spec.name == "plane" and format_spec(spec) == format_spec(parse_spec_text(MINIMAL))
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00", MINIMAL.encode("utf-8") + b"# \xe9\n"])
+def test_a_spec_file_that_is_not_utf8_is_a_parse_error(tmp_path, data):
+    path = tmp_path / "bin.qdo"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=r"bin\.qdo is not UTF-8 text") as info:
+        parse_spec_file(path)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
