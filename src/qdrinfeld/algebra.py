@@ -67,14 +67,13 @@ class AlgebraSpec:
         # Delta of monomials (hopf.coproduct), the normal forms of bare
         # words (word_normal_form), the crossing twists of the braided
         # product (hopf.braided_product), the pairing
-        # (colorlie.Bicharacter.from_spec) and the decided facts
-        # (pbw.decided_vanishing, pbw.check_pbw), each computed
-        # once per spec
+        # (colorlie.Bicharacter.from_spec) and the PBW report
+        # (pbw.check_pbw), each computed once per spec
         self._delta_cache: dict = {}
         self._nf_cache: dict = {}
         self._twist_cache: dict = {}
         self._pairing = None
-        self._facts: dict = {}
+        self._pbw = None
 
     def _build_q(self, n: int, q_in) -> dict[tuple[int, int], Scalar]:
         one = Scalar.one(self.ctx)
@@ -191,8 +190,9 @@ class AlgebraSpec:
         return f"AlgebraSpec(n={self.n}, group={self.group!r}, name={self.name!r})"
 
 
-class NCElement(Combination):
-    """A finite sum of terms coeff * v_word * g with the group on the right."""
+class SpecCombination(Combination):
+    """A Combination whose space is one spec: the free elements here and
+    the braided tensors of ``hopf``."""
 
     __slots__ = ("spec",)
 
@@ -204,7 +204,7 @@ class NCElement(Combination):
         return (self.spec,)
 
     @classmethod
-    def _trusted(cls, space: tuple, terms: dict) -> NCElement:
+    def _trusted(cls, space: tuple, terms: dict) -> SpecCombination:
         """As LinearCombination._trusted, with the one slot set directly,
         as ``Scalar._trusted`` does."""
         x = object.__new__(cls)
@@ -212,8 +212,14 @@ class NCElement(Combination):
         x.terms = terms
         return x
 
-    def _like(self, terms) -> NCElement:
+    def _like(self, terms) -> SpecCombination:
         return self._trusted((self.spec,), terms)
+
+
+class NCElement(SpecCombination):
+    """A finite sum of terms coeff * v_word * g with the group on the right."""
+
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, spec, word, g=None, coeff=None) -> NCElement:

@@ -16,7 +16,7 @@ from functools import reduce
 from .algebra import AlgebraSpec
 from .errors import HypothesisNotMet, InternalInconsistency, NonUnitEpsilon, SpecError, ValueNotSign
 from .groups import ADegree, GroupElement, SubgroupN
-from .pbw import check_pbw, decided_vanishing
+from .pbw import PBWReport, check_pbw
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import Combination, Scalar, ScalarContext, accumulate
 from .specfile import GenericLieData
@@ -171,11 +171,12 @@ class ColorLieRing:
         return f"ColorLieRing(mode={self.mode!r}, size={self.size})"
 
 
-def require_hypotheses(spec: AlgebraSpec) -> None:
+def require_hypotheses(spec: AlgebraSpec) -> PBWReport:
     """Raise HypothesisNotMet, naming the spec and the hypothesis that
     fails, unless the hypotheses of the paper's two theorems hold: the
     PBW verdict and the weak vanishing condition, read from check_pbw's
-    report, which is decided once per spec.
+    report, which is decided once per spec.  Return that report, so that
+    a caller reads strong vanishing from it too.
 
     This is the one place where the theorems are applied: under
     the hypotheses, the bracket ring is a color Lie ring over kG and its
@@ -275,6 +276,7 @@ def require_hypotheses(spec: AlgebraSpec) -> None:
         raise HypothesisNotMet(
             f"{spec.name or 'an unnamed algebra'} fails {hypothesis}, which the bracket ring needs"
         )
+    return report
 
 
 def build_color_lie_ring(spec: AlgebraSpec) -> ColorLieRing:
@@ -671,7 +673,8 @@ def check_braiding_compatibility(spec: AlgebraSpec) -> bool:
 
     The pairing of |v_k| with a correction component must match the
     pairing with the two reordered generators combined.  The outcome is
-    asserted to coincide with the strong form of the character test.
+    asserted to coincide with the strong form of the character test,
+    read from check_pbw's report.
     """
     eps = Bicharacter.from_spec(spec)
     n = spec.n
@@ -687,8 +690,7 @@ def check_braiding_compatibility(spec: AlgebraSpec) -> bool:
                 )
                 if lhs != rhs:
                     ok = False
-    strong, _ = decided_vanishing(spec, strong=True)
-    if ok != strong:
+    if ok != check_pbw(spec).strong_vanishing:
         raise InternalInconsistency(
             "pairing compatibility must match the strong character identity"
         )

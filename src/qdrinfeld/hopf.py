@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, fields
 from .algebra import (
     AlgebraSpec,
     NCElement,
+    SpecCombination,
     all_words,
     defining_relation,
     word_normal_form,
@@ -45,12 +46,11 @@ from .algebra import normal_form  # noqa: F401  (bench/tracing.py patches this b
 from .colorlie import require_hypotheses
 from .errors import SpecError
 from .groups import GroupElement
-from .pbw import decided_vanishing
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
-from .scalar import Combination, Scalar, accumulate
+from .scalar import Scalar, accumulate
 
 
-class BraidedTensorElement(Combination):
+class BraidedTensorElement(SpecCombination):
     """A sum of canonical tensors v_l (x) v_r g.
 
     Keys are (l, r, g): group-free words for both slots and the group
@@ -58,25 +58,7 @@ class BraidedTensorElement(Combination):
     field.
     """
 
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: AlgebraSpec, terms) -> None:
-        self.spec = spec
-        super().__init__(terms)
-
-    def _space(self) -> tuple:
-        return (self.spec,)
-
-    @classmethod
-    def _trusted(cls, space: tuple, terms: dict) -> BraidedTensorElement:
-        """As LinearCombination._trusted, with the one slot set directly."""
-        x = object.__new__(cls)
-        x.spec, = space
-        x.terms = terms
-        return x
-
-    def _like(self, terms) -> BraidedTensorElement:
-        return self._trusted((self.spec,), terms)
+    __slots__ = ()
 
     @classmethod
     def unit(cls, spec: AlgebraSpec) -> BraidedTensorElement:
@@ -204,27 +186,17 @@ def _monomial_delta(spec: AlgebraSpec, word, g: GroupElement) -> dict:
     return terms
 
 
-def coproduct(x: NCElement, strong: bool | None = None) -> BraidedTensorElement:
+def coproduct(x: NCElement) -> BraidedTensorElement:
     """Multiplicative extension of v -> v (x) 1 + 1 (x) v, g -> 1 (x) g.
 
     Applied term by term to the free presentation of x.  Delta of each
     monomial is memoized per spec and built from its prefix; the result is
     always a fresh element.  It only descends to the quotient when the
-    strong character identity holds; otherwise the value is exploratory.
-    ``strong`` only governs the warning that says so, not the value: the
-    warning is emitted when it is False, or when it is None and strong
-    vanishing fails.  A caller that has given the warning already, as
-    check_hopf_axioms has before its flank sweep, passes True.
+    strong character identity holds; otherwise the value is exploratory,
+    and check_hopf_axioms, which reads that identity from the PBW report,
+    gives the one warning that says so.
     """
     spec = x.spec
-    if strong is None:
-        strong, _ = decided_vanishing(spec, strong=True)
-    if not strong:
-        warnings.warn(
-            "the coproduct does not descend to the quotient of "
-            f"{spec.name or 'an unnamed algebra'}; values are exploratory",
-            stacklevel=2,
-        )
     total: dict = {}
     for (word, g), coeff in x.terms.items():
         for key, c in _monomial_delta(spec, word, g).items():
@@ -348,7 +320,7 @@ def _relation_certificates(spec: AlgebraSpec, flank: int) -> list[dict]:
                 if not u:
                     continue
                 # the nonzero residues, keyed by the right flank
-                residues = {(): coproduct(NCElement.monomial(spec, u) * relation, strong=True)}
+                residues = {(): coproduct(NCElement.monomial(spec, u) * relation)}
                 for w in all_words(n, flank - len(u)):
                     if w:
                         prefix = residues.get(w[:-1])
@@ -460,8 +432,7 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     """
     if d < 1:
         raise SpecError("the degree bound must be at least 1")
-    require_hypotheses(spec)
-    strong, _ = decided_vanishing(spec, strong=True)
+    strong = require_hypotheses(spec).strong_vanishing
     if not strong:
         warnings.warn(
             "the coproduct does not descend to the quotient of "

@@ -246,33 +246,6 @@ def overlap_oracle(spec: AlgebraSpec) -> bool:
     return True
 
 
-def _decided(spec: AlgebraSpec, key, decide):
-    """decide() on the first call for key, the answer kept on the spec after.
-
-    The answers are booleans, tuples of plain dicts and the PBWReport
-    made of them, with no reference back to the spec, so the memo dies
-    with it.  They are shared between callers and must not be mutated.
-    """
-    facts = spec._facts
-    if key not in facts:
-        facts[key] = decide()
-    return facts[key]
-
-
-def decided_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tuple[dict, ...]]:
-    """``check_vanishing``, decided once per spec.
-
-    Only the strong form is computed.  The weak form tests the same
-    identities on the indices k other than i and j, so its violations
-    are the strong ones with such a k, in the same order.
-    """
-    ok, violations = _decided(spec, "vanishing", lambda: check_vanishing(spec, strong=True))
-    if strong:
-        return ok, violations
-    weak = tuple(v for v in violations if v["k"] not in (v["i"], v["j"]))
-    return not weak, weak
-
-
 @dataclass(frozen=True)
 class PBWReport:
     """Outcome of every PBW sub-check on one algebra."""
@@ -302,17 +275,27 @@ def check_pbw(spec: AlgebraSpec) -> PBWReport:
 
     The verdict is conditions 1-3 together.  The overlap oracle decides
     the same property independently and must reproduce it; a
-    disagreement means a bug, not a property of the input.
+    disagreement means a bug, not a property of the input.  The report
+    is the one place where vanishing is decided: every other module
+    reads both strengths from it.  It is kept on the spec and holds no
+    reference back to it, so it dies with the spec; it is shared between
+    callers and must not be mutated.
     """
-    return _decided(spec, "pbw", lambda: _pbw_report(spec))
+    if spec._pbw is None:
+        spec._pbw = _pbw_report(spec)
+    return spec._pbw
 
 
 def _pbw_report(spec: AlgebraSpec) -> PBWReport:
     cond1, cond1_violations = check_invariance(spec)
     cond2, cond2_violations = check_condition2(spec)
     cond3, cond3_violations = check_condition3(spec)
-    vanishing, vanishing_violations = decided_vanishing(spec, strong=False)
-    strong, strong_violations = decided_vanishing(spec, strong=True)
+    # the weak form tests the same identities on the indices k other than
+    # i and j, so its violations are the strong ones with such a k
+    strong, strong_violations = check_vanishing(spec, strong=True)
+    vanishing_violations = tuple(
+        v for v in strong_violations if v["k"] not in (v["i"], v["j"])
+    )
     verdict = cond1 and cond2 and cond3
     oracle = overlap_oracle(spec)
     if verdict != oracle:
@@ -327,7 +310,7 @@ def _pbw_report(spec: AlgebraSpec) -> PBWReport:
         cond1_violations=cond1_violations,
         cond2_violations=cond2_violations,
         cond3_violations=cond3_violations,
-        vanishing=vanishing,
+        vanishing=not vanishing_violations,
         vanishing_violations=vanishing_violations,
         strong_vanishing=strong,
         strong_vanishing_violations=strong_violations,

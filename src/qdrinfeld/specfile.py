@@ -371,7 +371,7 @@ def parse_spec_text(text: str, name: str = ""):
 def parse_spec_file(path):
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

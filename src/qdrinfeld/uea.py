@@ -39,7 +39,7 @@ from .errors import (
 )
 from .cyclotomic import CyclotomicNumber
 from .groups import ADegree, Character, char_exponent
-from .pbw import check_condition3, check_invariance, check_pbw, decided_vanishing
+from .pbw import check_pbw
 from .pbw import check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import Scalar, ScalarContext, accumulate
 
@@ -366,7 +366,8 @@ def converse_construct(ring: ColorLieRing) -> AlgebraSpec:
     from identity-letter brackets.  The compatibility conditions that make
     the recovered spec well behaved (action invariance, the character
     identity on correction terms, and the cyclic sum) are consequences of
-    the bracket axioms, so they are asserted after the rebuild.
+    the bracket axioms, so they are asserted after the rebuild, read from
+    the rebuilt spec's PBW report, which pbw_for_uea then reuses.
 
     The cyclic sum is the Jacobi identity of the bracket: each term
     v_r h of kappa(v_a, v_b) composes with v_c at the weight q_bc.
@@ -380,10 +381,8 @@ def converse_construct(ring: ColorLieRing) -> AlgebraSpec:
         labels = ", ".join(ring.label_str(s) for s in parts.negative)
         raise NotPurelyPositive(f"basis elements with self-pairing -1: {labels}")
     rebuilt = _spec_from_ring(ring)
-    invariant, _ = check_invariance(rebuilt)
-    vanishing, _ = decided_vanishing(rebuilt)
-    cyclic, _ = check_condition3(rebuilt)
-    if not (invariant and vanishing and cyclic):
+    report = check_pbw(rebuilt)
+    if not (report.cond1 and report.vanishing and report.cond3):
         raise InternalInconsistency(
             "the rebuilt spec must inherit the compatibility conditions from "
             f"the bracket axioms on {ring!r}"

@@ -27,7 +27,6 @@ from qdrinfeld.groups import ADegree
 from qdrinfeld.pbw import (
     check_pbw,
     check_vanishing,
-    decided_vanishing,
     overlap_oracle,
 )
 from qdrinfeld.scalar import Combination, Scalar, accumulate
@@ -173,7 +172,7 @@ def test_memoized_coproduct_matches_the_left_to_right_product(name):
             product = braided_product(product, _letter_delta(spec, j))
         for g in spec.group:
             expected = braided_product(product, _group_delta(spec, g))
-            assert coproduct(mono(spec, word, g), strong=True) == expected, (name, word, g)
+            assert coproduct(mono(spec, word, g)) == expected, (name, word, g)
 
 
 def _reference_braided_product(x, y):
@@ -222,7 +221,7 @@ def _assert_the_memo_matches_the_references(spec, degree):
     factors = [_letter_delta(spec, j) for j in range(spec.n)]
     factors += [_group_delta(spec, g) for g in spec.group]
     for word in all_words(spec.n, degree):
-        delta = coproduct(mono(spec, word), strong=True)
+        delta = coproduct(mono(spec, word))
         for factor in factors:
             expected = _reference_braided_product(delta, factor)
             assert braided_product(delta, factor) == expected, (spec.name, word)
@@ -294,7 +293,7 @@ def test_the_coproduct_of_a_sorted_word_is_the_quantum_shuffle():
         for word in pbw_words(spec.n, 4):
             expected = _shuffle_coproduct(spec, word)
             for g in spec.group:
-                got = coproduct(mono(spec, word, g), strong=True)
+                got = coproduct(mono(spec, word, g))
                 assert got == _shifted(expected, g), (spec.name, word, g)
                 monomials += 1
     assert monomials == 5575
@@ -386,14 +385,14 @@ def test_a_fixture_pass_bounds_the_braided_products(monkeypatch):
 def test_coproduct_at_a_group_letter_makes_no_braided_product(monkeypatch):
     # Delta(w g) is Delta(w) with the letter of its last slot moved by g
     spec = load_fixture("ex1")
-    plain = {word: coproduct(mono(spec, word), strong=True) for word in all_words(spec.n, 2)}
+    plain = {word: coproduct(mono(spec, word)) for word in all_words(spec.n, 2)}
     calls = []
     braided = hopf.braided_product
     monkeypatch.setattr(hopf, "braided_product", lambda *args: calls.append(args) or braided(*args))
     for word, delta in plain.items():
         for g in spec.group:
             shifted = {(l, r, h * g): c for (l, r, h), c in delta.terms.items()}
-            got = coproduct(mono(spec, word, g), strong=True)
+            got = coproduct(mono(spec, word, g))
             assert got == BraidedTensorElement(spec, shifted), (word, g)
     assert calls == []
 
@@ -410,27 +409,27 @@ def test_coproduct_is_linear_and_returns_fresh_elements():
     expected = BraidedTensorElement.zero(spec)
     for part, coeff in parts:
         x = x + part.scale(coeff)
-        expected = expected + coproduct(part, strong=True).scale(coeff)
-    assert coproduct(x, strong=True) == expected
+        expected = expected + coproduct(part).scale(coeff)
+    assert coproduct(x) == expected
 
     monomial = parts[2][0]
-    first = coproduct(monomial, strong=True)
+    first = coproduct(monomial)
     kept = BraidedTensorElement(spec, first.terms)
     first.terms.clear()
     assert not kept.is_zero()
-    assert coproduct(monomial, strong=True) == kept
+    assert coproduct(monomial) == kept
 
 
 def test_the_memo_dies_with_its_spec():
     # the memos must not form a reference cycle through the spec, or every
     # spec of a long run would wait for the cycle collector
     spec = load_fixture("ex4")
-    coproduct(mono(spec, (3, 2, 1), spec.group.generator(0)), strong=True)
+    coproduct(mono(spec, (3, 2, 1), spec.group.generator(0)))
     antipode(mono(spec, (2, 0), spec.group.generator(0)))
     assert spec._delta_cache and spec._nf_cache and spec._twist_cache
-    check_pbw(spec)
-    # strong vanishing, which also answers the weak form, and the PBW report
-    assert set(spec._facts) == {"vanishing", "pbw"}
+    # the PBW report, which holds both strengths of vanishing
+    assert spec._pbw is None
+    assert check_pbw(spec) is spec._pbw
     ref = weakref.ref(spec)
     gc.disable()
     try:
@@ -601,7 +600,7 @@ def _expand_relation_multiples(spec, flank):
             for u in all_words(n, flank):
                 for w in all_words(n, flank - len(u)):
                     multiple = mono(spec, u) * relation * mono(spec, w)
-                    residue = coproduct(multiple, strong=True)
+                    residue = coproduct(multiple)
                     if not residue.is_zero():
                         certificates.append(
                             {
@@ -633,11 +632,11 @@ def test_the_coproduct_kills_every_bare_relation():
     specs += parametric_corpus(288, 1)
     kinds = set()
     for spec in specs:
-        kinds.add((decided_vanishing(spec, strong=True)[0], overlap_oracle(spec)))
+        kinds.add((check_vanishing(spec, strong=True)[0], overlap_oracle(spec)))
         for i in range(spec.n):
             for j in range(i + 1, spec.n):
                 relation = defining_relation(spec, j, i)
-                assert coproduct(relation, strong=True).is_zero(), (spec.name, i, j)
+                assert coproduct(relation).is_zero(), (spec.name, i, j)
     assert kinds == set(itertools.product((True, False), repeat=2))
 
 
@@ -734,7 +733,7 @@ def _law_certificates(spec, monomial):
     in that order, each computed from the coproduct; the antipode folds
     take ``_reference_antipode`` and ``normal_form``."""
     certificates = []
-    image = coproduct(monomial, strong=True)
+    image = coproduct(monomial)
     left3, right3 = _delta_on_left(image), _delta_on_right(image)
     if left3 != right3:
         residue = dict(left3)
@@ -1038,10 +1037,22 @@ def test_axiom_sweep_flags_ex1_at_degree_two():
     assert cert["residue"] == "(1 + 2*zeta(3))*v3 (x) v1*g(1,0)"
 
 
-def test_coproduct_warns_without_the_strong_identity():
+def test_only_the_hopf_check_warns_without_the_strong_identity():
+    # the coproduct itself is silent; check_hopf_axioms gives one warning
+    # per call that names the spec, and none where strong vanishing holds
     spec = load_fixture("ex1")
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         coproduct(mono(spec, (0,)))
+    for d in (1, 2, 3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            check_hopf_axioms(spec, d)
+        assert [w.category for w in caught] == [UserWarning], d
+        assert "of ex1;" in str(caught[0].message), d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_hopf_axioms(load_fixture("ex2"), 3)
 
 
 def test_degree_bound_must_be_positive():

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from qdrinfeld import cli
-from qdrinfeld.algebra import NCElement
+from qdrinfeld.algebra import NCElement, SpecCombination
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.errors import NotAUnit, ParseError, SpecError
-from qdrinfeld.hopf import BraidedTensorElement, check_hopf_axioms
+from qdrinfeld.hopf import check_hopf_axioms
 from qdrinfeld.pbw import check_pbw
 from qdrinfeld.scalar import Combination, LinearCombination, Scalar, ScalarContext, parse_scalar
 from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression
@@ -250,9 +250,9 @@ def test_unit_monomials_skip_the_zero_filter(monkeypatch):
 
 def test_the_trusted_path_never_receives_a_zero(monkeypatch):
     # every build that skips the filter vouches for its terms; check that
-    # on the fixtures end to end and on the random corpora; Scalar,
-    # NCElement and BraidedTensorElement build through their own
-    # overrides, so all four are wrapped
+    # on the fixtures end to end and on the random corpora; Scalar builds
+    # through its own override, and NCElement and BraidedTensorElement
+    # through that of their base, so all three are wrapped
     built = {}
 
     def checking(trusted):
@@ -264,7 +264,7 @@ def test_the_trusted_path_never_receives_a_zero(monkeypatch):
 
         return classmethod(checked)
 
-    for owner in (LinearCombination, Scalar, NCElement, BraidedTensorElement):
+    for owner in (LinearCombination, Scalar, SpecCombination):
         monkeypatch.setattr(owner, "_trusted", checking(owner.__dict__["_trusted"].__func__))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,6 +1,10 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
 from qdrinfeld.algebra import AlgebraSpec
+from qdrinfeld.cli import main
 from qdrinfeld.errors import ParseError, SpecError
 from qdrinfeld.specfile import (
     GenericLieData,
@@ -252,6 +256,15 @@ def test_a_spec_file_is_read_as_utf8(tmp_path):
     path.write_bytes(("# quantum plane, q = -1 (Größe 2)\n" + MINIMAL).encode("utf-8"))
     spec = parse_spec_file(path)
     assert spec.name == "plane" and format_spec(spec) == format_spec(parse_spec_text(MINIMAL))
+
+
+def test_a_spec_file_may_start_with_a_byte_order_mark(tmp_path):
+    # some editors write UTF-8 with a BOM; it is no content before a header
+    path = tmp_path / "ex2.qdo"
+    path.write_bytes(b"\xef\xbb\xbf" + fixture_path("ex2").read_bytes())
+    assert format_spec(parse_spec_file(path)) == format_spec(load_fixture("ex2"))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["check", str(path)]) == 0
 
 
 @pytest.mark.parametrize("data", [b"\xff\xfe\x00", MINIMAL.encode("utf-8") + b"# \xe9\n"])

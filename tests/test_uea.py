@@ -12,6 +12,7 @@ from qdrinfeld.colorlie import (
 )
 from qdrinfeld.errors import (
     AxiomsFailed,
+    InternalInconsistency,
     NotPurelyPositive,
     SpecError,
     SymbolicParameter,
@@ -386,6 +387,24 @@ def test_the_papers_theorems_hold_where_all_takes_them():
                 pbw_count, quotient_dim = dimension_oracle(spec, d)
                 assert pbw_count == quotient_dim, (spec.name, d)
     assert (gated, outside) == (433, 343)
+
+
+def test_converse_refuses_exactly_the_own_rings_that_break_its_conditions():
+    # the rebuilt spec of an own ring is the spec itself, so the check of
+    # invariance, weak vanishing and condition 3 raises exactly where the
+    # spec fails one of them; elsewhere the spec round-trips
+    refused = kept = 0
+    for spec in corpus(60):
+        report = check_pbw(spec)
+        own = _own_ring(spec)
+        if report.cond1 and report.vanishing and report.cond3:
+            assert format_spec(converse_construct(own)) == format_spec(spec), spec.name
+            kept += 1
+        else:
+            with pytest.raises(InternalInconsistency, match="inherit the compatibility"):
+                converse_construct(own)
+            refused += 1
+    assert (refused, kept) == (19, 41)
 
 
 def test_converse_requires_a_positive_basis():
