@@ -180,12 +180,14 @@ def require_hypotheses(spec: AlgebraSpec) -> PBWReport:
 
     This is the one place where the theorems are applied: under
     the hypotheses, the bracket ring is a color Lie ring over kG and its
-    enveloping algebra is the deformation.  `lie`, `uea` and `all`
-    report what follows from that, as proved below, without building a
-    ring; check_color_axioms, iso_check and dimension_oracle compute it
-    for any ring or spec, and the tests compare the two.
-    check_hopf_axioms and build_color_lie_ring, and with them `hopf` and
-    `converse`, call it too.
+    enveloping algebra is the deformation.  `lie`, `uea`, `converse` and
+    `all` report what follows from that, as proved below, without
+    building a ring; check_color_axioms, iso_check, converse_construct
+    and dimension_oracle compute it for any ring or spec, and the tests
+    compare the two.  check_hopf_axioms, and with it `hopf`, and
+    build_color_lie_ring call it too.  Weak vanishing implies condition
+    2 (check_condition2), so under it the PBW verdict adds only
+    conditions 1 and 3.
 
     - On the spec's own ring (_own_ring), check_color_axioms passes with
       no certificate, and with build_N_and_quotient's N its grading
@@ -255,7 +257,10 @@ def require_hypotheses(spec: AlgebraSpec) -> PBWReport:
       (see its docstring).  Backward, _spec_from_ring reads back the
       spec's own q, each a unit of a single term, so NonUnitEpsilon
       cannot arise, and its own kappa; each defining relation reduces to
-      0 in one step.
+      0 in one step.  Every self-pairing eps(v_i g, v_i g) is
+      q_ii chi_i(g) chi_i(g)^-1 = 1, so NotPurelyPositive cannot arise
+      either, and converse_construct returns the spec itself: `converse`
+      prints its canonical text with the round trip holding.
     - Dimension count: conditions 1-3 are identities in the Laurent ring
       Q(zeta_m)[params^+-1]: the characters carry no parameter, and
       substituting nonzero values is a ring map, so they hold at the

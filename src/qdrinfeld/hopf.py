@@ -86,8 +86,7 @@ def _term_order(key):
 
 def _tensor_label(key) -> str:
     l, r, g = key
-    letter = f"g({','.join(str(e) for e in g.exps)})"
-    right = _word_str(r) + "*" + letter if r else letter
+    right = f"{_word_str(r)}*{g}" if r else str(g)
     return f"{_word_str(l)} (x) {right}"
 
 

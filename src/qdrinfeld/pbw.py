@@ -24,21 +24,6 @@ def _kappa_coeff(spec: AlgebraSpec, i: int, j: int, r: int, g: GroupElement) -> 
     return spec._kappa.get((i, j), {}).get(((r,), g), Scalar.zero(spec.ctx))
 
 
-def _live_triples(spec: AlgebraSpec):
-    """(g, i, j, k), distinct indices, where kappa(v_i, v_j) has a term on
-    the letter g or kappa(v_j, v_k) has a v_k g term; sorted by g's
-    exponents, then by (i, j, k)."""
-    live: dict = {}
-    for (a, b), terms in spec._kappa.items():
-        others = [c for c in range(spec.n) if c != a and c != b]
-        for (r,), g in terms:
-            for c in others:
-                live[(g.exps, a, b, c)] = g
-                if r == b:
-                    live[(g.exps, c, a, b)] = g
-    return [(live[key], *key[1:]) for key in sorted(live)]
-
-
 def _cyclic_classes(n: int):
     """One ordered representative per cyclic class of distinct triples."""
     for i in range(n):
@@ -83,60 +68,43 @@ def check_condition2(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
     Two families over a group element g and an ordered triple (i, j, k)
     of distinct generator indices.  A "reordering" entry tests the
     coefficient of v_r g in kappa(v_i, v_j) for each r other than i and
-    j; the "mixed" entry tests a combination of the coefficients of
-    v_i g in kappa(v_i, v_j) and of v_k g in kappa(v_j, v_k).  Each
-    identity is scaled by its coefficients, so it can fail only where
-    one of them is nonzero, and that is a stored term of
-    kappa(v_i, v_j) on g or a v_k g term of kappa(v_j, v_k): the live
-    triples.  They are visited per g in the order of its exponents,
-    then per (i, j, k) in lexicographic order, the reordering entries by
-    r before the mixed one, which is the order of a sweep over every g
-    and every triple.
+    j: it is the vanishing identity chi_k(g) = q_ik q_jk q_kr of that
+    term, so the entries are the weak vanishing failures with r outside
+    {i, j}, on both orders of the pair.  The "mixed" entry is
+    q_ij (q_ji - chi_i(g)) c_jk(v_k g) + (q_jk - chi_k(g)) c_ij(v_i g).
+    Since q_ik q_ki = 1, the weak identity of the term v_k g of
+    kappa(v_j, v_k) at i reads chi_i(g) = q_ji, and that of v_i g of
+    kappa(v_i, v_j) at k reads chi_k(g) = q_jk: each bracket vanishes
+    unless the term that carries it fails weak vanishing.  So weak
+    vanishing implies condition 2, and the combination is computed only
+    on the triples such a failure marks.  Entries are ordered by g's
+    exponents, then (i, j, k), the reordering ones by r before the
+    mixed one.
     """
-    violations = []
+    entries = []
+    marked: dict = {}
+    for i, j, r, g, k, lhs, rhs in _identity_failures(spec, False):
+        for a, b in ((i, j), (j, i)):
+            if r == a:
+                marked[(g.exps, a, b, k)] = g
+            elif r == b:
+                marked[(g.exps, k, a, b)] = g
+            else:
+                coeff = _kappa_coeff(spec, a, b, r, g)
+                entry = dict(family="reordering", i=a + 1, j=b + 1, k=k + 1, r=r + 1, g=str(g))
+                entry.update(lhs=str(lhs), rhs=str(rhs), coefficient=str(coeff))
+                entries.append(((g.exps, a, b, k, 0, r), entry))
     one = Scalar.one(spec.ctx)
-    n = spec.n
-    for g, i, j, k in _live_triples(spec):
-        for r in range(n):
-            if r == i or r == j:
-                continue
-            c = _kappa_coeff(spec, i, j, r, g)
-            if c.is_zero():
-                continue
-            lhs = spec.char_value(k, g)
-            rhs = spec.q_scalar(j, k) * spec.q_scalar(i, k) * spec.q_scalar(k, r)
-            if lhs != rhs:
-                violations.append(
-                    {
-                        "family": "reordering",
-                        "i": i + 1,
-                        "j": j + 1,
-                        "k": k + 1,
-                        "r": r + 1,
-                        "g": str(g),
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
-                        "coefficient": str(c),
-                    }
-                )
+    for (exps, i, j, k), g in marked.items():
         onward, own = _kappa_coeff(spec, j, k, k, g), _kappa_coeff(spec, i, j, i, g)
-        if onward.is_zero() and own.is_zero():
-            continue
         combo = (one - spec.q_scalar(i, j) * spec.char_value(i, g)) * onward + (
             spec.q_scalar(j, k) - spec.char_value(k, g)
         ) * own
         if not combo.is_zero():
-            violations.append(
-                {
-                    "family": "mixed",
-                    "i": i + 1,
-                    "j": j + 1,
-                    "k": k + 1,
-                    "g": str(g),
-                    "value": str(combo),
-                }
-            )
-    return not violations, tuple(violations)
+            entry = dict(family="mixed", i=i + 1, j=j + 1, k=k + 1, g=str(g), value=str(combo))
+            entries.append(((exps, i, j, k, 1), entry))
+    violations = tuple(entry for _, entry in sorted(entries, key=lambda item: item[0]))
+    return not violations, violations
 
 
 def _cyclic_sums(spec: AlgebraSpec, term):
@@ -179,6 +147,26 @@ def check_condition3(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
     return not violations, violations
 
 
+def _identity_failures(spec: AlgebraSpec, strong: bool) -> list[tuple]:
+    """(i, j, r, g, k, lhs, rhs), i < j, for each stored term v_r g of
+    kappa(v_i, v_j) and each index k where lhs = chi_k(g) differs from
+    rhs = q_ik q_jk q_kr; k avoids i and j unless strong.  In the order
+    of kappa_support, then of the terms, then of k."""
+    failures = []
+    for i, j in spec.kappa_support():
+        pair_q = [
+            (k, spec.q_scalar(i, k) * spec.q_scalar(j, k))
+            for k in range(spec.n)
+            if strong or k not in (i, j)
+        ]
+        for r, g, _ in spec.kappa_pairs(i, j):
+            for k, q_ijk in pair_q:
+                lhs, rhs = spec.char_value(k, g), q_ijk * spec.q_scalar(k, r)
+                if lhs != rhs:
+                    failures.append((i, j, r, g, k, lhs, rhs))
+    return failures
+
+
 def check_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tuple[dict, ...]]:
     """Character-equals-q-product test over the stored correction terms.
 
@@ -187,27 +175,11 @@ def check_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tupl
     With strong=False the index k avoids i and j; with strong=True all
     k are tested.
     """
-    violations = []
-    for i, j in spec.kappa_support():
-        for r, g, _ in spec.kappa_pairs(i, j):
-            for k in range(spec.n):
-                if not strong and k in (i, j):
-                    continue
-                lhs = spec.char_value(k, g)
-                rhs = spec.q_scalar(i, k) * spec.q_scalar(j, k) * spec.q_scalar(k, r)
-                if lhs != rhs:
-                    violations.append(
-                        {
-                            "i": i + 1,
-                            "j": j + 1,
-                            "k": k + 1,
-                            "r": r + 1,
-                            "g": str(g),
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                        }
-                    )
-    return not violations, tuple(violations)
+    violations = tuple(
+        dict(i=i + 1, j=j + 1, k=k + 1, r=r + 1, g=str(g), lhs=str(lhs), rhs=str(rhs))
+        for i, j, r, g, k, lhs, rhs in _identity_failures(spec, strong)
+    )
+    return not violations, violations
 
 
 def overlap_oracle(spec: AlgebraSpec) -> bool:

@@ -595,6 +595,38 @@ def test_hopf_on_a_large_group_answers_quickly(tmp_path):
     assert code == 0 and "antipode_law: True" in out, err
 
 
+def _wide_spec(rank):
+    identity = ",".join("0" * rank)
+    return (
+        f"[group]\norders = [{', '.join('2' * rank)}]\n"
+        f"[action]\ncharacters = [[{identity}], [{identity}]]\n"
+        f"[kappa]\n1 2 -> 1 ({identity}) 1\n"
+    )
+
+
+def test_every_command_on_a_wide_group_answers_quickly(tmp_path):
+    # 1,024 group letters under a bracket: no command may build the own
+    # ring, whose table has (n|G|)^2 entries
+    path = tmp_path / "wide.qdo"
+    path.write_text(_wide_spec(10))
+    outputs = {}
+    for argv in (
+        ["check"],
+        ["lie"],
+        ["lie", "--quotient"],
+        ["uea", "--degree", "2"],
+        ["hopf", "--degree", "2"],
+        ["converse"],
+        ["all", "--degree", "2"],
+        ["fmt"],
+    ):
+        started = time.monotonic()
+        code, outputs[argv[0]], err = run([argv[0], str(path), *argv[1:]])
+        assert time.monotonic() - started < 1, argv
+        assert code == 0, (argv, err)
+    assert outputs["converse"] == outputs["fmt"] + "round trip: True\n"
+
+
 def test_axiom_sweep_work_follows_the_bracket_table(monkeypatch):
     ring = colorlie.build_color_lie_ring(parse_spec_text(_two_generator_spec(6)))
     assert ring.size == 72 and not ring.table

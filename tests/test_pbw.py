@@ -400,6 +400,36 @@ def test_fixed_point_free_collapses_cond2_to_vanishing():
     assert seen >= 5
 
 
+def test_weak_vanishing_implies_condition2():
+    # a reordering entry is a weak vanishing identity, and each bracket of
+    # a mixed entry vanishes unless the term it weighs fails weak vanishing
+    specs = (
+        FIXTURE_SPECS
+        + corpus(200)
+        + multi_letter_corpus(288, 1)
+        + multi_letter_corpus(288, 3)
+        + parametric_corpus(288, 1)
+    )
+    vanishing = 0
+    for spec in specs:
+        report = check_pbw(spec)
+        if report.vanishing:
+            vanishing += 1
+            assert report.cond2, spec.name
+        reordering = {
+            (v["g"], frozenset((v["i"], v["j"])), v["k"], v["r"], v["lhs"], v["rhs"])
+            for v in report.cond2_violations
+            if v["family"] == "reordering"
+        }
+        weak = {
+            (v["g"], frozenset((v["i"], v["j"])), v["k"], v["r"], v["lhs"], v["rhs"])
+            for v in report.vanishing_violations
+            if v["r"] not in (v["i"], v["j"])
+        }
+        assert reordering == weak, spec.name
+    assert len(specs) == 1069 and vanishing == 670
+
+
 def test_replacement_conditions_imply_the_verdict():
     for spec, report, *_ in _reference_rows():
         if report.cond1 and report.vanishing and _jacobi_sum(spec)[0]:
@@ -523,7 +553,7 @@ def test_one_spec_is_built_from_parse_to_verdict(monkeypatch):
 def _dense_condition2(spec):
     """check_condition2 as a sweep over every letter of the correction
     support and every ordered triple of distinct indices, the reference
-    for the sweep over the live triples."""
+    for its reading of the weak vanishing failures."""
     letters = {}
     for pair in spec.kappa_support():
         for _, g, _ in spec.kappa_pairs(*pair):
@@ -592,7 +622,7 @@ characters = [[1], [2], [0]]
 """
 
 
-def test_condition2_over_live_triples_matches_the_dense_sweep():
+def test_condition2_from_the_identity_failures_matches_the_dense_sweep():
     cancelling = parse_spec_text(CANCELLING_LETTER)
     assert len(cancelling.kappa_pairs(0, 1)) == 1
     base = FIXTURE_SPECS + corpus(60) + multi_letter_corpus(288, 1)
@@ -606,7 +636,7 @@ def test_condition2_over_live_triples_matches_the_dense_sweep():
     assert not check_condition2(cancelling)[0]
 
 
-def test_condition2_multiplies_only_on_live_triples(monkeypatch):
+def test_condition2_multiplies_only_where_the_identity_fails(monkeypatch):
     specs = multi_letter_corpus(288, 1)
     calls = []
     multiply = Scalar.__mul__
