@@ -21,7 +21,6 @@ from .algebra import AlgebraSpec, normal_form
 from .colorlie import (
     ColorAxiomReport,
     build_N_and_quotient,
-    check_braiding_compatibility,
     check_color_axioms,
     generic_color_lie_ring,
     require_hypotheses,
@@ -170,7 +169,8 @@ def _cmd_hopf(args) -> int:
     spec = _algebra_spec(_load(args.spec), "hopf")
     rep = check_hopf_axioms(spec, args.degree)
     report = {"command": "hopf", "spec": args.spec, **rep.as_dict()}
-    report["braiding_compatible"] = check_braiding_compatibility(spec)
+    # check_braiding_compatibility is strong vanishing read from the pairing
+    report["braiding_compatible"] = rep.strong_vanishing
 
     def human(r):
         for key in (
@@ -245,9 +245,11 @@ def run_all(argument: str, degree: int = 3) -> dict:
     check_color_axioms, iso_check and the dimension count of `uea` at
     the default point give on the spec's own ring, by the proofs in
     require_hypotheses' docstring.  Hopf is check_hopf_axioms, which
-    reads the same gate and raises outside it; when strong vanishing
-    fails its sweep is marked exploratory: its failures are reported but
-    the structure was never claimed to exist.
+    reads the same gate and raises outside it, and computes nothing at
+    any degree.  When strong vanishing fails, hopf is False by proof,
+    with one certificate per strong violation (the braiding does not
+    preserve the relations), and hopf_exploratory is True: it marks a
+    spec where the paper claims no Hopf structure.
     """
     started = time.monotonic()
     loaded = _load(argument)
@@ -348,8 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add(
         "hopf",
         _cmd_hopf,
-        "coalgebra laws on a degree-bounded slice, where the spec is PBW with weak "
-        "vanishing (exit 2 otherwise)",
+        "braided Hopf laws, decided from the braiding, where the spec is PBW with "
+        "weak vanishing (exit 2 otherwise)",
         degree=True,
     )
     add("converse", _cmd_converse, "the spec its bracket ring rebuilds, by the paper's theorems")
@@ -372,7 +374,8 @@ def main(argv=None) -> int:
         if degree < 0:
             print("input error: the degree bound must be nonnegative", file=sys.stderr)
             return 1
-        # the Hopf sweep needs degree 1, and all runs it last
+        # the Hopf report is asked up to a degree of at least 1, and all
+        # gives it last; the answer is the same at every such degree
         if degree == 0 and args.command in ("hopf", "all"):
             print("input error: the degree bound must be at least 1", file=sys.stderr)
             return 1

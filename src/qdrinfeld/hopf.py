@@ -20,13 +20,15 @@ of v_w with every letter moved by g.
 
 ``check_hopf_axioms`` decides the laws under the paper's hypotheses
 (``colorlie.require_hypotheses``), which make the rewriting confluent,
-and its docstring has the proofs.  The coproduct kills every bare
-defining relation on every spec, so where strong vanishing holds no
-relation is checked; where it fails, the degree-bounded multiples of the
-relations with a nonempty left flank are.  On a sorted word the
-coproduct is the quantum shuffle coproduct, so coassociativity and the
-counit laws hold on every spec, and under confluence so does the
-antipode law.
+and its docstring has the proofs; it computes nothing.  The coproduct
+kills every bare defining relation on every spec, so where strong
+vanishing holds it descends to the quotient.  Where strong vanishing
+fails, the braiding does not preserve the relation ideal, so the
+quotient has no braided tensor square and the coproduct does not
+descend; each strong vanishing violation is the certificate.  On a
+sorted word the coproduct is the quantum shuffle coproduct, so
+coassociativity and the counit laws hold on every spec, and under
+confluence so does the antipode law.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 
-from .algebra import (
-    AlgebraSpec,
-    NCElement,
-    SpecCombination,
-    all_words,
-    defining_relation,
-    word_normal_form,
-)
+from .algebra import AlgebraSpec, NCElement, SpecCombination, word_normal_form
 from .algebra import normal_form  # noqa: F401  (bench/tracing.py patches this binding)
 from .colorlie import require_hypotheses
 from .errors import SpecError
@@ -87,7 +82,7 @@ def _term_order(key):
 def _tensor_label(key) -> str:
     l, r, g = key
     right = f"{_word_str(r)}*{g}" if r else str(g)
-    return f"{_word_str(l)} (x) {right}"
+    return _word_str(l) + " (x) " + right
 
 
 def _word_str(word) -> str:
@@ -190,10 +185,10 @@ def coproduct(x: NCElement) -> BraidedTensorElement:
 
     Applied term by term to the free presentation of x.  Delta of each
     monomial is memoized per spec and built from its prefix; the result is
-    always a fresh element.  It only descends to the quotient when the
-    strong character identity holds; otherwise the value is exploratory,
-    and check_hopf_axioms, which reads that identity from the PBW report,
-    gives the one warning that says so.
+    always a fresh element.  Under the paper's hypotheses it descends to
+    the quotient exactly when the strong character identity holds
+    (proofs (1) and (2) of check_hopf_axioms, which reads that identity
+    from the PBW report and gives the one warning where it fails).
     """
     spec = x.spec
     total: dict = {}
@@ -248,7 +243,7 @@ def _reduced(x: NCElement) -> NCElement:
 
 @dataclass(frozen=True)
 class HopfReport:
-    """Outcome of the Hopf laws up to degree d (see check_hopf_axioms)."""
+    """Outcome of the Hopf laws, asked up to degree d (see check_hopf_axioms)."""
 
     degree: int
     strong_vanishing: bool
@@ -275,90 +270,26 @@ class HopfReport:
         return {**values, "passed": self.passed, "certificates": list(certificates)}
 
 
-def _relation_certificates(spec: AlgebraSpec, flank: int) -> list[dict]:
-    """A certificate for each multiple u * rel * w with flank words of
-    combined length <= flank whose coproduct is nonzero, in the order of
-    (i, j, u, w), flanks by length and then lexicographically.
-
-    The left flank is expanded: Delta(u * rel) is the coproduct of the
-    free element.  The right flank grows by one braided product per
-    letter, Delta(u rel w' v_k) = Delta(u rel w') * Delta(v_k), where
-    Delta(v_k) = v_k (x) 1 + 1 (x) v_k.  Proof: a term c v_x g of
-    u * rel * w' becomes c chi_k(g) v_x v_k g of u * rel * w' v_k, since
-    g v_k = chi_k(g) v_k g.  The memo builds Delta(v_x v_k) as
-    ``braided_product(Delta(v_x), Delta(v_k))`` and Delta(v_x g) as
-    shift_g Delta(v_x) (``_monomial_delta``).  A term of the first factor
-    of ``braided_product`` whose letter is ag g instead of ag picks up
-    ``word_char(bl + br, g)`` and has its output letter moved by g; every
-    term of Delta(v_k) has bl + br = (k), so (shift_g A) * Delta(v_k) =
-    chi_k(g) shift_g (A * Delta(v_k)), which is the twist of
-    g v_k = chi_k(g) v_k g.  So Delta(c v_x g) * Delta(v_k) =
-    Delta(c chi_k(g) v_x v_k g), and the braided product is bilinear,
-    which sums the terms.  No associativity is used, so this holds on
-    every spec, ex1 (where strong vanishing fails) included.  It follows
-    that every right extension of a multiple with zero coproduct has zero
-    coproduct too, so those are skipped.  The empty left flank is skipped
-    with them: Delta(rel) = 0 on every spec (part (0) of "Relations" in
-    ``check_hopf_axioms``), so neither rel nor any rel * w has a
-    certificate, and the emission order of the others is unchanged.  The
-    left flank does not factor that way: Delta(v_u v_x) is bracketed from
-    the left through u's letters, and splitting it as Delta(v_u) *
-    Delta(v_x) would need associativity.
-    """
-    n = spec.n
-    identity = spec.group.identity()
-    letters = [
-        BraidedTensorElement._trusted((spec,), _monomial_delta(spec, (k,), identity))
-        for k in range(n)
-    ]
-    certificates = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            relation = defining_relation(spec, j, i)
-            for u in all_words(n, flank):
-                if not u:
-                    continue
-                # the nonzero residues, keyed by the right flank
-                residues = {(): coproduct(NCElement.monomial(spec, u) * relation)}
-                for w in all_words(n, flank - len(u)):
-                    if w:
-                        prefix = residues.get(w[:-1])
-                        if prefix is None:
-                            continue
-                        residues[w] = braided_product(prefix, letters[w[-1]])
-                    residue = residues[w]
-                    if residue.is_zero():
-                        del residues[w]
-                        continue
-                    certificates.append(
-                        {
-                            "law": "coproduct on relations",
-                            "i": i + 1,
-                            "j": j + 1,
-                            "left": _word_str(u),
-                            "right": _word_str(w),
-                            "residue": str(residue),
-                        }
-                    )
-    return certificates
-
-
 def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
-    """Decide the coalgebra and antipode laws up to degree d.
+    """Decide the coalgebra and antipode laws; the answer is the same at
+    every degree bound d >= 1.
 
     Raise HypothesisNotMet outside the paper's hypotheses
     (``colorlie.require_hypotheses``): there the rewriting need not be
     confluent, ``normal_form`` is then no function on the quotient, and
     the laws would describe the rewriting order, not an algebra.  The
     PBW verdict, which check_pbw holds against the overlap oracle, makes
-    the rewriting confluent.  The report's certificates are those of the
-    coproduct on relations; coassociativity, the counit laws and the
+    the rewriting confluent.  Nothing is computed: the report is read
+    off the PBW report that the gate returns, and it does not depend on
+    d.  Its certificates are those of the braiding on relations, one per
+    strong vanishing violation; coassociativity, the counit laws and the
     antipode law never fail.  Write v_w for the monomial of a word w,
     q_ab for the braiding of v_a past v_b, and shift_g for the map on
     the keys of tensors and of free elements that multiplies the letter
     of the last slot by g on the right.  The literature is Takeuchi, "Survey of
-    braided Hopf algebras" (Contemp. Math. 267, 2000) and Majid,
-    *Foundations of Quantum Group Theory* (CUP 1995), ch. 10.
+    braided Hopf algebras" (Contemp. Math. 267, 2000), Andruskiewitsch and
+    Schneider, "Pointed Hopf algebras" (2002), and Majid, *Foundations of
+    Quantum Group Theory* (CUP 1995), ch. 10.
 
     Relations.  (0) The bare relations.  For j > i, rel_ji = v_j v_i -
     q_ji v_i v_j - kappa(v_j, v_i), where kappa(v_j, v_i) = sum c_rh v_r h
@@ -377,18 +308,49 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     stores q_ji = q_ij^-1.  No premise is used: every bare relation is in
     the kernel of the coproduct on every spec, ex1 included.
 
-    (1) The multiples.  Strong vanishing makes each relation homogeneous
-    for the degree pairing, so the twist is well defined on the quotient
-    A, and confluence (by Bergman's diamond lemma) makes ``normal_form``
-    a function on A, so the braided square is associative.  Delta is an
-    algebra map from the free algebra, so where strong vanishing holds
-    Delta(u rel w) = Delta(u) Delta(rel) Delta(w), which is 0 by (0), and
-    no relation is visited.  Where it fails every multiple u * rel * w
-    with flank words of combined length < d is checked, since the bare
-    relation does not stand in for its multiples: on ex1
-    Delta(v1 * rel_12) != 0.  By (0) the multiples with an empty left
-    flank are not visited, and the right flank is built from shorter
-    ones (``_relation_certificates`` has the proof).
+    (1) Strong vanishing holds.  It makes each relation homogeneous for
+    the degree pairing, so the twist is well defined on the quotient A,
+    and confluence (by Bergman's diamond lemma) makes ``normal_form`` a
+    function on A, so the braided square A (x) A exists and is
+    associative.  Delta is an algebra map from the free algebra, so
+    Delta(u rel w) = Delta(u) Delta(rel) Delta(w), which is 0 by (0):
+    Delta descends, and no relation is visited.
+
+    (2) Strong vanishing fails.  Then Delta does not descend, since A has
+    no braided square.  Let T be the free algebra over kG, so A = T / I
+    for the ideal I of the relations.  The braiding is c(x (x) y) =
+    eps(|x|, |y|) y (x) x on homogeneous x and y, which is the twist of
+    ``braided_product`` ((a (x) b)(c (x) d) = eps(|b|, |c|) ac (x) bd),
+    with eps(e_a, e_b) = q_ab and eps(e_k, g) = chi_k(g)^-1
+    (``colorlie.Bicharacter.from_spec``).  The product of A (x) A is
+    well defined only if c maps T (x) I and I (x) T into
+    I (x) T + T (x) I, that is, if I is a braided ideal.  Take a strong
+    violation: i < j, a term c v_r g of kappa(v_i, v_j) with c != 0, and
+    an index k with chi_k(g) != q_ik q_jk q_kr (the identity of
+    ``pbw.check_vanishing`` with strong=True).  The spec stores
+    kappa(v_j, v_i) = -q_ji kappa(v_i, v_j), so the term of v_r g in
+    kappa(v_j, v_i) is c' v_r g with c' = -q_ji c != 0.  Put
+    lambda = eps(e_k, e_i + e_j) = q_ki q_kj, the pairing of v_k with
+    both v_j v_i and v_i v_j, and mu_rg = eps(e_k, e_r + g) =
+    q_kr chi_k(g)^-1 for each term c'_rg v_r g of kappa(v_j, v_i).  Then
+
+        c(v_k (x) rel_ji) = lambda (v_j v_i - q_ji v_i v_j) (x) v_k
+                            - sum c'_rg mu_rg v_r g (x) v_k
+                          = lambda rel_ji (x) v_k
+                            + sum (lambda - mu_rg) c'_rg v_r g (x) v_k.
+
+    The first term lies in I (x) T.  Since q_ik = q_ki^-1, lambda = mu_rg
+    exactly when chi_k(g) = q_ik q_jk q_kr, so the sum runs over the
+    strong violations at (i, j, k), each with a nonzero coefficient.
+    Under the PBW verdict the ordered monomials are a basis of A, the
+    v_r g among them, so the sum is x (x) v_k with x != 0 in A, which is
+    nonzero in A (x) A; in the canonical form of ``BraidedTensorElement``
+    it is the sum of (lambda - mu_rg) c'_rg chi_k(g) v_r (x) v_k g, one
+    key per term.  So c(v_k (x) rel_ji) is not in I (x) T + T (x) I.
+    So ``delta_well_defined`` is False, and each violation is a
+    certificate with law "braiding on relations" and the fields of its
+    entry of ``strong_vanishing_violations``: i, j, k, r, g, lhs =
+    chi_k(g) and rhs = q_ik q_jk q_kr.  No degree enters.
 
     (a) No rewriting.  Let w = w_1 ... w_k be sorted.  The memo builds
     Delta(v_w) from the left, one Delta(v_{w_i}) at a time, so each slot
@@ -431,22 +393,26 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     """
     if d < 1:
         raise SpecError("the degree bound must be at least 1")
-    strong = require_hypotheses(spec).strong_vanishing
+    pbw = require_hypotheses(spec)
+    strong = pbw.strong_vanishing
     if not strong:
         warnings.warn(
             "the coproduct does not descend to the quotient of "
-            f"{spec.name or 'an unnamed algebra'}; the axiom sweep is exploratory",
+            f"{spec.name or 'an unnamed algebra'}; the braiding does not preserve "
+            "its relations",
             stacklevel=2,
         )
-    relations = [] if strong else _relation_certificates(spec, d - 1)
     return HopfReport(
         degree=d,
         strong_vanishing=strong,
-        delta_well_defined=not relations,
+        delta_well_defined=strong,
         coassociative=True,
         counit_laws=True,
         antipode_law=True,
-        certificates=tuple(relations),
+        certificates=tuple(
+            {"law": "braiding on relations", **violation}
+            for violation in pbw.strong_vanishing_violations
+        ),
     )
 
 

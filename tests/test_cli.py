@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from qdrinfeld import cli, colorlie, pbw, uea
+from qdrinfeld import cli, colorlie, hopf, pbw, uea
 from qdrinfeld.cli import main, run_all
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.scalar import Scalar
@@ -300,6 +300,32 @@ def test_hopf_exit_codes():
     with pytest.warns(UserWarning, match="ex1"):
         code, _, _ = run(["hopf", "ex1", "--degree", "2"])
     assert code == 2
+
+
+def test_ex1_is_decided_at_any_degree_within_a_second():
+    # the flank sweep grew 5-6x per degree: hopf ex1 --degree 6 took 4.0 s
+    for command in ("hopf", "all"):
+        started = time.monotonic()
+        with pytest.warns(UserWarning, match="of ex1;"):
+            code, out, _ = run([command, "ex1", "--degree", "12", "--json"])
+        assert time.monotonic() - started < 1, command
+        assert code == 2, command
+        assert json.loads(out)["degree"] == 12
+
+
+def test_the_hopf_check_on_ex1_takes_no_coproduct(monkeypatch):
+    calls = []
+    for name in ("coproduct", "braided_product"):
+        original = getattr(hopf, name)
+        monkeypatch.setattr(
+            hopf, name, lambda *args, _n=name, _o=original: calls.append(_n) or _o(*args)
+        )
+    spec = load_fixture("ex1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = [hopf.check_hopf_axioms(spec, d) for d in range(1, 7)]
+    assert calls == []
+    assert all(not r.delta_well_defined and len(r.certificates) == 2 for r in reports)
 
 
 def test_degree_guards():

@@ -14,6 +14,7 @@ from qdrinfeld.scalar import Combination, LinearCombination, Scalar, ScalarConte
 from qdrinfeld.specfile import fixture_names, load_fixture, parse_nc_expression
 
 from randspec import corpus, multi_letter_corpus
+from test_hopf import _relation_certificates
 
 CTX = ScalarContext(4, ("q", "lam"))
 PLAIN = ScalarContext(3)
@@ -216,8 +217,9 @@ def test_outside_input_drops_zero_coefficients():
 def test_unit_monomials_skip_the_zero_filter(monkeypatch):
     # a monomial without coeff has the coefficient 1, so the filter of the
     # public constructor has nothing to drop.  ex1 fails strong vanishing,
-    # so its Hopf check sweeps the relation multiples, whose left flanks
-    # are monomials
+    # and the reference sweep of its relation multiples, which its Hopf
+    # check ran at degree 3 before the braiding decided it, builds the
+    # left flanks as monomials
     spec = load_fixture("ex1")
     state = {"inside": False, "monomials": 0, "filtered": 0}
     init = LinearCombination.__init__
@@ -242,6 +244,7 @@ def test_unit_monomials_skip_the_zero_filter(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         check_hopf_axioms(spec, 3)
+        _relation_certificates(spec, 2)
     assert state["monomials"] > 100
     assert state["filtered"] == 0
     with pytest.raises(SpecError, match="out of range"):
@@ -250,9 +253,11 @@ def test_unit_monomials_skip_the_zero_filter(monkeypatch):
 
 def test_the_trusted_path_never_receives_a_zero(monkeypatch):
     # every build that skips the filter vouches for its terms; check that
-    # on the fixtures end to end and on the random corpora; Scalar builds
-    # through its own override, and NCElement and BraidedTensorElement
-    # through that of their base, so all three are wrapped
+    # on the fixtures end to end, on ex1's reference sweep of the relation
+    # multiples (no command takes a coproduct now) and on the random
+    # corpora; Scalar builds through its own override, and NCElement and
+    # BraidedTensorElement through that of their base, so all three are
+    # wrapped
     built = {}
 
     def checking(trusted):
@@ -270,6 +275,7 @@ def test_the_trusted_path_never_receives_a_zero(monkeypatch):
         warnings.simplefilter("ignore")
         for name in fixture_names():
             cli.run_all(name, 3)
+        _relation_certificates(load_fixture("ex1"), 2)
     for spec in corpus(60) + multi_letter_corpus(72, 1):
         check_pbw(spec)
     assert set(built) == {"Scalar", "NCElement", "BraidedTensorElement", "Combination"}
