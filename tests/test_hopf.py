@@ -115,13 +115,6 @@ def test_braided_product_twists_by_the_pairing_of_the_crossing_degrees(name):
     spec = load_fixture(name)
     eps, n, e = Bicharacter.from_spec(spec), spec.n, spec.group.identity()
     one = Scalar.one(spec.ctx)
-
-    def degree(word, g):
-        value = ADegree.group_degree(n, g)
-        for j in word:
-            value = value * ADegree.generator_degree(n, j, spec.group)
-        return value
-
     words = list(all_words(n, 2))
     for ar in words:
         for ag in spec.group:
@@ -132,7 +125,7 @@ def test_braided_product_twists_by_the_pairing_of_the_crossing_degrees(name):
                     normal_form(mono(spec, bl)), normal_form(mono(spec, ar, ag))
                 )
                 assert not plain.is_zero()
-                twist = eps.eval(degree(ar, ag), degree(bl, e))
+                twist = eps.eval(_pairing_degree(spec, ar, ag), _pairing_degree(spec, bl, e))
                 assert braided_product(x, y) == plain.scale(twist), (ar, ag, bl)
 
 
@@ -871,6 +864,7 @@ def _all_letters_sweep(spec, d):
 
 
 def _pairing_degree(spec, word, g):
+    """|v_word g| as a product of ADegree letters."""
     n = spec.n
     value = ADegree.group_degree(n, g)
     for j in word:
