@@ -248,9 +248,15 @@ class NCElement(SpecCombination):
         return self._like(terms)
 
     def __str__(self) -> str:
-        return self.signed_str(_nc_label, _nc_order)
+        return nc_str(self.terms)
 
     __repr__ = __str__
+
+
+def nc_str(terms: dict) -> str:
+    """How an NCElement with these terms prints, for terms kept without
+    their spec."""
+    return Combination._trusted((), terms).signed_str(_nc_label, _nc_order)
 
 
 def _nc_order(key):
@@ -358,7 +364,8 @@ def word_normal_form(spec: AlgebraSpec, word: tuple[int, ...]) -> dict:
     Computed once per word and kept on the spec.  Since ``normal_form``
     commutes with right multiplication by a group letter, the normal form
     of c * v_word * g is these terms scaled by c with every letter
-    multiplied by g.  The memo keeps terms dicts, not elements, so it holds
+    multiplied by g; the Hopf layer reads its slots this way, and the
+    overlap oracle its group ambiguities g v_j v_i.  The memo keeps terms dicts, not elements, so it holds
     no reference back to the spec; the dicts are shared and must not be
     mutated.
     """

@@ -379,7 +379,8 @@ def main(argv=None) -> int:
         if degree == 0 and args.command in ("hopf", "all"):
             print("input error: the degree bound must be at least 1", file=sys.stderr)
             return 1
-        if degree > SOFT_DEGREE_LIMIT:
+        # only uea's dimension count still grows with the degree
+        if degree > SOFT_DEGREE_LIMIT and args.command == "uea":
             print(
                 f"note: degree {degree} exceeds the soft limit {SOFT_DEGREE_LIMIT}; "
                 "sweeps grow quickly from here",

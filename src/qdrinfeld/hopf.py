@@ -350,7 +350,8 @@ def check_hopf_axioms(spec: AlgebraSpec, d: int = 3) -> HopfReport:
     So ``delta_well_defined`` is False, and each violation is a
     certificate with law "braiding on relations" and the fields of its
     entry of ``strong_vanishing_violations``: i, j, k, r, g, lhs =
-    chi_k(g) and rhs = q_ik q_jk q_kr.  No degree enters.
+    chi_k(g) and rhs = q_ik q_jk q_kr.  The PBW report renders them
+    when they are first read, here.  No degree enters.
 
     (a) No rewriting.  Let w = w_1 ... w_k be sorted.  The memo builds
     Delta(v_w) from the left, one Delta(v_{w_i}) at a time, so each slot

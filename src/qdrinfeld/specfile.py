@@ -462,6 +462,9 @@ def parse_nc_expression(text: str, spec: AlgebraSpec) -> NCElement:
 # bundled fixtures
 
 _FIXTURE_NAMES = ("ex1", "ex2", "ex3", "ex4", "gl11", "zero-kappa")
+# resolved once: importlib.resources and pathlib cost more than reading
+# a small fixture
+_FIXTURE_DIR = Path(str(resources.files("qdrinfeld") / "fixtures"))
 
 
 def fixture_names() -> tuple[str, ...]:
@@ -471,7 +474,7 @@ def fixture_names() -> tuple[str, ...]:
 def fixture_path(name: str) -> Path:
     if name not in _FIXTURE_NAMES:
         raise SpecError(f"unknown fixture {name!r}; choose from {_FIXTURE_NAMES}")
-    return Path(str(resources.files("qdrinfeld") / "fixtures" / f"{name}.qdo"))
+    return _FIXTURE_DIR / f"{name}.qdo"
 
 
 def load_fixture(name: str):

@@ -227,20 +227,28 @@ def test_run_all_builds_no_ring_on_the_algebra_fixtures(monkeypatch):
 
 def test_run_all_decides_each_spec_fact_once(monkeypatch):
     # strong vanishing and the overlap oracle, once each, whether the Hopf
-    # check takes the finite proof (ex2) or the sweep (ex1); weak vanishing
-    # is read off the strong answer
+    # leg is proved (ex2) or read off the braiding (ex1); weak vanishing
+    # is read off the strong answer.  Strong vanishing is decided by one
+    # sweep of the identity, _identity_failures(spec, True); the public
+    # check_vanishing renders certificates and is not called at all
+    facts = {
+        "check_vanishing": "_identity_failures",
+        "overlap_oracle": "overlap_oracle",
+        "public check_vanishing": "check_vanishing",
+    }
     for name in ("ex1", "ex2"):
         calls = []
         with monkeypatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for fact in ("check_vanishing", "overlap_oracle"):
-                original = getattr(pbw, fact)
+            for fact, function in facts.items():
+                original = getattr(pbw, function)
 
                 def counted(spec, *args, _fact=fact, _original=original, **kwargs):
-                    calls.append((_fact, kwargs.get("strong")))
+                    strong = args[0] if args else kwargs.get("strong")
+                    calls.append((_fact, strong))
                     return _original(spec, *args, **kwargs)
 
-                patch.setattr(pbw, fact, counted)
+                patch.setattr(pbw, function, counted)
             run_all(name, 2)
         assert sorted(calls, key=str) == [
             ("check_vanishing", True),
@@ -332,11 +340,16 @@ def test_degree_guards():
     code, _, err = run(["hopf", "ex2", "--degree", "-5"])
     assert code == 1
     assert "nonnegative" in err
-    # the soft limit prints a note before dispatch; a generic ring makes
-    # the command itself bail out cheaply right after
-    code, _, err = run(["hopf", "gl11", "--degree", "7"])
+    # the soft limit prints a note before dispatch for uea, whose
+    # dimension count grows with the degree; a generic ring makes the
+    # command itself bail out cheaply right after
+    code, _, err = run(["uea", "gl11", "--degree", "7"])
     assert code == 1
     assert "soft limit" in err and "input error" in err
+    # the Hopf report is the same at every degree, so hopf prints no note
+    code, _, err = run(["hopf", "gl11", "--degree", "7"])
+    assert code == 1
+    assert "soft limit" not in err and "input error" in err
 
 
 def test_negative_degree_is_an_input_error():
@@ -388,7 +401,8 @@ def test_unknown_root_of_unity_in_an_expression_is_an_input_error():
 
 
 def test_internal_inconsistency_exits_with_3(monkeypatch):
-    monkeypatch.setattr(pbw, "check_condition3", lambda spec: (False, ()))
+    # a planted condition 3 failure on the PBW fixture ex2
+    monkeypatch.setattr(pbw, "_condition3_failures", lambda spec: [(0, 1, 2, {})])
     code, out, err = run(["check", "ex2"])
     assert code == 3
     assert out == ""

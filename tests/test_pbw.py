@@ -1,14 +1,19 @@
 import ast
 import functools
+import gc
 import itertools
+import math
 import random
 import re
+import weakref
 from importlib import resources
 
 import pytest
 
+from qdrinfeld import algebra, pbw
 from qdrinfeld.algebra import AlgebraSpec, NCElement, kappa_element, normal_form
 from qdrinfeld.cyclotomic import CyclotomicNumber
+from qdrinfeld.groups import GroupElement
 from qdrinfeld.pbw import (
     _cyclic_sums,
     check_condition2,
@@ -458,6 +463,23 @@ def _chains_resolve(spec) -> bool:
     return True
 
 
+def _generator_group_resolves(spec) -> bool:
+    """The oracle's group part as it ran before it read one normal form
+    per pair: a generator g of G pushed through each pair relation
+    v_j v_i before and after reducing, four rewrites per generator and
+    pair."""
+    for t in range(spec.group.rank):
+        unit = NCElement.group_unit(spec, spec.group.generator(t))
+        for j in range(1, spec.n):
+            for i in range(j):
+                pair = NCElement.monomial(spec, (j, i))
+                reduce_last = normal_form(unit * pair)
+                reduce_first = normal_form(unit * normal_form(pair))
+                if reduce_last != reduce_first:
+                    return False
+    return True
+
+
 def _whole_group_resolves(spec) -> bool:
     """The oracle's group part over every element of G, not only the generators."""
     for g in spec.group:
@@ -492,6 +514,159 @@ def test_oracle_on_the_generators_of_g_matches_the_whole_group():
     # decides the oracle on 2 of those specs and on moves
     assert group.count(False) == 8
     assert sum(c and not g for c, g in zip(chains, group)) == 3
+
+
+def _oracle_corpora():
+    """Fresh specs: the fixtures, corpus(200), parametric_corpus(96, 1),
+    the multi-letter corpora of seeds 1 and 3, MULTI_LETTER and
+    SECOND_GENERATOR_MOVES."""
+    return (
+        [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
+        + corpus(200)
+        + parametric_corpus(96, 1)
+        + multi_letter_corpus(288, 1)
+        + multi_letter_corpus(288, 3)
+        + [parse_spec_text(MULTI_LETTER), parse_spec_text(SECOND_GENERATOR_MOVES)]
+    )
+
+
+def test_oracle_matches_the_generator_by_generator_reference():
+    # the group part reads each ambiguity g v_j v_i off NF(v_j v_i); the
+    # reference pushes g through with four rewrites instead
+    specs = _oracle_corpora()
+    chains = [_chains_resolve(spec) for spec in specs]
+    group = [_generator_group_resolves(spec) for spec in specs]
+    assert [overlap_oracle(spec) for spec in specs] == [c and g for c, g in zip(chains, group)]
+    # the group part alone says False on 254 of the 879 specs, and decides
+    # the oracle on 58 of them
+    assert len(specs) == 879 and group.count(False) == 254
+    assert sum(c and not g for c, g in zip(chains, group)) == 58
+
+
+def test_oracle_reads_one_normal_form_per_pair(monkeypatch):
+    # on a fresh confluent spec whose group has a generator: two per
+    # chain v_k v_j v_i and one per pair v_j v_i, C(n,3)*2 + C(n,2); the
+    # generator-by-generator group part made four per pair and generator
+    calls = []
+    for module in (algebra, pbw):
+        original = module.normal_form
+        monkeypatch.setattr(
+            module, "normal_form", lambda *args, _f=original: calls.append(1) or _f(*args)
+        )
+    counts = {}
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        calls.clear()
+        assert overlap_oracle(load_fixture(name))
+        counts[name] = len(calls)
+    assert counts == {"ex1": 5, "ex2": 5, "ex3": 5, "ex4": 14, "zero-kappa": 1}
+    checked = 0
+    for spec in corpus(200) + multi_letter_corpus(288, 1):
+        if not spec.group.rank or not check_pbw(spec).oracle_confluent:
+            continue
+        fresh = parse_spec_text(format_spec(spec))
+        calls.clear()
+        assert overlap_oracle(fresh)
+        assert len(calls) == 2 * math.comb(spec.n, 3) + math.comb(spec.n, 2), spec.name
+        checked += 1
+    assert checked == 290
+
+
+def _eager_report(spec) -> dict:
+    """check_pbw's report dict with every certificate rendered where it
+    is found, as the deciders did before they kept raw failures."""
+    cond1 = []
+    for i, j in spec.kappa_support():
+        product = spec.chars[i] * spec.chars[j]
+        for r, g, _ in spec.kappa_pairs(i, j):
+            if product != spec.chars[r]:
+                cond1.append(
+                    {
+                        "i": i + 1,
+                        "j": j + 1,
+                        "r": r + 1,
+                        "g": str(g),
+                        "char_product": list(product.exps),
+                        "char_of_target": list(spec.chars[r].exps),
+                    }
+                )
+    _, cond2 = _dense_condition2(spec)
+
+    def term(a, b, c, r, h, coeff):
+        if r == a:
+            return kappa_element(spec, c, a).scale(spec.char_value(c, h) * coeff)
+        return kappa_element(spec, c, r).scale(spec.q_scalar(b, c) * coeff)
+
+    cond3 = [
+        {"i": i + 1, "j": j + 1, "k": k + 1, "residue": str(total)}
+        for i, j, k, total in _cyclic_sums(spec, term)
+        if not total.is_zero()
+    ]
+    strong = []
+    for i, j in spec.kappa_support():
+        for r, g, _ in spec.kappa_pairs(i, j):
+            for k in range(spec.n):
+                lhs = spec.char_value(k, g)
+                rhs = spec.q_scalar(i, k) * spec.q_scalar(j, k) * spec.q_scalar(k, r)
+                if lhs != rhs:
+                    strong.append(
+                        dict(i=i + 1, j=j + 1, k=k + 1, r=r + 1, g=str(g), lhs=str(lhs), rhs=str(rhs))
+                    )
+    weak = [v for v in strong if v["k"] not in (v["i"], v["j"])]
+    verdict = not (cond1 or cond2 or cond3)
+    return {
+        "cond1": not cond1,
+        "cond2": not cond2,
+        "cond3": not cond3,
+        "cond1_violations": cond1,
+        "cond2_violations": list(cond2),
+        "cond3_violations": cond3,
+        "vanishing": not weak,
+        "vanishing_violations": weak,
+        "strong_vanishing": not strong,
+        "strong_vanishing_violations": strong,
+        "fixed_point_free": all(not chi.is_identity() for chi in spec.chars),
+        "oracle_confluent": verdict,
+        "verdict": verdict,
+    }
+
+
+def test_check_pbw_renders_nothing_while_it_decides(monkeypatch):
+    # certificates are rendered at the edge: deciding prints no scalar,
+    # group letter or element, and the rendered report equals the eager one
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} printed while deciding")
+
+    specs = _oracle_corpora()
+    with monkeypatch.context() as patch:
+        for cls in (Scalar, GroupElement, NCElement):
+            patch.setattr(cls, "__str__", refuse)
+        reports = [check_pbw(spec) for spec in specs]
+    failing = 0
+    for spec, report in zip(specs, reports):
+        assert report.as_dict() == _eager_report(spec), spec.name
+        failing += not report.verdict
+    assert failing == 380
+
+
+def test_a_failing_report_dies_with_its_spec():
+    # the raw failures keep condition 3's residues as terms, not as
+    # elements, which hold their spec: no cycle runs through the spec
+    texts = [format_spec(spec) for spec in corpus(120)]
+    failing = 0
+    gc.disable()
+    try:
+        for text in texts:
+            spec = parse_spec_text(text)
+            report = check_pbw(spec)
+            if report.cond3 and report.strong_vanishing:
+                continue
+            failing += not report.cond3
+            ref = weakref.ref(spec)
+            del spec, report
+            assert ref() is None
+    finally:
+        gc.enable()
+    assert failing > 0
 
 
 def test_condition3_holds_without_kappa():

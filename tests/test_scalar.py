@@ -218,8 +218,9 @@ def test_unit_monomials_skip_the_zero_filter(monkeypatch):
     # a monomial without coeff has the coefficient 1, so the filter of the
     # public constructor has nothing to drop.  ex1 fails strong vanishing,
     # and the reference sweep of its relation multiples, which its Hopf
-    # check ran at degree 3 before the braiding decided it, builds the
-    # left flanks as monomials
+    # check ran before the braiding decided it, builds the left flanks as
+    # monomials; the Hopf check builds none, and the overlap oracle only
+    # its chains
     spec = load_fixture("ex1")
     state = {"inside": False, "monomials": 0, "filtered": 0}
     init = LinearCombination.__init__
@@ -244,7 +245,7 @@ def test_unit_monomials_skip_the_zero_filter(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         check_hopf_axioms(spec, 3)
-        _relation_certificates(spec, 2)
+        _relation_certificates(spec, 3)
     assert state["monomials"] > 100
     assert state["filtered"] == 0
     with pytest.raises(SpecError, match="out of range"):

@@ -423,14 +423,13 @@ def test_pbw_for_uea_on_fixture_rings():
 def test_pbw_for_uea_decides_weak_vanishing_once(monkeypatch):
     ring = build_color_lie_ring(load_fixture("ex2"))
     decided = []
-    check = pbw.check_vanishing
+    sweep = pbw._identity_failures
 
-    def counting(spec, strong=False):
+    def counting(spec, strong):
         decided.append(strong)
-        return check(spec, strong=strong)
+        return sweep(spec, strong)
 
-    for module in (pbw, uea):
-        monkeypatch.setattr(module, "check_vanishing", counting)
+    monkeypatch.setattr(pbw, "_identity_failures", counting)
     assert pbw_for_uea(ring)
     # the weak answer is filtered from the strong one, decided once
     assert decided == [True]
