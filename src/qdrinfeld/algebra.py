@@ -404,11 +404,15 @@ def all_words(n: int, max_degree: int):
 
 
 def pbw_monomial_count(spec: AlgebraSpec, max_degree: int) -> int:
-    n = spec.n
-    total = 0
-    for d in range(max_degree + 1):
-        total += math.comb(n + d - 1, d)
-    return total * len(spec.group)
+    """Sorted words of length <= max_degree times group letters.
+
+    There are C(n + k - 1, k) sorted words of length k, and their sum over
+    k <= d is C(n + d, d) by the hockey-stick identity.  A negative bound
+    counts nothing.
+    """
+    if max_degree < 0:
+        return 0
+    return math.comb(spec.n + max_degree, max_degree) * len(spec.group)
 
 
 __all__ = [

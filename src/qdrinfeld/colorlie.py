@@ -193,9 +193,9 @@ def require_hypotheses(spec: AlgebraSpec) -> PBWReport:
       no certificate, and with build_N_and_quotient's N its grading
       check passes too.
     - On the own ring, iso_check passes with no certificate.
-    - dimension_oracle's two counts agree at every degree at the default
-      point of instantiate_spec.  `uea` still counts, as --instantiate
-      may pick a point off the PBW locus.
+    - dimension_oracle's two counts agree at every degree and at every
+      point that instantiate_spec accepts, so `uea` reports the
+      closed-form count, which reads n, |G| and the degree only, as both.
 
     The own ring's bracket is [v_i g, v_j h] = chi_j(g) kappa(v_i, v_j) gh,
     and the pairing is bimultiplicative with group letters pairing to 1
@@ -261,18 +261,30 @@ def require_hypotheses(spec: AlgebraSpec) -> PBWReport:
       q_ii chi_i(g) chi_i(g)^-1 = 1, so NotPurelyPositive cannot arise
       either, and converse_construct returns the spec itself: `converse`
       prints its canonical text with the round trip holding.
-    - Dimension count: conditions 1-3 are identities in the Laurent ring
-      Q(zeta_m)[params^+-1]: the characters carry no parameter, and
-      substituting nonzero values is a ring map, so they hold at the
-      default point too, and the instantiated spec is PBW.  Its
-      rewriting system is then confluent (the equivalence check_pbw
-      checks against the overlap oracle), so by Bergman's diamond lemma
-      (Adv. Math. 29, 1978) the sorted words times G are a basis of the
-      algebra (Shepler-Witherspoon, Trans. AMS 2014, for this
-      group-twisted setting).  A word of length <= d reduces to sorted
-      words by subtracting rows u rel w g of degree <= d, so modulo the
-      rows of dimension_oracle every column is a combination of the
-      pbw_count sorted ones; and the rows lie in the ideal, in which no
+    - Dimension count, at every point that instantiate_spec accepts
+      (the default point is one): a parameter set to 0 has no negative
+      power in any entry of q or kappa there, as Scalar.substitute
+      raises NotAUnit otherwise, and every q_ij goes to a unit, as
+      AlgebraSpec refuses the point otherwise.  So substituting is a
+      ring map phi from the Laurent polynomials that hold the entries
+      to Q(zeta_m), and the instantiated q and kappa are the images of
+      the spec's; q_ji goes to the inverse of phi(q_ij), which is
+      phi(q_ji).  The characters carry no parameter.  normal_form
+      rewrites each word by one rule that depends on the word alone,
+      with entries and character values as coefficients, and is linear,
+      so at the point it is phi applied to the generic normal form; a
+      coefficient that phi sends to 0 only drops a term.  So the
+      overlap oracle's chain residues at the point are the images of
+      the generic ones, and its group identities are asked of fewer
+      terms.  Under the PBW verdict, which check_pbw holds against the
+      oracle, all of them vanish, so the instantiated rewriting system
+      is confluent, and by Bergman's diamond lemma (Adv. Math. 29,
+      1978) the sorted words times G are a basis of the algebra
+      (Shepler-Witherspoon, Trans. AMS 2014, for this group-twisted
+      setting).  A word of length <= d reduces to sorted words by
+      subtracting rows u rel w g of degree <= d, so modulo the rows of
+      dimension_oracle every column is a combination of the pbw_count
+      sorted ones; and the rows lie in the ideal, in which no
       combination of sorted words lies.  So quotient_dim == pbw_count.
     """
     report = check_pbw(spec)

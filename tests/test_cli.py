@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import random
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,10 +11,11 @@ import pytest
 from qdrinfeld import cli, colorlie, hopf, pbw, uea
 from qdrinfeld.cli import main, run_all
 from qdrinfeld.cyclotomic import CyclotomicNumber
-from qdrinfeld.scalar import Scalar
+from qdrinfeld.errors import HypothesisNotMet
+from qdrinfeld.scalar import Scalar, parse_scalar
 from qdrinfeld.specfile import fixture_names, format_spec, load_fixture, parse_spec_text
 
-from randspec import corpus
+from randspec import corpus, parametric_corpus
 
 
 def run(argv):
@@ -214,13 +217,13 @@ def test_run_all_builds_no_ring_on_the_algebra_fixtures(monkeypatch):
             run_all(name, 2)
     names = ["ex1", "ex2", "ex3", "ex4", "zero-kappa"]
     assert built == [] and calls == names
-    # lie and uea read the same gate; uea still counts dimensions
+    # lie and uea read the same gate
     calls.clear()
     for name in names:
         for argv in (["lie", name], ["lie", name, "--quotient"], ["uea", name, "--degree", "2"]):
             run(argv)
     assert built == []
-    assert calls == [item for name in names for item in [name] * 3 + ["dimension_oracle"]]
+    assert calls == [name for name in names for _ in range(3)]
     assert run_all("gl11", 2)["passed"]
     assert built == ["generic"]
 
@@ -302,6 +305,63 @@ def test_a_repeated_instantiation_is_refused():
     assert "Traceback" not in err
 
 
+def test_uea_reads_the_dimension_oracle_on_the_fixtures():
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        spec = load_fixture(name)
+        for d in range(7):
+            code, out, err = run(["uea", name, "--degree", str(d), "--json"])
+            assert code == 0 and err == "", (name, d)
+            data = json.loads(out)
+            counts = (data["pbw_count"], data["quotient_dim"])
+            assert counts == uea.dimension_oracle(spec, d), (name, d)
+
+
+def _gated(spec):
+    try:
+        colorlie.require_hypotheses(spec)
+    except HypothesisNotMet:
+        return False
+    return True
+
+
+def test_uea_reads_the_dimension_oracle_at_instantiated_points(tmp_path):
+    # every point instantiate_spec accepts keeps a gated spec confluent
+    # (require_hypotheses' proofs), lam = 0 included; q = 0 on a q_12
+    # that carries q is refused
+    specs = [
+        spec
+        for spec in parametric_corpus(288, 1)
+        if spec.n * len(spec.group) <= 12 and _gated(spec)
+    ]
+    assert len(specs) == 88
+    rng = random.Random(25)
+    agreed = refused = 0
+    for spec in specs:
+        path = tmp_path / f"{spec.name}.qdo"
+        path.write_text(format_spec(spec))
+        m = spec.ctx.conductor
+        for _ in range(3):
+            draw = {
+                name: rng.choice(["0", "2", "-3", "5", f"zeta({m})^{rng.randrange(m)}"])
+                for name in spec.ctx.params
+            }
+            argv = ["uea", str(path), "--degree", "3", "--json"]
+            for name, value in draw.items():
+                argv += ["--instantiate", f"{name}={value}"]
+            code, out, err = run(argv)
+            if draw["q"] == "0" and not spec.q_scalar(0, 1).is_constant():
+                assert (code, out, err) == (1, "", "error: q_12 = 0 is not a unit\n"), argv
+                refused += 1
+                continue
+            assert code == 0 and err == "", (argv, err)
+            data = json.loads(out)
+            values = {name: parse_scalar(value, spec.ctx) for name, value in draw.items()}
+            counts = (data["pbw_count"], data["quotient_dim"])
+            assert counts == uea.dimension_oracle(spec, 3, values), argv
+            agreed += 1
+    assert (agreed, refused) == (221, 43)
+
+
 def test_hopf_exit_codes():
     code, _, _ = run(["hopf", "ex2"])
     assert code == 0
@@ -340,16 +400,12 @@ def test_degree_guards():
     code, _, err = run(["hopf", "ex2", "--degree", "-5"])
     assert code == 1
     assert "nonnegative" in err
-    # the soft limit prints a note before dispatch for uea, whose
-    # dimension count grows with the degree; a generic ring makes the
-    # command itself bail out cheaply right after
-    code, _, err = run(["uea", "gl11", "--degree", "7"])
-    assert code == 1
-    assert "soft limit" in err and "input error" in err
-    # the Hopf report is the same at every degree, so hopf prints no note
-    code, _, err = run(["hopf", "gl11", "--degree", "7"])
-    assert code == 1
-    assert "soft limit" not in err and "input error" in err
+    # no command's work grows with the degree, so none prints a note on a
+    # high one; a generic ring is refused as input
+    for command in ("uea", "hopf"):
+        code, _, err = run([command, "gl11", "--degree", "7"])
+        assert code == 1
+        assert "soft limit" not in err and "input error" in err
 
 
 def test_negative_degree_is_an_input_error():
@@ -371,6 +427,32 @@ def test_degree_zero_still_counts_dimensions():
     code, out, _ = run(["uea", "ex2", "--degree", "0", "--json"])
     assert code == 0
     assert json.loads(out)["degree"] == 0
+
+
+def test_uea_at_a_high_degree_answers_within_a_second():
+    # the dimension count of ex4 took 2.5 s at degree 6 before uea read it
+    # from the theorems
+    started = time.monotonic()
+    code, out, err = run(["uea", "ex4", "--degree", "12"])
+    assert time.monotonic() - started < 1
+    assert code == 0 and err == ""
+    assert "closed-form count 7280, quotient slice 7280" in out
+
+
+def test_an_oversized_degree_is_an_input_error(tmp_path):
+    # C(5 + 10^999, 5) has about 5,000 digits, past the interpreter's
+    # default limit of 4,300 for printing an integer
+    path = tmp_path / "commuting.qdo"
+    path.write_text("[group]\norders = [1]\n[action]\ncharacters = [[0], [0], [0], [0], [0]]\n")
+    started = time.monotonic()
+    code, out, err = run(["uea", str(path), "--degree", "1" + "0" * 999])
+    assert time.monotonic() - started < 1
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+    # about 4,000 digits still print
+    code, out, err = run(["uea", str(path), "--degree", "1" + "0" * 800, "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["pbw_count"] == math.comb(5 + 10**800, 5)
 
 
 def test_converse_round_trip():
@@ -616,7 +698,7 @@ def test_uea_on_a_large_group_answers_quickly(tmp_path):
 
 
 def test_uea_at_the_default_degree_on_a_large_group_answers_quickly(tmp_path):
-    # degree 3 over 144 group elements: the dimension count eliminates per character
+    # degree 3 over 144 group elements: the count is a closed form in n, |G| and d
     path = tmp_path / "z12.qdo"
     path.write_text(_two_generator_spec(12))
     started = time.monotonic()
@@ -665,6 +747,17 @@ def test_every_command_on_a_wide_group_answers_quickly(tmp_path):
         assert time.monotonic() - started < 1, argv
         assert code == 0, (argv, err)
     assert outputs["converse"] == outputs["fmt"] + "round trip: True\n"
+
+
+def test_uea_on_a_wider_group_answers_within_a_second(tmp_path):
+    # 65,536 group letters: the dimension count eliminated once per character
+    path = tmp_path / "wide.qdo"
+    path.write_text(_wide_spec(16))
+    started = time.monotonic()
+    code, out, err = run(["uea", str(path), "--degree", "2"])
+    assert time.monotonic() - started < 1
+    assert code == 0 and err == ""
+    assert "closed-form count 393216, quotient slice 393216" in out
 
 
 def test_axiom_sweep_work_follows_the_bracket_table(monkeypatch):
