@@ -97,14 +97,12 @@ class AlgebraSpec:
                 elif (i, j) not in q:
                     back = q.get((j, i), one)
                     q[(i, j)] = one if back is one else back.inv()
-        # scalars commute and q_ii = 1, so the pairs i < j suffice, and the
-        # first of them to fail is the first failing pair in row-major order
-        for i in range(n):
-            for j in range(i + 1, n):
-                if q[(i, j)] * q[(j, i)] != one:
-                    raise SpecError(
-                        f"q_{i + 1}{j + 1} and q_{j + 1}{i + 1} are not inverse"
-                    )
+        # a transpose made by inv() is inverse by construction, so only the
+        # pairs given both ways are checked; scalars commute and q_ii = 1,
+        # so those with i < j suffice, in row-major order
+        for i, j in sorted(q_in):
+            if i < j and (j, i) in q_in and q[(i, j)] * q[(j, i)] != one:
+                raise SpecError(f"q_{i + 1}{j + 1} and q_{j + 1}{i + 1} are not inverse")
         return q
 
     def _build_kappa(self, n: int, kappa_in) -> dict[tuple[int, int], dict]:

@@ -25,7 +25,14 @@ from .colorlie import (
     generic_color_lie_ring,
     require_hypotheses,
 )
-from .errors import HypothesisNotMet, InternalInconsistency, ParseError, QdrinfeldError
+from .errors import (
+    HypothesisNotMet,
+    InternalInconsistency,
+    ParseError,
+    QdrinfeldError,
+    SpecError,
+    SymbolicParameter,
+)
 from .hopf import check_hopf_axioms
 from .pbw import check_pbw, check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import parse_scalar
@@ -139,7 +146,13 @@ def _cmd_uea(args) -> int:
     # count at every point that instantiate_spec accepts, by the paper's
     # theorems (require_hypotheses' proofs)
     require_hypotheses(spec)
-    count = pbw_monomial_count(instantiate_spec(spec, values or None), args.degree)
+    try:
+        point = instantiate_spec(spec, values or None)
+    except (SpecError, SymbolicParameter) as exc:
+        # an unknown name, a symbolic value or a q_ij sent to a non-unit:
+        # each is a bad --instantiate argument
+        raise ParseError(str(exc)) from exc
+    count = pbw_monomial_count(point, args.degree)
     # interpreters before 3.10.7 print integers of any length
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and count >= 10**limit:
@@ -337,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if expr:
             p.add_argument("expr", help="element expression, e.g. 'v2*v1*g(1)'")
         if degree:
-            p.add_argument("--degree", type=int, default=3, help="degree bound (default 3)")
+            # read in main, so that a malformed value is an input error
+            p.add_argument("--degree", default="3", help="degree bound (default 3)")
         p.add_argument("--json", action="store_true", help="machine readable output")
         p.set_defaults(handler=handler)
         return p
@@ -373,10 +387,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _excerpt(text: str, width: int = 40) -> str:
+    """repr of text, cut to its first width characters when longer."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     degree = getattr(args, "degree", None)
     if degree is not None:
+        try:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            degree = args.degree = int(degree)
+        except ValueError:
+            got = _excerpt(degree)
+            print(f"input error: --degree wants an integer, got {got}", file=sys.stderr)
+            return 1
         if degree < 0:
             print("input error: the degree bound must be nonnegative", file=sys.stderr)
             return 1

@@ -10,6 +10,13 @@ m substitutes into the polynomial of its radical, so no factorization
 routine and no floating point ever enter; that division and the field
 inverse of an element other than +-zeta^k are the only places that
 compute over Q.
+
+The signed roots of unity +-zeta^k of one conductor are kept once, in a
+table indexed like the exponents of a primitive root of unity of order
+lcm(2, m) (see ``_units``).  Every number knows its table index or that it
+has none, so a product, inverse or negation of table entries is a sum,
+negative or shift of indices, and it returns an entry, not a new number.
+All other values take the dense power-basis path.
 """
 
 from __future__ import annotations
@@ -166,9 +173,45 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _units(m: int) -> tuple[CyclotomicNumber, ...]:
+    """The distinct +-zeta_m^k, entry e being w^e for w = exp(2 pi i / N),
+    N = lcm(2, m), so the product of entries a and b is entry a + b mod N.
+
+    For even m, N = m and -1 = zeta^(m/2), so -zeta^k is the entry
+    k + m/2 and nothing is listed twice.  For odd m, N = 2m, zeta^k is
+    the entry 2k and -zeta^k the entry 2k + m.  Negation adds N/2.
+    """
+    rows = _power_rows(m)
+    units = []
+    for e in range(lcm(2, m)):
+        if m % 2 == 0:
+            row = rows[e]
+        elif e % 2 == 0:
+            row = rows[e // 2]
+        else:
+            row = tuple(-a for a in rows[(e - m) // 2 % m])
+        x = object.__new__(CyclotomicNumber)
+        x.m, x.nums, x.den, x.root = m, row, 1, e
+        units.append(x)
+    return tuple(units)
+
+
+@lru_cache(maxsize=None)
 def _power_index(m: int) -> dict[tuple[int, ...], int]:
-    """k for each row of ``_power_rows(m)``; the m rows are distinct."""
-    return {row: k for k, row in enumerate(_power_rows(m))}
+    """The ``_units(m)`` index of each +-zeta_m^k, keyed by its numerators;
+    the representation is unique, so the keys are distinct."""
+    return {x.nums: x.root for x in _units(m)}
+
+
+def root_index(x: CyclotomicNumber) -> int:
+    """x's index in ``_units(x.m)``, or -1 when x is no +-zeta^k.
+
+    Table entries carry it; any other number looks it up on first use.
+    """
+    k = x.root
+    if k is None:
+        k = x.root = _power_index(x.m).get(x.nums, -1) if x.den == 1 else -1
+    return k
 
 
 def _number(m: int, nums: tuple[int, ...], den: int) -> CyclotomicNumber:
@@ -179,15 +222,39 @@ def _number(m: int, nums: tuple[int, ...], den: int) -> CyclotomicNumber:
             nums = tuple(a // g for a in nums)
             den //= g
     x = object.__new__(CyclotomicNumber)
-    x.m, x.nums, x.den = m, nums, den
+    x.m, x.nums, x.den, x.root = m, nums, den, None
     return x
+
+
+def _dense_mul(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
+    """x*y on the power basis, reduced through ``_power_rows``."""
+    m, a, b = x.m, x.nums, y.nums
+    phi = len(a)
+    prod = [0] * (2 * phi - 1)
+    for i, c in enumerate(a):
+        if c:
+            for k, d in enumerate(b, i):
+                prod[k] += c * d
+    out = prod[:phi]
+    table = _power_rows(m)
+    for k in range(phi, 2 * phi - 1):
+        c = prod[k]
+        if c:
+            for i, r in enumerate(table[k % m]):
+                out[i] += c * r
+    return _number(m, tuple(out), x.den * y.den)
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_m) on the power basis: integer numerators ``nums``
-    over one denominator ``den`` > 0, in lowest terms, so equal values match."""
+    over one denominator ``den`` > 0, in lowest terms, so equal values match.
 
-    __slots__ = ("m", "nums", "den")
+    ``root`` is the index in the table of +-zeta^k (``_units``), -1 off the
+    table, or None until ``root_index`` looks it up; it takes no part in
+    equality or hashing.  No number is mutated, so table entries are shared.
+    """
+
+    __slots__ = ("m", "nums", "den", "root")
 
     def __init__(self, m: int, coeffs) -> None:
         """From rational coordinates on the power basis."""
@@ -201,6 +268,7 @@ class CyclotomicNumber:
         self.m = m
         self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self.den = den
+        self.root = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -220,12 +288,13 @@ class CyclotomicNumber:
 
     @classmethod
     def one(cls, m: int) -> CyclotomicNumber:
-        return cls.from_rational(m, 1)
+        return _units(m)[0]
 
     @classmethod
     def zeta_power(cls, m: int, k: int) -> CyclotomicNumber:
-        """zeta_m^k, any integer k."""
-        return _number(m, _power_rows(m)[k % m], 1)
+        """zeta_m^k, any integer k, as the table entry."""
+        units = _units(m)
+        return units[k * (len(units) // m) % len(units)]
 
     @classmethod
     def root_of_unity(cls, m: int, d: int, power: int = 1) -> CyclotomicNumber:
@@ -258,38 +327,38 @@ class CyclotomicNumber:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> CyclotomicNumber:
+        k = root_index(self)
+        if k >= 0:
+            units = _units(self.m)
+            return units[(k + len(units) // 2) % len(units)]
         return _number(self.m, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other: CyclotomicNumber) -> CyclotomicNumber:
         self._check(other)
-        m, a, b = self.m, self.nums, other.nums
-        phi = len(a)
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    prod[k] += x * y
-        out = prod[:phi]
-        table = _power_rows(m)
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                for i, r in enumerate(table[k % m]):
-                    out[i] += c * r
-        return _number(m, tuple(out), self.den * other.den)
+        # the root indices are read inline: this is the hottest call of a
+        # PBW decision, and most of its operands are +-zeta^k
+        a = self.root
+        if a is None:
+            a = root_index(self)
+        if a >= 0:
+            b = other.root
+            if b is None:
+                b = root_index(other)
+            if b >= 0:
+                units = _units(self.m)
+                return units[(a + b) % len(units)]
+        return _dense_mul(self, other)
 
     def inverse(self) -> CyclotomicNumber:
         """Field inverse: by table for +-zeta^k, else by _euclid_inverse.
 
-        The representation is unique, so +-zeta^k is found by looking up
-        its numerators, or their negatives, among the powers of zeta.
+        The inverse of the table entry w^e is w^(-e), another entry, so
+        it is an index lookup like the products and negations of entries.
         """
-        if self.den == 1:
-            m, index = self.m, _power_index(self.m)
-            for sign in (1, -1):
-                k = index.get(tuple(sign * a for a in self.nums))
-                if k is not None:
-                    return _number(m, tuple(sign * a for a in _power_rows(m)[-k % m]), 1)
+        k = root_index(self)
+        if k >= 0:
+            units = _units(self.m)
+            return units[-k % len(units)]
         return _euclid_inverse(self)
 
     def __pow__(self, k: int) -> CyclotomicNumber:

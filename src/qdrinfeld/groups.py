@@ -209,13 +209,11 @@ def char_exponent(chi: Character, g: GroupElement, m: int) -> int:
 def char_eval(chi: Character, g: GroupElement, ctx: ScalarContext) -> Scalar:
     """Evaluate a character at a group element inside Q(zeta_m).
 
-    The value 1 is the context's shared ``Scalar.one``, which products skip.
+    The value is a root of unity on the context's shared terms, and 1 is
+    the shared ``Scalar.one``, which products skip.
     """
     m = ctx.conductor
-    k = char_exponent(chi, g, m)
-    if k == 0:
-        return Scalar.one(ctx)
-    return Scalar.from_cyclotomic(ctx, CyclotomicNumber.zeta_power(m, k))
+    return Scalar.from_cyclotomic(ctx, CyclotomicNumber.zeta_power(m, char_exponent(chi, g, m)))
 
 
 class ADegree:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cyclotomic import CyclotomicNumber, join_signed, power, times
+from .cyclotomic import CyclotomicNumber, join_signed, power, root_index, times
 from .errors import NotAUnit, ParseError, SpecError
 
 
@@ -173,6 +173,26 @@ class ScalarContext:
         """
         return {(0,) * self.rank: CyclotomicNumber.one(self.conductor)}
 
+    @cached_property
+    def _root_terms(self) -> dict:
+        """Terms of each constant +-zeta^k met so far, by its table index.
+
+        Like ``_one_terms``, which is the entry at 0, these are terms and
+        field elements only, so the context still holds nothing of its own.
+        """
+        return {0: self._one_terms}
+
+    def _constant_terms(self, value: CyclotomicNumber) -> dict:
+        """Terms of the constant scalar value, which must be nonzero; a
+        +-zeta^k gets the shared terms of its table index."""
+        k = root_index(value)
+        if k < 0:
+            return {(0,) * self.rank: value}
+        terms = self._root_terms.get(k)
+        if terms is None:
+            terms = self._root_terms[k] = {(0,) * self.rank: value}
+        return terms
+
 
 class Scalar(LinearCombination):
     __slots__ = ("ctx",)
@@ -211,8 +231,9 @@ class Scalar(LinearCombination):
     def from_cyclotomic(cls, ctx: ScalarContext, value: CyclotomicNumber) -> Scalar:
         if value.m != ctx.conductor:
             raise SpecError(f"conductor mismatch: {value.m} vs {ctx.conductor}")
-        terms = {(0,) * ctx.rank: value}
-        return cls(ctx, terms) if value.is_zero() else cls._trusted((ctx,), terms)
+        if value.is_zero():
+            return cls.zero(ctx)
+        return cls._trusted((ctx,), ctx._constant_terms(value))
 
     @classmethod
     def zeta(cls, ctx: ScalarContext, d: int, power: int = 1) -> Scalar:
@@ -247,7 +268,10 @@ class Scalar(LinearCombination):
             # one multiply, and a product of nonzero field elements is nonzero
             (e1, c1), = self.terms.items()
             (e2, c2), = other.terms.items()
-            return self._like({tuple(map(operator.add, e1, e2)): c1 * c2})
+            exps = tuple(map(operator.add, e1, e2))
+            if any(exps):
+                return self._like({exps: c1 * c2})
+            return self._like(self.ctx._constant_terms(c1 * c2))
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

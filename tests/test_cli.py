@@ -296,6 +296,35 @@ def test_an_unknown_instantiation_is_refused_without_parameters():
     assert "'zz'" in err and "Traceback" not in err
 
 
+def test_every_instantiation_refusal_is_an_input_error():
+    # ex2's q_12 is q^-1, and 0 has no inverse
+    for argv, message in (
+        (["uea", "ex1", "--instantiate", "zz=3"], "unknown parameter 'zz'"),
+        (["uea", "ex2", "--instantiate", "q=0"], "0 is not a unit"),
+        (["uea", "ex2", "--instantiate", "lam=q*lam"], "still has free parameters"),
+        (["uea", "ex2", "--instantiate", "lam"], "wants name=expr"),
+    ):
+        code, out, err = run(argv + ["--degree", "2"])
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("input error: ") and message in err, (argv, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
+def test_a_malformed_degree_is_an_input_error():
+    for value, echo in (
+        ("x", "'x'"),
+        ("2.5", "'2.5'"),
+        ("9" * 5000, "'" + "9" * 40 + "'... (5000 characters)"),
+    ):
+        code, out, err = run(["uea", "ex1", "--degree", value])
+        assert (code, out) == (1, ""), value[:10]
+        assert err == f"input error: --degree wants an integer, got {echo}\n", value[:10]
+    # what int() reads is still a degree
+    for value in (" 2 ", "0_2", "+2"):
+        code, out, err = run(["uea", "ex1", "--degree", value, "--json"])
+        assert (code, err) == (0, "") and json.loads(out)["degree"] == 2, value
+
+
 def test_a_repeated_instantiation_is_refused():
     code, out, err = run(
         ["uea", "ex2", "--instantiate", "lam=1", "--instantiate", "lam=2", "--degree", "2"]
@@ -350,7 +379,7 @@ def test_uea_reads_the_dimension_oracle_at_instantiated_points(tmp_path):
                 argv += ["--instantiate", f"{name}={value}"]
             code, out, err = run(argv)
             if draw["q"] == "0" and not spec.q_scalar(0, 1).is_constant():
-                assert (code, out, err) == (1, "", "error: q_12 = 0 is not a unit\n"), argv
+                assert (code, out, err) == (1, "", "input error: q_12 = 0 is not a unit\n"), argv
                 refused += 1
                 continue
             assert code == 0 and err == "", (argv, err)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -290,3 +291,62 @@ def test_parsing_the_multi_letter_corpus_divides_no_polynomials(monkeypatch):
     for text in texts:
         parse_spec_text(text)
     assert calls == []
+
+
+# -- products, inverses and negations of +-zeta^k are table lookups; the
+#    dense product and the Euclidean inverse stay their reference
+
+
+def _built_signed_roots(m):
+    """+-zeta_m^k for every k, built from coordinates apart from the table."""
+    rows = cyclotomic._power_rows(m)
+    return [CyclotomicNumber(m, [sign * a for a in row]) for row in rows for sign in (1, -1)]
+
+
+def _check_table_against_the_dense_path(m, pairs, inverses):
+    table = {id(x) for x in cyclotomic._units(m)}
+    for x, y in pairs:
+        product = x * y
+        assert id(product) in table, (m, x, y)
+        _same_value(product, cyclotomic._dense_mul(x, y))
+    for x in inverses:
+        negated = -x
+        assert id(negated) in table and id(x.inverse()) in table, (m, x)
+        _same_value(negated, CyclotomicNumber(m, [-c for c in x.coeffs]))
+        _same_value(x.inverse(), _euclid_inverse(x))
+
+
+def test_signed_roots_multiply_invert_and_negate_by_table():
+    for m in range(1, 25):
+        roots = _built_signed_roots(m)
+        # odd m lists 2m distinct values, even m each one twice
+        assert len(cyclotomic._units(m)) == len(set(roots)) == (m if m % 2 == 0 else 2 * m)
+        _check_table_against_the_dense_path(m, itertools.product(roots, repeat=2), roots)
+    rng = random.Random(39)
+    for m in (113, 120):
+        roots = _built_signed_roots(m)
+        pairs = [(rng.choice(roots), rng.choice(roots)) for _ in range(300)]
+        _check_table_against_the_dense_path(m, pairs, rng.sample(roots, 4))
+
+
+def test_a_value_has_one_equality_and_hash_however_it_was_built():
+    for m in (1, 2, 3, 4, 12, 15, 113, 120):
+        units = cyclotomic._units(m)
+        for x in _built_signed_roots(m):
+            entry = units[cyclotomic.root_index(x)]
+            assert entry is not x
+            _same_value(entry, x)
+            # arithmetic: through the dense product and through sums
+            _same_value(entry, cyclotomic._dense_mul(x, CyclotomicNumber.one(m)))
+            _same_value(entry, (x + x) - x)
+            _same_value(entry * CyclotomicNumber.one(m), x)
+            assert len({entry, x, (x + x) - x}) == 1
+    # -zeta^k and zeta^(k + m/2) are one entry at even m
+    for m in (2, 4, 12, 120):
+        for k in range(m):
+            assert -CyclotomicNumber.zeta_power(m, k) is CyclotomicNumber.zeta_power(m, k + m // 2)
+    # values off the table keep the dense path and have no index
+    one = CyclotomicNumber.one(12)
+    for x in (one + one, one + CyclotomicNumber.zeta_power(12, 1), CyclotomicNumber.zero(12),
+              CyclotomicNumber.from_rational(12, Fraction(1, 2))):
+        assert cyclotomic.root_index(x) == -1

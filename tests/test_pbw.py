@@ -10,7 +10,7 @@ from importlib import resources
 
 import pytest
 
-from qdrinfeld import algebra, pbw
+from qdrinfeld import algebra, cyclotomic, pbw
 from qdrinfeld.algebra import AlgebraSpec, NCElement, kappa_element, normal_form
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.groups import GroupElement
@@ -24,7 +24,13 @@ from qdrinfeld.pbw import (
     overlap_oracle,
 )
 from qdrinfeld.scalar import Scalar, parse_scalar
-from qdrinfeld.specfile import fixture_path, format_spec, load_fixture, parse_spec_text
+from qdrinfeld.specfile import (
+    fixture_names,
+    fixture_path,
+    format_spec,
+    load_fixture,
+    parse_spec_text,
+)
 from qdrinfeld.uea import dimension_oracle, instantiate_spec
 
 from randspec import corpus, multi_letter_corpus, parametric_corpus
@@ -667,6 +673,53 @@ def test_a_failing_report_dies_with_its_spec():
     finally:
         gc.enable()
     assert failing > 0
+
+
+def test_a_decided_spec_leaves_no_scalar_context_behind():
+    # the context shares terms of 1 and of the other +-zeta^k with its
+    # scalars, never scalars, which would hold it in a cycle
+    texts = [format_spec(spec) for spec in corpus(60)]
+    gc.disable()
+    try:
+        for text in texts:
+            spec = parse_spec_text(text)
+            check_pbw(spec)
+            assert spec.ctx.__dict__.get("_root_terms")
+            refs = weakref.ref(spec), weakref.ref(spec.ctx)
+            del spec
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_no_product_of_two_signed_roots_reaches_the_dense_multiply(monkeypatch):
+    # parsing and check_pbw multiply +-zeta^k by table; the count is
+    # exact, so a lost fast path fails here and not only in a timing
+    texts = [fixture_path(name).read_text() for name in fixture_names()]
+    texts += [format_spec(spec) for spec in corpus(200)]
+    signed_roots = functools.cache(
+        lambda m: {tuple(s * a for a in row) for row in cyclotomic._power_rows(m) for s in (1, -1)}
+    )
+    dense = cyclotomic._dense_mul
+
+    def dense_products():
+        calls = []
+
+        def spy(x, y):
+            calls.append(all(z.den == 1 and z.nums in signed_roots(z.m) for z in (x, y)))
+            return dense(x, y)
+
+        monkeypatch.setattr(cyclotomic, "_dense_mul", spy)
+        for text in texts:
+            spec = parse_spec_text(text)
+            if isinstance(spec, AlgebraSpec):
+                check_pbw(spec)
+        monkeypatch.setattr(cyclotomic, "_dense_mul", dense)
+        return calls
+
+    first = dense_products()
+    assert first and not any(first)
+    assert dense_products() == first
 
 
 def test_condition3_holds_without_kappa():

@@ -180,8 +180,10 @@ def test_a_product_by_the_shared_one_is_the_other_factor():
     for x in (Scalar.param(CTX, "q"), Scalar.zeta(CTX, 4) + Scalar.param(CTX, "q"), one):
         assert x * one is x
         assert one * x is x
-    # a 1 built apart from the shared terms multiplies as before
-    built = Scalar.rational(CTX, 1)
+    # a constant 1 from a constructor is on the shared terms, and one
+    # built apart from them multiplies as before
+    assert Scalar.rational(CTX, 1).terms is CTX._one_terms
+    built = Scalar(CTX, {(0,) * CTX.rank: CyclotomicNumber.one(CTX.conductor)})
     q = Scalar.param(CTX, "q")
     assert built.terms is not CTX._one_terms
     assert built * q == q == q * built
