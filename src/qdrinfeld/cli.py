@@ -387,13 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _excerpt(text: str, width: int = 40) -> str:
-    """repr of text, cut to its first width characters when longer."""
-    if len(text) <= width:
-        return repr(text)
-    return f"{text[:width]!r}... ({len(text)} characters)"
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     degree = getattr(args, "degree", None)
@@ -402,7 +395,9 @@ def main(argv=None) -> int:
             # int() refuses more digits than sys.get_int_max_str_digits()
             degree = args.degree = int(degree)
         except ValueError:
-            got = _excerpt(degree)
+            got = repr(degree)
+            if len(degree) > 40:
+                got = f"{degree[:40]!r}... ({len(degree)} characters)"
             print(f"input error: --degree wants an integer, got {got}", file=sys.stderr)
             return 1
         if degree < 0:
