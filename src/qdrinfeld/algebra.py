@@ -270,19 +270,6 @@ def _nc_label(key) -> str:
     return "*".join(factors)
 
 
-def _descent_position(word, strategy: str):
-    if strategy == "leftmost":
-        indices = range(len(word) - 1)
-    elif strategy == "rightmost":
-        indices = range(len(word) - 2, -1, -1)
-    else:
-        raise SpecError(f"unknown rewrite strategy {strategy!r}")
-    for p in indices:
-        if word[p] > word[p + 1]:
-            return p
-    return None
-
-
 def rewrite(terms: dict, rule, word=None) -> dict:
     """Reduce a sum of keys until no key is reducible.
 
@@ -326,13 +313,13 @@ def rewrite(terms: dict, rule, word=None) -> dict:
     return done
 
 
-def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
+def normal_form(element: NCElement) -> NCElement:
     """Rewrite to the spanning set of nondecreasing words times group letters.
 
-    Each step replaces one descending adjacent pair v_a v_b (a > b) by
-    q_ab v_b v_a + kappa(v_a, v_b), pushing any group letter produced by
-    kappa across the tail of the word.  The pair (word length, inversion
-    count) drops strictly, so the loop terminates for any strategy.
+    Each step replaces the leftmost descending adjacent pair v_a v_b
+    (a > b) by q_ab v_b v_a + kappa(v_a, v_b), pushing any group letter
+    produced by kappa across the tail of the word.  The pair (word
+    length, inversion count) drops strictly, so the loop terminates.
 
     It commutes with right multiplication by a group letter x: a step
     picks its descent from the word alone, puts the kappa letter left of
@@ -343,8 +330,10 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
 
     def rule(key):
         word, g = key
-        p = _descent_position(word, strategy)
-        if p is None:
+        for p in range(len(word) - 1):
+            if word[p] > word[p + 1]:
+                break
+        else:
             return None
         a, b = word[p], word[p + 1]
         head, tail = word[:p], word[p + 2 :]
@@ -357,15 +346,16 @@ def normal_form(element: NCElement, strategy: str = "leftmost") -> NCElement:
 
 
 def word_normal_form(spec: AlgebraSpec, word: tuple[int, ...]) -> dict:
-    """Terms of the leftmost ``normal_form`` of v_word at the identity letter.
+    """Terms of the ``normal_form`` of v_word at the identity letter.
 
     Computed once per word and kept on the spec.  Since ``normal_form``
     commutes with right multiplication by a group letter, the normal form
     of c * v_word * g is these terms scaled by c with every letter
-    multiplied by g; the Hopf layer reads its slots this way, and the
-    overlap oracle its group ambiguities g v_j v_i.  The memo keeps terms dicts, not elements, so it holds
-    no reference back to the spec; the dicts are shared and must not be
-    mutated.
+    multiplied by g; the Hopf layer reads its slots this way.  The
+    overlap oracle reads v_j v_i's memo for each overlap v_k v_j v_i and
+    each group ambiguity g v_j v_i.  The memo keeps terms dicts, not
+    elements, so it holds no reference back to the spec; the dicts are
+    shared and must not be mutated.
     """
     memo = spec._nf_cache
     terms = memo.get(word)

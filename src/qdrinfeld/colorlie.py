@@ -186,7 +186,7 @@ def require_hypotheses(spec: AlgebraSpec) -> PBWReport:
     and dimension_oracle compute it for any ring or spec, and the tests
     compare the two.  check_hopf_axioms, and with it `hopf`, and
     build_color_lie_ring call it too.  Weak vanishing implies condition
-    2 (check_condition2), so under it the PBW verdict adds only
+    2 (pbw._condition2_failures), so under it the PBW verdict adds only
     conditions 1 and 3.
 
     - On the spec's own ring (_own_ring), check_color_axioms passes with
@@ -234,11 +234,12 @@ def require_hypotheses(spec: AlgebraSpec) -> PBWReport:
       this covers J(v_a, v_a, v_a) as well.  With i, j, k distinct,
       J(v_i, v_j, v_k) is the sum over the rotations (a, b, c) of
       (i, j, k) and the terms c_rh v_r h of kappa(v_a, v_b) of
-      q_bc c_rh kappa(v_c, v_r) h.  check_condition3 sums the same terms
-      over the same cyclic classes, except that it weighs a term with
-      r = a by chi_c(h), and weak vanishing at c outside {a, b} gives
-      chi_c(h) = q_ac q_bc q_ca = q_bc there (converse_construct).  So J
-      on those triples is condition 3's cyclic sum, which vanishes.
+      q_bc c_rh kappa(v_c, v_r) h.  pbw._condition3_failures sums the
+      same terms over the same cyclic classes, except that it weighs a
+      term with r = a by chi_c(h), and weak vanishing at c outside
+      {a, b} gives chi_c(h) = q_ac q_bc q_ca = q_bc there
+      (converse_construct).  So J on those triples is condition 3's
+      cyclic sum, which vanishes.
     - Grading modulo N: v_i g has degree (e_i, g), so the product degree
       of v_i g and v_j h is (e_i + e_j, gh), and a bracket term
       v_r (w g h) has degree (e_r, wgh).  Their difference is

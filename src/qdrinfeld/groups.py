@@ -146,7 +146,7 @@ class GroupElement(_ExponentVector):
         return self.group._element(exps)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
-        # most products in the Hopf layer have an identity factor
+        # normal_form's rule multiplies each kappa letter by its key's, mostly the identity
         identity = self.group._identity
         if other is identity:
             return self

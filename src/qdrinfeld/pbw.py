@@ -10,8 +10,8 @@ The two verdicts must agree on every valid input; check_pbw raises if not.
 
 The deciders keep their failures as raw tuples of indices, group
 letters, scalars and residue terms, and print nothing.  A failure
-becomes a certificate dict only where it is read: in the public check_*
-functions, and in the report on the first read of a violation field.
+becomes a certificate dict only where it is read: in the report, on the
+first read of a violation field.
 """
 
 from __future__ import annotations
@@ -46,14 +46,6 @@ def _cyclic_classes(n: int):
                     yield i, j, k
 
 
-def _rotations(i: int, j: int, k: int):
-    return ((i, j, k), (j, k, i), (k, i, j))
-
-
-def _render(certificate, failures) -> tuple[dict, ...]:
-    return tuple(map(certificate, failures))
-
-
 def _invariance_failures(spec: AlgebraSpec) -> list[tuple]:
     """(i, j, r, g, product, target), i < j, for each stored term v_r g
     of kappa(v_i, v_j) where product = chi_i chi_j differs from
@@ -80,21 +72,28 @@ def _invariance_certificate(failure) -> dict:
     }
 
 
-def check_invariance(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
-    """Is the correction map fixed by the group action?
-
-    For a diagonal action this is an exact character identity: the
-    characters of the two reordered generators must multiply to the
-    character of each generator appearing in the correction.
-    """
-    violations = _render(_invariance_certificate, _invariance_failures(spec))
-    return not violations, violations
-
-
 def _condition2_failures(spec: AlgebraSpec, weak_failures) -> list[tuple]:
-    """Condition 2's failures, read off the weak vanishing failures as
-    check_condition2 describes: ("reordering", i, j, k, r, g, lhs, rhs,
-    coefficient) and ("mixed", i, j, k, g, value), in certificate order."""
+    """Degree-two obstruction, as scalar identities.
+
+    Two families over a group element g and an ordered triple (i, j, k)
+    of distinct generator indices.  A "reordering" entry tests the
+    coefficient of v_r g in kappa(v_i, v_j) for each r other than i and
+    j: it is the vanishing identity chi_k(g) = q_ik q_jk q_kr of that
+    term, so the entries are the weak vanishing failures with r outside
+    {i, j}, on both orders of the pair.  The "mixed" entry is
+    q_ij (q_ji - chi_i(g)) c_jk(v_k g) + (q_jk - chi_k(g)) c_ij(v_i g).
+    Since q_ik q_ki = 1, the weak identity of the term v_k g of
+    kappa(v_j, v_k) at i reads chi_i(g) = q_ji, and that of v_i g of
+    kappa(v_i, v_j) at k reads chi_k(g) = q_jk: each bracket vanishes
+    unless the term that carries it fails weak vanishing.  So weak
+    vanishing implies condition 2, and the combination is computed only
+    on the triples such a failure marks.  Entries are ordered by g's
+    exponents, then (i, j, k), the reordering ones by r before the
+    mixed one.
+
+    The failures are ("reordering", i, j, k, r, g, lhs, rhs, coefficient)
+    and ("mixed", i, j, k, g, value), read off weak_failures.
+    """
     entries = []
     marked: dict = {}
     for i, j, r, g, k, lhs, rhs in weak_failures:
@@ -130,30 +129,6 @@ def _condition2_certificate(failure) -> dict:
     return dict(family=family, i=i + 1, j=j + 1, k=k + 1, g=str(g), value=str(value))
 
 
-def check_condition2(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
-    """Degree-two obstruction, as scalar identities.
-
-    Two families over a group element g and an ordered triple (i, j, k)
-    of distinct generator indices.  A "reordering" entry tests the
-    coefficient of v_r g in kappa(v_i, v_j) for each r other than i and
-    j: it is the vanishing identity chi_k(g) = q_ik q_jk q_kr of that
-    term, so the entries are the weak vanishing failures with r outside
-    {i, j}, on both orders of the pair.  The "mixed" entry is
-    q_ij (q_ji - chi_i(g)) c_jk(v_k g) + (q_jk - chi_k(g)) c_ij(v_i g).
-    Since q_ik q_ki = 1, the weak identity of the term v_k g of
-    kappa(v_j, v_k) at i reads chi_i(g) = q_ji, and that of v_i g of
-    kappa(v_i, v_j) at k reads chi_k(g) = q_jk: each bracket vanishes
-    unless the term that carries it fails weak vanishing.  So weak
-    vanishing implies condition 2, and the combination is computed only
-    on the triples such a failure marks.  Entries are ordered by g's
-    exponents, then (i, j, k), the reordering ones by r before the
-    mixed one.
-    """
-    failures = _condition2_failures(spec, _identity_failures(spec, False))
-    violations = _render(_condition2_certificate, failures)
-    return not violations, violations
-
-
 def _cyclic_sums(spec: AlgebraSpec, term):
     """One element per cyclic class (i, j, k) of distinct generators.
 
@@ -167,7 +142,7 @@ def _cyclic_sums(spec: AlgebraSpec, term):
         return
     for i, j, k in _cyclic_classes(spec.n):
         terms: dict = {}
-        for a, b, c in _rotations(i, j, k):
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for ((r,), h), coeff in spec._kappa.get((a, b), {}).items():
                 for (word, x), value in term(a, b, c, r, h, coeff).terms.items():
                     accumulate(terms, (word, x * h), value)
@@ -175,9 +150,15 @@ def _cyclic_sums(spec: AlgebraSpec, term):
 
 
 def _condition3_failures(spec: AlgebraSpec) -> list[tuple]:
-    """(i, j, k, residue) for each cyclic class whose sum is nonzero, as
-    check_condition3 describes.  The residue is kept as its terms: an
-    NCElement holds its spec, and the report is kept on the spec."""
+    """Degree-one obstruction: cyclic sums must vanish in the span of v_r g.
+
+    The term v_a h of kappa(v_a, v_b) composes with chi_c(h), the others
+    with q_bc; each residue is kept at the letters it lands on.
+
+    The failures are (i, j, k, residue) for each cyclic class whose sum
+    is nonzero.  The residue is kept as its terms: an NCElement holds
+    its spec, and the report is kept on the spec.
+    """
 
     def term(a, b, c, r, h, coeff):
         if r == a:
@@ -196,30 +177,16 @@ def _condition3_certificate(failure) -> dict:
     return {"i": i + 1, "j": j + 1, "k": k + 1, "residue": nc_str(residue)}
 
 
-def check_condition3(spec: AlgebraSpec) -> tuple[bool, tuple[dict, ...]]:
-    """Degree-one obstruction: cyclic sums must vanish in the span of v_r g.
-
-    The term v_a h of kappa(v_a, v_b) composes with chi_c(h), the others
-    with q_bc; each residue is kept at the letters it lands on.
-    """
-    violations = _render(_condition3_certificate, _condition3_failures(spec))
-    return not violations, violations
-
-
-def _identity_failures(spec: AlgebraSpec, strong: bool) -> list[tuple]:
+def _identity_failures(spec: AlgebraSpec) -> list[tuple]:
     """(i, j, r, g, k, lhs, rhs), i < j, for each stored term v_r g of
     kappa(v_i, v_j) and each index k where lhs = chi_k(g) differs from
-    rhs = q_ik q_jk q_kr; k avoids i and j unless strong.  In the order
-    of kappa_support, then of the terms, then of k."""
+    rhs = q_ik q_jk q_kr.  In the order of kappa_support, then of the
+    terms, then of k."""
     failures = []
     for i, j in spec.kappa_support():
-        pair_q = [
-            (k, spec.q_scalar(i, k) * spec.q_scalar(j, k))
-            for k in range(spec.n)
-            if strong or k not in (i, j)
-        ]
+        pair_q = [spec.q_scalar(i, k) * spec.q_scalar(j, k) for k in range(spec.n)]
         for r, g, _ in spec.kappa_pairs(i, j):
-            for k, q_ijk in pair_q:
+            for k, q_ijk in enumerate(pair_q):
                 lhs, rhs = spec.char_value(k, g), q_ijk * spec.q_scalar(k, r)
                 if lhs != rhs:
                     failures.append((i, j, r, g, k, lhs, rhs))
@@ -237,30 +204,48 @@ def check_vanishing(spec: AlgebraSpec, strong: bool = False) -> tuple[bool, tupl
     For every stored coefficient of v_r g in kappa(v_i, v_j) and every
     reordering index k the value chi_k(g) must equal q_ik q_jk q_kr.
     With strong=False the index k avoids i and j; with strong=True all
-    k are tested.
+    k are tested.  Both strengths are read from check_pbw's report.
     """
-    violations = _render(_vanishing_certificate, _identity_failures(spec, strong))
-    return not violations, violations
+    report = check_pbw(spec)
+    if strong:
+        return report.strong_vanishing, report.strong_vanishing_violations
+    return report.vanishing, report.vanishing_violations
 
 
 def overlap_oracle(spec: AlgebraSpec) -> bool:
-    """Resolve every overlapping reduction directly.
+    """Resolve every ambiguity of the rewriting system directly.
 
     Independent of the closed-form conditions: it reads none of them and
-    decides by rewriting alone.  Each descending chain v_k v_j v_i is
-    reduced through both association orders, and each group ambiguity
-    g v_j v_i, for g a generator of G and j > i, is resolved from one
-    normal form per pair.  True iff everything matches.
+    decides by rewriting alone.  The rules rewrite v_j v_i (j > i) to
+    N_ji = NF(v_j v_i) = q_ji v_i v_j + kappa(v_j, v_i), which is one
+    step (the memo of word_normal_form), and move a group letter g right
+    past v_j at the factor chi_j(g).  Every rule lowers (word length,
+    inversion count), so Bergman's diamond lemma (Adv. Math. 29, 1978)
+    applies: every element has one normal form iff every ambiguity
+    resolves, that is iff its two one-step reductions reduce to a common
+    element; and then the ordered monomials are a basis.  True iff every
+    ambiguity resolves.
 
-    Write N = NF(v_j v_i) = sum c(w, h) v_w h, nonzero c (the memo of
-    word_normal_form), and chi_w(g) for the product of chi_l(g) over the
-    letters l of w.  Reducing v_j v_i last, g v_j v_i equals
-    chi_i chi_j(g) v_j v_i g, whose normal form is chi_i chi_j(g) N g,
-    since normal_form commutes with right multiplication by a group
-    letter.  Reducing it first gives g N = sum c(w, h) chi_w(g) v_w gh;
-    its words are sorted, so normal_form leaves it as it is.  G is
-    abelian and distinct (w, h) give distinct (w, gh), so the two agree
-    iff chi_w(g) = chi_i chi_j(g) for every term of N.
+    The overlaps are the chains v_k v_j v_i, k > j > i.  One one-step
+    reduction is N_kj v_i, the first step normal_form takes on
+    v_k v_j v_i, since it rewrites the leftmost descent; so it reduces
+    to NF(v_k v_j v_i).  The other is v_k N_ji, whose keys are
+    ((k,) + w, h) with the coefficients of N_ji, since v_k carries the
+    identity letter; it reduces to NF(v_k N_ji).  Under confluence both
+    are the one normal form of v_k v_j v_i, so they are equal.  If they
+    differ, v_k v_j v_i has two normal forms, so by the lemma some
+    ambiguity cannot be resolved; and if they agree, this overlap
+    resolves.
+
+    Write N = N_ji = sum c(w, h) v_w h, nonzero c, and chi_w(g) for the
+    product of chi_l(g) over the letters l of w.  Reducing v_j v_i
+    last, the group ambiguity g v_j v_i equals chi_i chi_j(g) v_j v_i g,
+    whose normal form is chi_i chi_j(g) N g, since normal_form commutes
+    with right multiplication by a group letter.  Reducing it first
+    gives g N = sum c(w, h) chi_w(g) v_w gh; its words are sorted, so
+    normal_form leaves it as it is.  G is abelian and distinct (w, h)
+    give distinct (w, gh), so the two agree iff chi_w(g) = chi_i chi_j(g)
+    for every term of N.
 
     The generators suffice.  That identity says that g lies in the
     kernel of the character chi_i chi_j chi_w^-1, and a kernel is a
@@ -270,10 +255,10 @@ def overlap_oracle(spec: AlgebraSpec) -> bool:
     for k in range(2, n):
         for j in range(1, k):
             for i in range(j):
-                chain = NCElement.monomial(spec, (k, j, i))
-                left = normal_form(chain, "leftmost")
-                right = normal_form(chain, "rightmost")
-                if left != right:
+                chain = normal_form(NCElement.monomial(spec, (k, j, i)))
+                pair = word_normal_form(spec, (j, i)).items()
+                other = NCElement._trusted((spec,), {((k,) + w, h): c for (w, h), c in pair})
+                if chain != normal_form(other):
                     return False
     generators = [spec.group.generator(t) for t in range(spec.group.rank)]
     if not generators:
@@ -311,23 +296,23 @@ class PBWReport:
 
     @cached_property
     def cond1_violations(self) -> tuple[dict, ...]:
-        return _render(_invariance_certificate, self.failures["cond1_violations"])
+        return tuple(map(_invariance_certificate, self.failures["cond1_violations"]))
 
     @cached_property
     def cond2_violations(self) -> tuple[dict, ...]:
-        return _render(_condition2_certificate, self.failures["cond2_violations"])
+        return tuple(map(_condition2_certificate, self.failures["cond2_violations"]))
 
     @cached_property
     def cond3_violations(self) -> tuple[dict, ...]:
-        return _render(_condition3_certificate, self.failures["cond3_violations"])
+        return tuple(map(_condition3_certificate, self.failures["cond3_violations"]))
 
     @cached_property
     def vanishing_violations(self) -> tuple[dict, ...]:
-        return _render(_vanishing_certificate, self.failures["vanishing_violations"])
+        return tuple(map(_vanishing_certificate, self.failures["vanishing_violations"]))
 
     @cached_property
     def strong_vanishing_violations(self) -> tuple[dict, ...]:
-        return _render(_vanishing_certificate, self.failures["strong_vanishing_violations"])
+        return tuple(map(_vanishing_certificate, self.failures["strong_vanishing_violations"]))
 
     def as_dict(self) -> dict:
         """Verdicts and rendered certificates in the key order of `check --json`."""
@@ -373,7 +358,7 @@ def _pbw_report(spec: AlgebraSpec) -> PBWReport:
     # one sweep of the vanishing identity: the weak failures are the
     # strong ones at an index k other than i and j, and condition 2 reads
     # those
-    strong = _identity_failures(spec, True)
+    strong = _identity_failures(spec)
     weak = [
         (i, j, r, g, k, lhs, rhs) for i, j, r, g, k, lhs, rhs in strong if k not in (i, j)
     ]
@@ -406,9 +391,6 @@ def _pbw_report(spec: AlgebraSpec) -> PBWReport:
 
 
 __all__ = [
-    "check_invariance",
-    "check_condition2",
-    "check_condition3",
     "check_vanishing",
     "overlap_oracle",
     "PBWReport",

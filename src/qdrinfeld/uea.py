@@ -34,6 +34,7 @@ from .errors import (
     InternalInconsistency,
     NotPurelyPositive,
     NonUnitEpsilon,
+    NotAUnit,
     SpecError,
     SymbolicParameter,
 )
@@ -227,7 +228,8 @@ def instantiate_spec(spec: AlgebraSpec, values: dict[str, Scalar] | None = None)
     The defaults are a primitive root of unity for the commutation
     parameters q and p and 1 for every other coefficient; entries of
     ``values`` override them.  Raises SymbolicParameter when an override
-    itself still contains a free parameter.
+    itself still contains a free parameter, and SpecError naming the
+    entry and the point when an override of 0 meets a negative power.
     """
     for name in values or {}:
         if name not in spec.ctx.params:
@@ -244,16 +246,25 @@ def instantiate_spec(spec: AlgebraSpec, values: dict[str, Scalar] | None = None)
                 f"instantiation for {name!r} is {value}, which still has free parameters"
             )
         table[name] = value.substitute({}, target)
+
+    def substitute(value, label):
+        try:
+            return value.substitute(table, target)
+        except NotAUnit:
+            negative = {p for x in value.terms for p, e in zip(spec.ctx.params, x) if e < 0}
+            name = next(p for p in spec.ctx.params if p in negative and not table[p].is_unit())
+            raise SpecError(f"{label} = {value} is not defined at {name} = {table[name]}") from None
+
     q = {}
     for i in range(spec.n):
         for j in range(i + 1, spec.n):
-            q[(i, j)] = spec.q_scalar(i, j).substitute(table, target)
+            q[(i, j)] = substitute(spec.q_scalar(i, j), f"q_{i + 1}{j + 1}")
     kappa = {}
     for i, j in spec.kappa_support():
-        terms = tuple(
-            (r, g, c.substitute(table, target)) for r, g, c in spec.kappa_pairs(i, j)
+        kappa[(i, j)] = tuple(
+            (r, g, substitute(c, f"the v{r + 1}*{g} coefficient of kappa(v{i + 1}, v{j + 1})"))
+            for r, g, c in spec.kappa_pairs(i, j)
         )
-        kappa[(i, j)] = terms
     return AlgebraSpec(target, spec.group, spec.chars, q, kappa, name=spec.name)
 
 
@@ -371,10 +382,10 @@ def converse_construct(ring: ColorLieRing) -> AlgebraSpec:
 
     The cyclic sum is the Jacobi identity of the bracket: each term
     v_r h of kappa(v_a, v_b) composes with v_c at the weight q_bc.
-    check_condition3 weighs a term v_a h by chi_c(h) instead, and with
-    c outside {a, b} weak vanishing gives chi_c(h) = q_ac q_bc q_ca =
-    q_bc there.  So once weak vanishing holds the two sums agree term
-    by term, and condition 3 is the Jacobi sum.
+    pbw._condition3_failures weighs a term v_a h by chi_c(h) instead,
+    and with c outside {a, b} weak vanishing gives chi_c(h) =
+    q_ac q_bc q_ca = q_bc there.  So once weak vanishing holds the two
+    sums agree term by term, and condition 3 is the Jacobi sum.
     """
     parts = split_parts(ring)
     if parts.negative:

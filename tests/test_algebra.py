@@ -151,15 +151,6 @@ def test_normal_form_example_with_correction():
     assert reduced == expected
 
 
-def test_normal_form_strategies_agree_on_pbw_fixture():
-    rng = random.Random(3)
-    for _ in range(40):
-        word = tuple(rng.randrange(EX2.n) for _ in range(rng.randint(0, 4)))
-        g = rng.choice(list(EX2.group))
-        element = NCElement.monomial(EX2, word, g)
-        assert normal_form(element, "leftmost") == normal_form(element, "rightmost")
-
-
 def test_h_multiply_is_associative_on_ex1():
     rng = random.Random(5)
     letters = list(EX1.group)
@@ -255,12 +246,12 @@ def _reference_rewrite(terms, rule):
     return done
 
 
-def _reference_normal_form(monkeypatch, element, strategy):
+def _reference_normal_form(monkeypatch, element):
     with monkeypatch.context() as patch:
         patch.setattr(
             algebra, "rewrite", lambda terms, rule, word=None: _reference_rewrite(terms, rule)
         )
-        return normal_form(element, strategy)
+        return normal_form(element)
 
 
 def test_merged_rewriting_matches_the_path_by_path_reference(monkeypatch):
@@ -274,9 +265,7 @@ def test_merged_rewriting_matches_the_path_by_path_reference(monkeypatch):
                 word = tuple(rng.randrange(spec.n) for _ in range(rng.randint(0, 5)))
                 terms[(word, rng.choice(letters))] = Scalar.rational(spec.ctx, rng.randint(1, 5))
             element = NCElement(spec, terms)
-            for strategy in ("leftmost", "rightmost"):
-                reference = _reference_normal_form(monkeypatch, element, strategy)
-                assert normal_form(element, strategy) == reference
+            assert normal_form(element) == _reference_normal_form(monkeypatch, element)
     ring = generic_color_lie_ring(load_fixture("gl11"))
     pres = build_uea(ring)
     one = Scalar.one(ring.epsilon.ctx)
@@ -285,8 +274,8 @@ def test_merged_rewriting_matches_the_path_by_path_reference(monkeypatch):
 
 
 def test_a_power_rewrites_each_key_once(monkeypatch):
-    # the path-by-path worklist made 130,976 rule calls on (v1+v2)^9 at the
-    # leftmost strategy; merged, each key is rewritten once
+    # the path-by-path worklist made 130,976 rule calls on (v1+v2)^9;
+    # merged, each key is rewritten once
     calls = []
     rewrite = algebra.rewrite
 
@@ -299,8 +288,6 @@ def test_a_power_rewrites_each_key_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "rewrite", counted)
     power = parse_nc_expression("(v1+v2)^9", EX2)
-    for strategy in ("leftmost", "rightmost"):
-        calls.clear()
-        reduced = normal_form(power, strategy)
-        assert len(reduced.terms) == 30
-        assert len(calls) == len(set(calls)) <= 2000
+    reduced = normal_form(power)
+    assert len(reduced.terms) == 30
+    assert len(calls) == len(set(calls)) <= 2000

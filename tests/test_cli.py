@@ -13,7 +13,13 @@ from qdrinfeld.cli import main, run_all
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.errors import HypothesisNotMet
 from qdrinfeld.scalar import Scalar, parse_scalar
-from qdrinfeld.specfile import fixture_names, format_spec, load_fixture, parse_spec_text
+from qdrinfeld.specfile import (
+    fixture_names,
+    fixture_path,
+    format_spec,
+    load_fixture,
+    parse_spec_text,
+)
 
 from randspec import corpus, parametric_corpus
 
@@ -229,34 +235,25 @@ def test_run_all_builds_no_ring_on_the_algebra_fixtures(monkeypatch):
 
 
 def test_run_all_decides_each_spec_fact_once(monkeypatch):
-    # strong vanishing and the overlap oracle, once each, whether the Hopf
-    # leg is proved (ex2) or read off the braiding (ex1); weak vanishing
-    # is read off the strong answer.  Strong vanishing is decided by one
-    # sweep of the identity, _identity_failures(spec, True); the public
-    # check_vanishing renders certificates and is not called at all
-    facts = {
-        "check_vanishing": "_identity_failures",
-        "overlap_oracle": "overlap_oracle",
-        "public check_vanishing": "check_vanishing",
-    }
+    # vanishing and the overlap oracle, once each, whether the Hopf leg
+    # is proved (ex2) or read off the braiding (ex1).  One sweep of the
+    # identity, _identity_failures, decides both strengths of vanishing;
+    # the public check_vanishing reads the report and is not called at all
+    facts = ("_identity_failures", "overlap_oracle", "check_vanishing")
     for name in ("ex1", "ex2"):
         calls = []
         with monkeypatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for fact, function in facts.items():
-                original = getattr(pbw, function)
+            for fact in facts:
+                original = getattr(pbw, fact)
 
-                def counted(spec, *args, _fact=fact, _original=original, **kwargs):
-                    strong = args[0] if args else kwargs.get("strong")
-                    calls.append((_fact, strong))
-                    return _original(spec, *args, **kwargs)
+                def counted(*args, _fact=fact, _original=original, **kwargs):
+                    calls.append(_fact)
+                    return _original(*args, **kwargs)
 
-                patch.setattr(pbw, function, counted)
+                patch.setattr(pbw, fact, counted)
             run_all(name, 2)
-        assert sorted(calls, key=str) == [
-            ("check_vanishing", True),
-            ("overlap_oracle", None),
-        ], name
+        assert sorted(calls) == ["_identity_failures", "overlap_oracle"], name
 
 
 def test_lie_on_the_generic_fixture():
@@ -300,7 +297,7 @@ def test_every_instantiation_refusal_is_an_input_error():
     # ex2's q_12 is q^-1, and 0 has no inverse
     for argv, message in (
         (["uea", "ex1", "--instantiate", "zz=3"], "unknown parameter 'zz'"),
-        (["uea", "ex2", "--instantiate", "q=0"], "0 is not a unit"),
+        (["uea", "ex2", "--instantiate", "q=0"], "q_12 = q^-1 is not defined at q = 0"),
         (["uea", "ex2", "--instantiate", "lam=q*lam"], "still has free parameters"),
         (["uea", "ex2", "--instantiate", "lam"], "wants name=expr"),
     ):
@@ -308,6 +305,22 @@ def test_every_instantiation_refusal_is_an_input_error():
         assert (code, out) == (1, ""), argv
         assert err.startswith("input error: ") and message in err, (argv, err)
         assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
+def test_an_undefined_instantiation_names_the_entry_and_the_point(tmp_path):
+    # ex2's q_12 is q^-1; with lam^-1 for lam, its kappa coefficient is
+    # undefined at lam = 0 too.  The spec is PBW for every nonzero lam
+    path = tmp_path / "ex2-inverse.qdo"
+    path.write_text(fixture_path("ex2").read_text().replace("(1) lam", "(1) lam^-1"))
+    kappa = "the v3*g(1) coefficient of kappa(v1, v2) = lam^-1"
+    for argv, message in (
+        (["uea", "ex2", "--instantiate", "q=0"], "q_12 = q^-1 is not defined at q = 0"),
+        (["uea", str(path), "--instantiate", "lam=0"], f"{kappa} is not defined at lam = 0"),
+    ):
+        code, out, err = run(argv + ["--degree", "2"])
+        assert (code, out, err) == (1, "", f"input error: {message}\n"), argv
+    code, out, _ = run(["uea", str(path), "--instantiate", "lam=2", "--degree", "2"])
+    assert code == 0 and "quotient slice 20" in out
 
 
 def test_a_malformed_degree_is_an_input_error():

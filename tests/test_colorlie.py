@@ -21,7 +21,7 @@ from qdrinfeld.colorlie import (
 )
 from qdrinfeld.errors import HypothesisNotMet, NonUnitEpsilon, SpecError, ValueNotSign
 from qdrinfeld.groups import ADegree
-from qdrinfeld.pbw import check_invariance, check_pbw, check_vanishing
+from qdrinfeld.pbw import check_pbw, check_vanishing
 from qdrinfeld.scalar import Combination, Scalar, ScalarContext, accumulate, parse_scalar
 from qdrinfeld.specfile import format_spec, load_fixture, parse_spec_text
 from qdrinfeld.uea import iso_check
@@ -478,7 +478,7 @@ def test_own_rings_match_the_dense_reference_decided_from_the_spec_or_swept():
         assert report == _dense_axioms(ring), label
         compared += 1
         failed += not report["bimodule"]
-        if check_invariance(ring.spec)[0]:
+        if check_pbw(ring.spec).cond1:
             invariant += 1
             swept += not report["jacobi"]
     # the invariant rings include 7 that fail Jacobi, outside the paper's
@@ -501,7 +501,7 @@ def test_planted_kappa_faults_on_ex4_match_the_dense_reference():
     planted = _with_kappa(spec, (2, 3), ((2, spec.group.identity(), Scalar.one(spec.ctx)),))
     jacobi = []
     for variant in (doubled, planted):
-        assert check_invariance(variant)[0]
+        assert check_pbw(variant).cond1
         ring = _own_ring(variant)
         report = check_color_axioms(ring).as_dict()
         assert report == _dense_axioms(ring)

@@ -1,5 +1,6 @@
 """Exported names resolve, the package re-exports its modules' objects,
-every import is used, and every private helper is used.
+every import is used, every private helper is used, and every parameter
+is read.
 
 A deleted function that is still listed in an ``__all__`` fails here
 rather than on the first ``from qdrinfeld import *``, and an import or a
@@ -172,3 +173,28 @@ def test_every_private_helper_is_named_on_another_line():
             if where != file or not first <= line <= last
         ]
         assert elsewhere, f"{file}: {name} is named by no other line"
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is a knob left over from
+    # a deleted path.  The receiver of a method is bound by the call, and
+    # nested functions are callbacks whose signature their caller fixes,
+    # such as _parse_combination's label(parser, name); both are exempt
+    for module in [qdrinfeld, *MODULES]:
+        tree = ast.parse(Path(module.__file__).read_text())
+        functions = [(top, 0) for top in tree.body if isinstance(top, ast.FunctionDef)]
+        for cls in (top for top in tree.body if isinstance(top, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef):
+                    static = any(ast.unparse(d) == "staticmethod" for d in method.decorator_list)
+                    functions.append((method, 0 if static else 1))
+        for function, bound in functions:
+            args = function.args
+            params = [a.arg for a in args.posonlyargs + args.args][bound:]
+            params += [a.arg for a in args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            read = {
+                node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for name in params:
+                assert name in read, f"{module.__name__}.{function.name} never reads {name}"

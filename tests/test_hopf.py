@@ -234,8 +234,8 @@ def test_memoized_slots_match_the_reference_product_on_fixtures(name):
 def test_memoized_slots_match_the_reference_product_on_random_specs():
     for spec in corpus(40):
         _assert_the_memo_matches_the_references(spec, 2)
-    # not confluent: normal_form is still a function of the word for a
-    # fixed strategy, so the memo still holds
+    # not confluent: normal_form is still a function of the word, since
+    # it always rewrites the leftmost descent, so the memo still holds
     spec = corpus(60)[22]
     assert not overlap_oracle(spec)
     _assert_the_memo_matches_the_references(spec, 3)
@@ -1005,8 +1005,10 @@ def test_gated_reports_do_not_depend_on_the_rewriting_order(monkeypatch):
     # under the hypotheses the rewriting is confluent, so normal_form is a
     # function on the quotient (Bergman's diamond lemma) and the report
     # cannot depend on which descent is rewritten first.  Outside them it
-    # can: reducing rightmost changed 17 of the 19 reports of the specs of
-    # corpus(60) that the Hopf check now refuses.  The reports are read
+    # can: rewriting the rightmost descent first instead of the leftmost
+    # (tests/test_pbw.py keeps that order as the oracle's reference)
+    # changed 17 of the 19 reports of the specs of corpus(60) that the
+    # Hopf check now refuses.  The reports are read
     # off the braiding, so once the PBW reports are decided no gated spec
     # rewrites anything at all
     specs = _gated([load_fixture(name) for name in FIXTURES] + corpus(60))

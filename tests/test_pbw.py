@@ -3,8 +3,10 @@ import functools
 import gc
 import itertools
 import math
+import operator
 import random
 import re
+import warnings
 import weakref
 from importlib import resources
 
@@ -14,15 +16,8 @@ from qdrinfeld import algebra, cyclotomic, pbw
 from qdrinfeld.algebra import AlgebraSpec, NCElement, kappa_element, normal_form
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.groups import GroupElement
-from qdrinfeld.pbw import (
-    _cyclic_sums,
-    check_condition2,
-    check_condition3,
-    check_invariance,
-    check_pbw,
-    check_vanishing,
-    overlap_oracle,
-)
+from qdrinfeld.cli import run_all
+from qdrinfeld.pbw import _cyclic_sums, check_pbw, check_vanishing, overlap_oracle
 from qdrinfeld.scalar import Scalar, parse_scalar
 from qdrinfeld.specfile import (
     fixture_names,
@@ -74,7 +69,7 @@ def _remark3_holds(spec) -> bool:
 
 def _jacobi_sum(spec):
     """Cyclic q-weighted self-composition of the correction map, with
-    check_condition3's certificates: every term v_r h of kappa(v_a, v_b)
+    condition 3's certificates: every term v_r h of kappa(v_a, v_b)
     composes with v_c at the weight q_bc, which becomes the Jacobi
     identity of the associated bracket."""
 
@@ -279,10 +274,10 @@ def test_strong_column_matches_an_independent_sympy_recomputation():
 
 def test_broken_action_fails_invariance_with_certificate():
     broken = perturbed_action(load_fixture("ex2"))
-    ok, certs = check_invariance(broken)
-    assert not ok
-    assert certs[0]["i"] == 1 and certs[0]["j"] == 2 and certs[0]["r"] == 3
     report = check_pbw(broken)
+    assert not report.cond1
+    certs = report.cond1_violations
+    assert certs[0]["i"] == 1 and certs[0]["j"] == 2 and certs[0]["r"] == 3
     assert not report.verdict
     assert not report.oracle_confluent
 
@@ -290,12 +285,11 @@ def test_broken_action_fails_invariance_with_certificate():
 def test_corpus_exposes_scalar_condition_failures():
     seen_cond2_failure = False
     for spec in corpus(60):
-        inv_ok, _ = check_invariance(spec)
-        cond2_ok, certs = check_condition2(spec)
-        if inv_ok and not cond2_ok:
+        report = check_pbw(spec)
+        if report.cond1 and not report.cond2:
             seen_cond2_failure = True
-            assert certs
-            assert not check_pbw(spec).verdict
+            assert report.cond2_violations
+            assert not report.verdict
             break
     assert seen_cond2_failure
 
@@ -458,15 +452,41 @@ def test_oracle_alone_accepts_fixtures():
         assert overlap_oracle(spec)
 
 
+def _rightmost_normal_form(element):
+    """normal_form with the rightmost descent rewritten first, through
+    algebra.rewrite: its first step on v_k v_j v_i rewrites v_j v_i."""
+    spec = element.spec
+
+    def rule(key):
+        word, g = key
+        for p in range(len(word) - 2, -1, -1):
+            if word[p] > word[p + 1]:
+                break
+        else:
+            return None
+        a, b = word[p], word[p + 1]
+        head, tail = word[:p], word[p + 2 :]
+        out = [((head + (b, a) + tail, g), spec.q_scalar(a, b))]
+        for ((r,), h), c in spec._kappa.get((a, b), {}).items():
+            out.append(((head + (r,) + tail, h * g), c * spec.word_char(tail, h)))
+        return out
+
+    return element._like(algebra.rewrite(element.terms, rule, operator.itemgetter(0)))
+
+
+def _failing_chains(spec) -> list:
+    """The chains v_k v_j v_i whose leftmost and rightmost normal forms
+    differ: the two-order reference for the oracle's overlap part."""
+    failing = []
+    for k, j, i in itertools.combinations(reversed(range(spec.n)), 3):
+        chain = NCElement.monomial(spec, (k, j, i))
+        if normal_form(chain) != _rightmost_normal_form(chain):
+            failing.append((k, j, i))
+    return failing
+
+
 def _chains_resolve(spec) -> bool:
-    n = spec.n
-    for k in range(2, n):
-        for j in range(1, k):
-            for i in range(j):
-                chain = NCElement.monomial(spec, (k, j, i))
-                if normal_form(chain, "leftmost") != normal_form(chain, "rightmost"):
-                    return False
-    return True
+    return not _failing_chains(spec)
 
 
 def _generator_group_resolves(spec) -> bool:
@@ -549,10 +569,44 @@ def test_oracle_matches_the_generator_by_generator_reference():
     assert sum(c and not g for c, g in zip(chains, group)) == 58
 
 
+# kappa(v1, v2) = v3 and kappa(v1, v3) = v1 over trivial characters and
+# q = 1: the Jacobi identity fails on v1, v2, v3 alone, and v4 is central,
+# so of the four chains only v3 v2 v1 fails to resolve
+ONE_CHAIN_FAILS = """
+[group]
+orders = [2]
+[action]
+characters = [[0], [0], [0], [0]]
+[kappa]
+1 2 -> 3 (0) 1
+1 3 -> 1 (0) 1
+"""
+
+
+def test_oracle_matches_the_two_order_reference():
+    # Bergman's check on each overlap against reducing it both ways
+    planted = parse_spec_text(ONE_CHAIN_FAILS)
+    assert _failing_chains(planted) == [(2, 1, 0)]
+    assert _generator_group_resolves(planted) and not overlap_oracle(planted)
+    specs = (
+        [load_fixture(name) for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa")]
+        + corpus(200)
+        + parametric_corpus(96, 1)
+        + multi_letter_corpus(200, 7)
+        + [planted]
+    )
+    chains = [_chains_resolve(spec) for spec in specs]
+    group = [_generator_group_resolves(spec) for spec in specs]
+    assert [overlap_oracle(spec) for spec in specs] == [c and g for c, g in zip(chains, group)]
+    # the chains alone decide the oracle on some specs, the planted one included
+    assert sum(g and not c for c, g in zip(chains, group)) > 1
+
+
 def test_oracle_reads_one_normal_form_per_pair(monkeypatch):
     # on a fresh confluent spec whose group has a generator: two per
-    # chain v_k v_j v_i and one per pair v_j v_i, C(n,3)*2 + C(n,2); the
-    # generator-by-generator group part made four per pair and generator
+    # chain v_k v_j v_i, NF(v_k v_j v_i) and NF(v_k N_ji), and one per
+    # pair v_j v_i, C(n,3)*2 + C(n,2); the generator-by-generator group
+    # part made four per pair and generator
     calls = []
     for module in (algebra, pbw):
         original = module.normal_form
@@ -575,6 +629,23 @@ def test_oracle_reads_one_normal_form_per_pair(monkeypatch):
         assert len(calls) == 2 * math.comb(spec.n, 3) + math.comb(spec.n, 2), spec.name
         checked += 1
     assert checked == 290
+
+
+def test_the_oracle_work_on_the_pbw_specs_of_the_corpus_is_pinned(monkeypatch):
+    # two normal forms per chain and one per pair, as the two-order check
+    # made; the count repeats exactly from one run to the next
+    texts = [format_spec(spec) for spec in corpus(200) if check_pbw(spec).verdict]
+    calls = []
+    for module in (algebra, pbw):
+        original = module.normal_form
+        monkeypatch.setattr(module, "normal_form", lambda x, _f=original: calls.append(1) or _f(x))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        for text in texts:
+            assert overlap_oracle(parse_spec_text(text))
+        counts.append(len(calls))
+    assert len(texts) == 146 and counts == [362, 362]
 
 
 def _eager_report(spec) -> dict:
@@ -724,8 +795,7 @@ def test_no_product_of_two_signed_roots_reaches_the_dense_multiply(monkeypatch):
 
 def test_condition3_holds_without_kappa():
     plane = load_fixture("zero-kappa")
-    ok, _ = check_condition3(plane)
-    assert ok
+    assert check_pbw(plane).cond3
 
 
 def test_report_dict_is_insertion_stable():
@@ -779,7 +849,7 @@ def test_one_spec_is_built_from_parse_to_verdict(monkeypatch):
 
 
 def _dense_condition2(spec):
-    """check_condition2 as a sweep over every letter of the correction
+    """Condition 2 as a sweep over every letter of the correction
     support and every ordered triple of distinct indices, the reference
     for its reading of the weak vanishing failures."""
     letters = {}
@@ -858,21 +928,26 @@ def test_condition2_from_the_identity_failures_matches_the_dense_sweep():
     failing = 0
     for spec in specs:
         expected = _dense_condition2(spec)
-        assert check_condition2(spec) == expected, spec.name
+        report = check_pbw(spec)
+        assert (report.cond2, report.cond2_violations) == expected, spec.name
         failing += not expected[0]
     assert failing > 100
-    assert not check_condition2(cancelling)[0]
+    assert not check_pbw(cancelling).cond2
 
 
 def test_condition2_multiplies_only_where_the_identity_fails(monkeypatch):
-    specs = multi_letter_corpus(288, 1)
+    weak_failures = []
+    for spec in multi_letter_corpus(288, 1):
+        weak = [f for f in pbw._identity_failures(spec) if f[4] not in f[:2]]
+        weak_failures.append((spec, weak))
     calls = []
     multiply = Scalar.__mul__
     monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
-    for spec in specs:
-        check_condition2(spec)
-    # the sweep over every support letter and triple made 16,336
-    assert len(calls) <= 16336 // 4
+    for spec, weak in weak_failures:
+        pbw._condition2_failures(spec, weak)
+    # the sweep over every support letter and triple made 16,336, the
+    # weak identity sweep included; condition 2 alone makes 1,482
+    assert len(calls) <= 16336 // 8
 
 
 def test_parsing_and_deciding_the_corpus_skips_products_by_one(monkeypatch):
@@ -889,7 +964,40 @@ def test_parsing_and_deciding_the_corpus_skips_products_by_one(monkeypatch):
 def test_weak_vanishing_is_read_off_the_strong_answer():
     for spec in FIXTURE_SPECS + corpus(60) + multi_letter_corpus(72, 1):
         report = check_pbw(spec)
-        weak = (report.vanishing, report.vanishing_violations)
+        weak = tuple(
+            v for v in report.strong_vanishing_violations if v["k"] not in (v["i"], v["j"])
+        )
+        assert report.vanishing_violations == weak and report.vanishing == (not weak), spec.name
+        assert check_vanishing(spec) == (report.vanishing, weak), spec.name
         strong = (report.strong_vanishing, report.strong_vanishing_violations)
-        assert weak == check_vanishing(spec), spec.name
-        assert strong == check_vanishing(spec, strong=True), spec.name
+        assert check_vanishing(spec, strong=True) == strong, spec.name
+
+
+_ENTRIES = {
+    "weak check_vanishing": check_vanishing,
+    "strong check_vanishing": functools.partial(check_vanishing, strong=True),
+    "check_pbw": check_pbw,
+}
+
+
+def test_the_identity_is_swept_once_per_spec_whatever_reads_it_first(monkeypatch):
+    calls = []
+    sweep = pbw._identity_failures
+    monkeypatch.setattr(pbw, "_identity_failures", lambda spec: calls.append(spec) or sweep(spec))
+    texts = [fixture_path(name).read_text() for name in ("ex1", "ex2", "ex3", "ex4")]
+    texts += [format_spec(spec) for spec in corpus(20)]
+    for first in _ENTRIES:
+        for text in texts:
+            spec = parse_spec_text(text)
+            calls.clear()
+            _ENTRIES[first](spec)
+            for entry in _ENTRIES.values():
+                entry(spec)
+            assert calls == [spec], (first, spec.name)
+    for name in ("ex1", "ex2", "ex3", "ex4", "zero-kappa"):
+        calls.clear()
+        with warnings.catch_warnings():
+            # ex1 fails strong vanishing, and its Hopf leg warns
+            warnings.simplefilter("ignore")
+            run_all(name, 2)
+        assert len(calls) == 1, name
