@@ -209,8 +209,9 @@ def char_exponent(chi: Character, g: GroupElement, m: int) -> int:
 def char_eval(chi: Character, g: GroupElement, ctx: ScalarContext) -> Scalar:
     """Evaluate a character at a group element inside Q(zeta_m).
 
-    The value is a root of unity on the context's shared terms, and 1 is
-    the shared ``Scalar.one``, which products skip.
+    The value is a root of unity on the context's shared terms with its
+    table index set, so products with it are index sums, and 1 is the
+    shared ``Scalar.one``, which products skip.
     """
     m = ctx.conductor
     return Scalar.from_cyclotomic(ctx, CyclotomicNumber.zeta_power(m, char_exponent(chi, g, m)))

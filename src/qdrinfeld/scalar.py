@@ -9,6 +9,14 @@ one on exponent vectors, and a :class:`Combination` is one with scalar
 coefficients.  The module also holds the one expression grammar of
 the package; spec rows and element expressions extend it with their own
 atoms.
+
+The scalars of one spec share a :class:`ScalarContext`.  A constant
++-zeta^k knows its index in the table of such values (``cyclotomic._units``),
+so a product, negation, inverse or comparison of two of them is index
+arithmetic, and its result sits on the context's shared terms of the index.
+The context keeps those terms, never a scalar: a scalar holds its context,
+so a context holding scalars would sit in a reference cycle.  As it is, a
+context dies with its last scalar, without the cycle collector.
 """
 
 from __future__ import annotations
@@ -17,9 +25,8 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .cyclotomic import CyclotomicNumber, join_signed, power, root_index, times
+from .cyclotomic import CyclotomicNumber, _units, join_signed, power, root_index, times
 from .errors import NotAUnit, ParseError, SpecError
 
 
@@ -27,6 +34,9 @@ from .errors import NotAUnit, ParseError, SpecError
 # the exponent, and the term count any intermediate product may reach.
 MAX_POWER = 1000
 MAX_POWER_TERMS = 10000
+# Parentheses and unary minus signs nest at most this deep: the parser
+# recurses on each, so deeper input would exhaust the interpreter's stack.
+MAX_NESTING = 100
 
 
 def accumulate(terms: dict, key, coeff) -> None:
@@ -45,8 +55,9 @@ def accumulate(terms: dict, key, coeff) -> None:
 class LinearCombination:
     """A finite sum of hashable keys with nonzero coefficients.
 
-    Subclasses fix what a key means and, through _space and their own
-    __slots__ in that order, the space the terms live in.  Equal
+    Subclasses fix what a key means and, through _space and the leading
+    entries of their own __slots__ in that order, the space the terms
+    live in.  Equal
     combinations have equal dicts: the public constructor drops the zero
     coefficients of outside input, and every other build is _trusted.
     """
@@ -140,7 +151,17 @@ class Combination(LinearCombination):
 
 @dataclass(frozen=True)
 class ScalarContext:
-    """Conductor and parameter names shared by all scalars of one spec."""
+    """Conductor and parameter names shared by all scalars of one spec.
+
+    Next to its fields the context keeps, in its ``__dict__``, the table
+    of +-zeta^k of its conductor (``_units``) and ``_root_terms``, the
+    terms of each constant +-zeta^k its scalars have met, by table index;
+    the terms of 1, at index 0, are also ``_one_terms``, by which
+    ``Scalar.__mul__`` tells a factor of 1.  No scalar's terms are ever
+    mutated, which makes the sharing safe.  The context keeps terms and
+    field elements, never a ``Scalar``, so it holds no reference back to
+    itself and dies without the cycle collector.
+    """
 
     conductor: int
     params: tuple[str, ...] = ()
@@ -157,48 +178,32 @@ class ScalarContext:
             if name in seen:
                 raise SpecError(f"duplicate parameter name {name!r}")
             seen.add(name)
+        # the frozen dataclass refuses setattr, not its __dict__
+        units = _units(self.conductor)
+        one = {(0,) * len(self.params): units[0]}
+        self.__dict__.update(_units=units, _one_terms=one, _root_terms={0: one})
 
     @property
     def rank(self) -> int:
         return len(self.params)
 
-    @cached_property
-    def _one_terms(self) -> dict:
-        """Terms of the scalar 1, built once and shared by every ``Scalar.one``.
-
-        The context keeps the terms, not a ``Scalar``, so it holds no
-        reference back to itself and dies without the cycle collector.
-        No scalar's terms are ever mutated, which makes the sharing safe,
-        and ``Scalar.__mul__`` tells a factor of 1 by these terms alone.
-        """
-        return {(0,) * self.rank: CyclotomicNumber.one(self.conductor)}
-
-    @cached_property
-    def _root_terms(self) -> dict:
-        """Terms of each constant +-zeta^k met so far, by its table index.
-
-        Like ``_one_terms``, which is the entry at 0, these are terms and
-        field elements only, so the context still holds nothing of its own.
-        """
-        return {0: self._one_terms}
-
-    def _constant_terms(self, value: CyclotomicNumber) -> dict:
-        """Terms of the constant scalar value, which must be nonzero; a
-        +-zeta^k gets the shared terms of its table index."""
-        k = root_index(value)
-        if k < 0:
-            return {(0,) * self.rank: value}
-        terms = self._root_terms.get(k)
-        if terms is None:
-            terms = self._root_terms[k] = {(0,) * self.rank: value}
-        return terms
-
 
 class Scalar(LinearCombination):
-    __slots__ = ("ctx",)
+    """A Laurent polynomial in the context's parameters over Q(zeta_m).
+
+    ``root`` has the contract of ``CyclotomicNumber.root``: the index in
+    the context's table of +-zeta^k (``cyclotomic._units``) of a constant
+    +-zeta^k, -1 for any other scalar, or None until ``_root_index`` looks
+    it up.  Products, negations, inverses and comparisons of two such
+    scalars are sums, shifts, negatives and comparisons of indices, and
+    they return scalars on the context's shared terms of the index.
+    """
+
+    __slots__ = ("ctx", "root")
 
     def __init__(self, ctx: ScalarContext, terms: dict) -> None:
         self.ctx = ctx
+        self.root = None
         super().__init__(terms)
 
     def _space(self) -> tuple:
@@ -206,22 +211,48 @@ class Scalar(LinearCombination):
 
     @classmethod
     def _trusted(cls, space: tuple, terms: dict) -> Scalar:
-        """As LinearCombination._trusted, with the one slot set directly:
+        """As LinearCombination._trusted, with the slots set directly:
         scalar arithmetic builds through here, where the generic slot
         loop would cost about as much as the rest of the build."""
         x = object.__new__(cls)
         x.ctx, = space
         x.terms = terms
+        x.root = None
         return x
 
     def _like(self, terms) -> Scalar:
         return self._trusted((self.ctx,), terms)
 
+    @classmethod
+    def _unit(cls, ctx: ScalarContext, k: int) -> Scalar:
+        """The constant of table index k, on the context's shared terms.
+
+        Built here, not through _trusted, since this is the result of most
+        products: a table entry is never zero."""
+        terms = ctx._root_terms.get(k)
+        if terms is None:
+            terms = ctx._root_terms[k] = {(0,) * ctx.rank: ctx._units[k]}
+        x = object.__new__(cls)
+        x.ctx, x.terms, x.root = ctx, terms, k
+        return x
+
+    def _root_index(self) -> int:
+        """self.root, looked up and kept on first use."""
+        k = self.root
+        if k is None:
+            k = -1
+            if len(self.terms) == 1:
+                (exps, coeff), = self.terms.items()
+                if not any(exps):
+                    k = root_index(coeff)
+            self.root = k
+        return k
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def one(cls, ctx: ScalarContext) -> Scalar:
-        return cls._trusted((ctx,), ctx._one_terms)
+        return cls._unit(ctx, 0)
 
     @classmethod
     def rational(cls, ctx: ScalarContext, value) -> Scalar:
@@ -233,7 +264,10 @@ class Scalar(LinearCombination):
             raise SpecError(f"conductor mismatch: {value.m} vs {ctx.conductor}")
         if value.is_zero():
             return cls.zero(ctx)
-        return cls._trusted((ctx,), ctx._constant_terms(value))
+        k = root_index(value)
+        if k >= 0:
+            return cls._unit(ctx, k)
+        return cls._trusted((ctx,), {(0,) * ctx.rank: value})
 
     @classmethod
     def zeta(cls, ctx: ScalarContext, d: int, power: int = 1) -> Scalar:
@@ -264,6 +298,17 @@ class Scalar(LinearCombination):
             return other
         if other.terms is other.ctx._one_terms:
             return self
+        # the root indices are read inline, as in CyclotomicNumber.__mul__:
+        # most factors of a PBW decision are +-zeta^k
+        a = self.root
+        if a is None:
+            a = self._root_index()
+        if a >= 0:
+            b = other.root
+            if b is None:
+                b = other._root_index()
+            if b >= 0:
+                return Scalar._unit(self.ctx, (a + b) % len(self.ctx._units))
         if len(self.terms) == 1 == len(other.terms):
             # one multiply, and a product of nonzero field elements is nonzero
             (e1, c1), = self.terms.items()
@@ -271,12 +316,36 @@ class Scalar(LinearCombination):
             exps = tuple(map(operator.add, e1, e2))
             if any(exps):
                 return self._like({exps: c1 * c2})
-            return self._like(self.ctx._constant_terms(c1 * c2))
+            return Scalar.from_cyclotomic(self.ctx, c1 * c2)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(out, tuple(map(operator.add, e1, e2)), c1 * c2)
         return self._like(out)
+
+    def __neg__(self) -> Scalar:
+        k = self._root_index()
+        if k >= 0:
+            n = len(self.ctx._units)
+            return Scalar._unit(self.ctx, (k + n // 2) % n)
+        return super().__neg__()
+
+    def __eq__(self, other) -> bool:
+        # as LinearCombination.__eq__, which it inlines: when one of two
+        # scalars of a context is a +-zeta^k, equal values are equal indices
+        if type(other) is not Scalar:
+            return False
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            return False
+        a = self.root
+        if a is None:
+            a = self._root_index()
+        b = other.root
+        if b is None:
+            b = other._root_index()
+        if a >= 0 or b >= 0:
+            return a == b
+        return self.terms == other.terms
 
     def __pow__(self, k: int) -> Scalar:
         base = self.inv() if k < 0 else self
@@ -286,6 +355,9 @@ class Scalar(LinearCombination):
         """Invert a unit; only Laurent monomials qualify."""
         if len(self.terms) != 1:
             raise NotAUnit(f"{self} is not a unit (needs exactly one term)")
+        k = self._root_index()
+        if k >= 0:
+            return Scalar._unit(self.ctx, -k % len(self.ctx._units))
         (exps, coeff), = self.terms.items()
         return self._like({tuple(-e for e in exps): coeff.inverse()})
 
@@ -401,6 +473,7 @@ class _ExprParser:
             )
         self.tokens.append(_END)
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(f"{message} in {self.source!r}", self.line)
@@ -478,6 +551,12 @@ class _ExprParser:
         base = scalar.inv() if k < 0 else scalar
         return self.lift(power(base, abs(k), Scalar.one(self.ctx), self.bounded(operator.mul)))
 
+    def nest(self) -> None:
+        """Enter one more '(' or unary '-', refused past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting of '(' and unary '-' exceeds the bound {MAX_NESTING}")
+
     def bounded(self, mul):
         """mul, refused before a product that may pass MAX_POWER_TERMS terms."""
         def product(x, y):
@@ -536,11 +615,16 @@ class _ExprParser:
                 return self.lift(Scalar.param(self.ctx, value))
             self.error(f"unknown identifier {value!r}")
         if kind == "op" and value == "(":
+            self.nest()
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "op" and value == "-":
-            return -self.factor()
+            self.nest()
+            inner = -self.factor()
+            self.depth -= 1
+            return inner
         self.error("unexpected end of input" if kind is None else f"unexpected token {value!r}")
 
 

@@ -106,7 +106,8 @@ def _parse_int(value: str, lineno: int, minimum: int) -> int:
 def _parse_json_list(value: str, lineno: int, what: str):
     try:
         data = json.loads(value)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
+        # json recurses on each nested list, so a deep one exhausts the stack
         raise ParseError(f"{what} must be a JSON list, got {value!r}", lineno) from None
     if not isinstance(data, list):
         raise ParseError(f"{what} must be a JSON list", lineno)

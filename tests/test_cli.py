@@ -561,6 +561,33 @@ def test_oversized_powers_are_input_errors(tmp_path):
     assert "line " in err
 
 
+def test_deep_nesting_is_an_input_error(tmp_path):
+    # the grammar refuses nesting past its bound, and json's own recursion
+    # on a deep row is read as a malformed row, not left to the stack
+    text = format_spec(load_fixture("ex2"))
+    parens = "(" * 10000 + "q" + ")" * 10000
+    minus = "-" * 10000 + "q"
+    deep_row = "[" * 100000 + "]" * 100000
+    cases = []
+    for name, old, new in (
+        ("parens", "2 3 = -q\n", f"2 3 = {parens}\n"),
+        ("minus", "2 3 = -q\n", f"2 3 = {minus}\n"),
+        ("characters", "characters = [[1], [1], [0]]\n", f"characters = {deep_row}\n"),
+    ):
+        path = tmp_path / f"{name}.qdo"
+        path.write_text(text.replace(old, new))
+        cases.append((["check", str(path)], "must be a JSON list" if name == "characters" else "bound 100"))
+    for expr in (parens.replace("q", "v1"), minus.replace("q", "v1")):
+        cases.append((["normal-form", "ex2", "--", expr], "bound 100"))
+    for argv, message in cases:
+        started = time.monotonic()
+        code, out, err = run(argv)
+        assert time.monotonic() - started < 1, argv[:2]
+        assert code == 1 and not out, argv[:2]
+        assert err.startswith("input error:") and message in err, argv[:2]
+        assert "Traceback" not in err
+
+
 def test_check_on_a_large_group_answers_quickly(tmp_path):
     # 576 group elements: no check may sweep all pairs of them
     path = tmp_path / "z24.qdo"

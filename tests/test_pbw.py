@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from qdrinfeld import algebra, cyclotomic, pbw
+from qdrinfeld import algebra, cyclotomic, pbw, scalar
 from qdrinfeld.algebra import AlgebraSpec, NCElement, kappa_element, normal_form
 from qdrinfeld.cyclotomic import CyclotomicNumber
 from qdrinfeld.groups import GroupElement
@@ -791,6 +791,54 @@ def test_no_product_of_two_signed_roots_reaches_the_dense_multiply(monkeypatch):
     first = dense_products()
     assert first and not any(first)
     assert dense_products() == first
+
+
+def test_no_product_of_two_signed_root_scalars_multiplies_terms(monkeypatch):
+    # a product of two constant +-zeta^k scalars is a sum of table
+    # indices: it runs neither Scalar.__mul__'s term loop nor a field
+    # multiply, and the count is exact, as in the test above
+    texts = [fixture_path(name).read_text() for name in fixture_names()]
+    texts += [format_spec(spec) for spec in corpus(200)]
+    signed_roots = functools.cache(
+        lambda m: {tuple(s * a for a in row) for row in cyclotomic._power_rows(m) for s in (1, -1)}
+    )
+
+    def is_signed_root(x):
+        if len(x.terms) != 1:
+            return False
+        (exps, c), = x.terms.items()
+        return not any(exps) and c.den == 1 and c.nums in signed_roots(c.m)
+
+    counts = {"products": 0, "inside": 0, "loop": 0, "field": 0}
+    scalar_mul, field_mul, accumulate = Scalar.__mul__, CyclotomicNumber.__mul__, scalar.accumulate
+
+    def spy_scalar_mul(x, y):
+        if not (is_signed_root(x) and is_signed_root(y)):
+            return scalar_mul(x, y)
+        counts["products"] += 1
+        counts["inside"] += 1
+        try:
+            return scalar_mul(x, y)
+        finally:
+            counts["inside"] -= 1
+
+    def spy_field_mul(x, y):
+        counts["field"] += counts["inside"] > 0
+        return field_mul(x, y)
+
+    def spy_accumulate(terms, key, coeff):
+        counts["loop"] += counts["inside"] > 0
+        accumulate(terms, key, coeff)
+
+    monkeypatch.setattr(Scalar, "__mul__", spy_scalar_mul)
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", spy_field_mul)
+    monkeypatch.setattr(scalar, "accumulate", spy_accumulate)
+    for text in texts:
+        spec = parse_spec_text(text)
+        if isinstance(spec, AlgebraSpec):
+            check_pbw(spec)
+    assert counts["products"] > 1000
+    assert (counts["loop"], counts["field"]) == (0, 0)
 
 
 def test_condition3_holds_without_kappa():

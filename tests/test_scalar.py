@@ -1,12 +1,13 @@
+import math
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from qdrinfeld import cli
+from qdrinfeld import cli, cyclotomic
 from qdrinfeld.algebra import NCElement, SpecCombination
-from qdrinfeld.cyclotomic import CyclotomicNumber
+from qdrinfeld.cyclotomic import CyclotomicNumber, root_index
 from qdrinfeld.errors import NotAUnit, ParseError, SpecError
 from qdrinfeld.hopf import check_hopf_axioms
 from qdrinfeld.pbw import check_pbw
@@ -157,6 +158,74 @@ def test_unit_product_matches_the_double_loop(conductor, params):
             product = a * b
             assert product == _double_loop_product(a, b)
             assert not any(c.is_zero() for c in product.terms.values())
+
+
+def _expected_root(x):
+    """root_index of the one constant coefficient of x, else -1."""
+    if len(x.terms) == 1:
+        (exps, coeff), = x.terms.items()
+        if not any(exps):
+            return root_index(coeff)
+    return -1
+
+
+def _check_against_the_term_loop(ctx, roots, others):
+    """Products, negations, inverses and comparisons of the +-zeta^k
+    scalars roots, which take the index path, against the general term
+    loop; others are scalars of the context off the table."""
+    for x in roots:
+        assert x.root == _expected_root(x) >= 0
+        assert x.terms is ctx._root_terms[x.root]
+        negated = -x
+        assert negated.terms == {e: -c for e, c in x.terms.items()}
+        assert negated.root == _expected_root(negated)
+        inverse = x.inv()
+        assert inverse.terms == {
+            tuple(-a for a in e): cyclotomic._euclid_inverse(c) for e, c in x.terms.items()
+        }
+        assert inverse.root == _expected_root(inverse)
+        fresh = Scalar(ctx, dict(x.terms))
+        assert fresh.root is None
+        assert x == fresh and fresh == x and not x != fresh
+        for y in roots:
+            product = x * y
+            assert product.terms == _double_loop_product(x, y).terms
+            assert product.root == _expected_root(product)
+            assert product.terms is ctx._root_terms[product.root]
+            assert (x == y) is (x.terms == y.terms) is not (x != y)
+        for y in others:
+            for product in (x * y, y * x):
+                assert product.terms == _double_loop_product(x, y).terms
+                assert product._root_index() == _expected_root(product)
+            assert not x == y and not y == x and x != y and y != x
+    for x in others:
+        assert x._root_index() == _expected_root(x)
+        for y in others:
+            assert (x == y) is (x.terms == y.terms) is not (x != y)
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 6, 12, 60, 120])
+def test_signed_roots_take_the_index_path_at_every_conductor(conductor):
+    ctx = ScalarContext(conductor)
+    roots = [Scalar.from_cyclotomic(ctx, c) for c in cyclotomic._units(conductor)]
+    assert len(roots) == len({x.root for x in roots}) == math.lcm(2, conductor)
+    others = [Scalar.zero(ctx), Scalar.rational(ctx, 2), Scalar.rational(ctx, Fraction(-1, 2))]
+    if conductor > 2:
+        others.append(Scalar.rational(ctx, 2) + Scalar.zeta(ctx, conductor))
+    _check_against_the_term_loop(ctx, roots, others)
+
+
+def test_signed_roots_take_the_index_path_beside_parameters():
+    ctx = ScalarContext(12, ("q", "lam"))
+    roots = [Scalar.zeta(ctx, 12, k) for k in range(12)]
+    roots += [-x for x in roots]
+    q = Scalar.param(ctx, "q")
+    others = [q, q.inv(), q * Scalar.zeta(ctx, 4), Scalar.param(ctx, "lam", 2),
+              Scalar.one(ctx) + q, Scalar.rational(ctx, 3), Scalar.zero(ctx)]
+    _check_against_the_term_loop(ctx, roots, others)
+    # a monomial times its inverse is the constant 1, on the shared terms
+    product = q * Scalar.zeta(ctx, 12, 5) * (q.inv() * Scalar.zeta(ctx, 12, 7))
+    assert product.terms is ctx._one_terms and product.root == 0
 
 
 def test_shared_one_is_unchanged_by_a_run(monkeypatch):
