@@ -65,13 +65,11 @@ class AlgebraSpec:
         self._char_cache: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         self._word_char_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
         # Delta of monomials (hopf.coproduct), the normal forms of bare
-        # words (word_normal_form), the crossing twists of the braided
-        # product (hopf.braided_product), the pairing
+        # words (word_normal_form), the pairing
         # (colorlie.Bicharacter.from_spec) and the PBW report
         # (pbw.check_pbw), each computed once per spec
         self._delta_cache: dict = {}
         self._nf_cache: dict = {}
-        self._twist_cache: dict = {}
         self._pairing = None
         self._pbw = None
 

@@ -5,8 +5,10 @@ Every command takes a spec argument that is either a bundled fixture name
 codes: 0 when every requested check passes, 2 when a mathematical check
 fails (certificates are printed or serialized) or when `lie`, `uea`,
 `hopf` or `converse` refuses a spec outside the paper's hypotheses
-("hypothesis not met"), 1 on input errors, 3 when two computations that
-must agree did not (a bug in this package).
+("hypothesis not met"), 3 when two computations that must agree did not
+(a bug in this package), and 1 with "input error:" on every other
+refusal.  A message longer than MAX_MESSAGE characters is cut to its
+head and its length.
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ from .colorlie import (
     generic_color_lie_ring,
     require_hypotheses,
 )
-from .errors import (
-    HypothesisNotMet,
-    InternalInconsistency,
-    ParseError,
-    QdrinfeldError,
-    SpecError,
-    SymbolicParameter,
-)
+from .errors import HypothesisNotMet, InternalInconsistency, ParseError, QdrinfeldError
 from .hopf import check_hopf_axioms
 from .pbw import check_pbw, check_vanishing  # noqa: F401  (bench/tracing.py patches this binding)
 from .scalar import parse_scalar
@@ -45,6 +40,10 @@ from .specfile import (
     parse_spec_file,
 )
 from .uea import instantiate_spec
+
+# stderr shows at most this many characters of a message, so that a
+# refusal never echoes a whole oversized input
+MAX_MESSAGE = 120
 
 
 def _load(argument: str):
@@ -146,12 +145,7 @@ def _cmd_uea(args) -> int:
     # count at every point that instantiate_spec accepts, by the paper's
     # theorems (require_hypotheses' proofs)
     require_hypotheses(spec)
-    try:
-        point = instantiate_spec(spec, values or None)
-    except (SpecError, SymbolicParameter) as exc:
-        # an unknown name, a symbolic value or a q_ij sent to a non-unit:
-        # each is a bad --instantiate argument
-        raise ParseError(str(exc)) from exc
+    point = instantiate_spec(spec, values or None)
     count = pbw_monomial_count(point, args.degree)
     # interpreters before 3.10.7 print integers of any length
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -387,40 +381,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(prefix: str, exc: QdrinfeldError) -> None:
+    message = str(exc)
+    if len(message) > MAX_MESSAGE:
+        message = f"{message[:MAX_MESSAGE]}... ({len(message)} characters)"
+    print(f"{prefix}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    degree = getattr(args, "degree", None)
-    if degree is not None:
-        try:
-            # int() refuses more digits than sys.get_int_max_str_digits()
-            degree = args.degree = int(degree)
-        except ValueError:
-            got = repr(degree)
-            if len(degree) > 40:
-                got = f"{degree[:40]!r}... ({len(degree)} characters)"
-            print(f"input error: --degree wants an integer, got {got}", file=sys.stderr)
-            return 1
-        if degree < 0:
-            print("input error: the degree bound must be nonnegative", file=sys.stderr)
-            return 1
-        # the Hopf report is asked up to a degree of at least 1, and all
-        # gives it last; the answer is the same at every such degree
-        if degree == 0 and args.command in ("hopf", "all"):
-            print("input error: the degree bound must be at least 1", file=sys.stderr)
-            return 1
     try:
+        degree = getattr(args, "degree", None)
+        if degree is not None:
+            try:
+                # int() refuses more digits than sys.get_int_max_str_digits()
+                degree = args.degree = int(degree)
+            except ValueError:
+                raise ParseError(f"--degree wants an integer, got {degree!r}") from None
+            if degree < 0:
+                raise ParseError("the degree bound must be nonnegative")
+            # the Hopf report is asked up to a degree of at least 1, and all
+            # gives it last; the answer is the same at every such degree
+            if degree == 0 and args.command in ("hopf", "all"):
+                raise ParseError("the degree bound must be at least 1")
         return args.handler(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
     except HypothesisNotMet as exc:
-        print(f"hypothesis not met: {exc}", file=sys.stderr)
+        _refuse("hypothesis not met", exc)
         return 2
     except InternalInconsistency as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _refuse("internal error", exc)
         return 3
     except QdrinfeldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _refuse("input error", exc)
         return 1
 
 

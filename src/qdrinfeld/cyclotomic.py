@@ -335,15 +335,9 @@ class CyclotomicNumber:
 
     def __mul__(self, other: CyclotomicNumber) -> CyclotomicNumber:
         self._check(other)
-        # the root indices are read inline: this is the hottest call of a
-        # PBW decision, and most of its operands are +-zeta^k
-        a = self.root
-        if a is None:
-            a = root_index(self)
+        a = root_index(self)
         if a >= 0:
-            b = other.root
-            if b is None:
-                b = root_index(other)
+            b = root_index(other)
             if b >= 0:
                 units = _units(self.m)
                 return units[(a + b) % len(units)]

@@ -3,7 +3,8 @@
 The grading group for an n-generator algebra over a group with k cyclic
 factors is Z^n x G.  Subgroup membership (needed for the quotient grading)
 reduces to integer lattice membership in Z^(n+k) once each torsion relation
-m_t * e_(n+t) is adjoined as an extra lattice generator.
+m_t * e_(n+t) is adjoined as an extra lattice generator; ``SubgroupN``
+builds that lattice's echelon basis on its first membership test.
 
 Group letters are canonical.  ``AbelianGroup(orders)`` returns the one
 live group on those orders, and the group fills a table of its elements
@@ -279,50 +280,62 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-class IntegerLattice:
-    """Row-echelon basis of a sublattice of Z^width, supporting membership."""
+def _pivot(row) -> int:
+    return next((j for j, x in enumerate(row) if x), len(row))
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.rows: list[list[int]] = []  # echelon, pivots strictly right-down
 
-    def _pivot_col(self, row) -> int:
-        for j, x in enumerate(row):
-            if x:
-                return j
-        return self.width
+class SubgroupN:
+    """A subgroup of Z^n x G described by finitely many generators.
 
-    def add(self, vec) -> None:
-        vec = list(vec)
-        if len(vec) != self.width:
-            raise SpecError("lattice vector width mismatch")
-        for idx in range(len(self.rows) + 1):
-            j = self._pivot_col(vec)
-            if j == self.width:
-                return
-            if idx == len(self.rows) or self._pivot_col(self.rows[idx]) > j:
-                if vec[j] < 0:
-                    vec = [-x for x in vec]
-                self.rows.insert(idx, vec)
-                return
-            row = self.rows[idx]
-            pj = self._pivot_col(row)
-            if pj < j:
-                continue
-            # same pivot column: replace the pair by (gcd combo, eliminated)
-            a, b = row[j], vec[j]
-            g, s, t = _xgcd(a, b)
-            u, v = a // g, b // g
-            combo = [s * x + t * y for x, y in zip(row, vec)]
-            vec = [u * y - v * x for x, y in zip(row, vec)]
-            self.rows[idx] = combo
+    Its generators are checked when it is made; the echelon basis that
+    decides membership is built on the first ``contains``.
+    """
 
-    def contains(self, vec) -> bool:
-        vec = list(vec)
-        if len(vec) != self.width:
-            raise SpecError("lattice vector width mismatch")
-        for row in self.rows:
-            j = self._pivot_col(row)
+    def __init__(self, n: int, group: AbelianGroup, generators) -> None:
+        self.n = n
+        self.group = group
+        self.generators = tuple(generators)
+        for deg in self.generators:
+            self._check(deg, "subgroup generator")
+        self._rows = None
+
+    def _check(self, deg: ADegree, what: str) -> None:
+        if len(deg.free) != self.n or deg.tors.group is not self.group:
+            raise SpecError(f"{what} lives in the wrong grading group")
+
+    def _echelon(self) -> list[list[int]]:
+        """Row-echelon basis, pivots strictly right-down, of the lattice in
+        Z^(n+k) spanned by the generators and the torsion relations."""
+        width = self.n + self.group.rank
+        vectors = [deg.as_int_vector() for deg in self.generators]
+        for t, order in enumerate(self.group.orders):
+            vectors.append([order if c == self.n + t else 0 for c in range(width)])
+        rows: list[list[int]] = []
+        for vec in vectors:
+            for idx in range(len(rows) + 1):
+                j = _pivot(vec)
+                if j == width:
+                    break
+                if idx == len(rows) or _pivot(rows[idx]) > j:
+                    rows.insert(idx, [-x for x in vec] if vec[j] < 0 else vec)
+                    break
+                row = rows[idx]
+                if _pivot(row) < j:
+                    continue
+                # same pivot column: replace the pair by (gcd combo, eliminated)
+                g, s, t = _xgcd(row[j], vec[j])
+                u, v = row[j] // g, vec[j] // g
+                rows[idx] = [s * x + t * y for x, y in zip(row, vec)]
+                vec = [u * y - v * x for x, y in zip(row, vec)]
+        return rows
+
+    def contains(self, deg: ADegree) -> bool:
+        self._check(deg, "degree")
+        if self._rows is None:
+            self._rows = self._echelon()
+        vec = deg.as_int_vector()
+        for row in self._rows:
+            j = _pivot(row)
             if vec[j] == 0:
                 continue
             if vec[j] % row[j] != 0:
@@ -330,31 +343,6 @@ class IntegerLattice:
             q = vec[j] // row[j]
             vec = [x - q * y for x, y in zip(vec, row)]
         return not any(vec)
-
-
-class SubgroupN:
-    """A subgroup of Z^n x G described by finitely many generators."""
-
-    def __init__(self, n: int, group: AbelianGroup, generators) -> None:
-        self.n = n
-        self.group = group
-        self.generators = tuple(generators)
-        width = n + group.rank
-        lattice = IntegerLattice(width)
-        for deg in self.generators:
-            if len(deg.free) != n or deg.tors.group is not group:
-                raise SpecError("subgroup generator lives in the wrong grading group")
-            lattice.add(deg.as_int_vector())
-        for t, order in enumerate(group.orders):
-            rel = [0] * width
-            rel[n + t] = order
-            lattice.add(rel)
-        self._lattice = lattice
-
-    def contains(self, deg: ADegree) -> bool:
-        if len(deg.free) != self.n or deg.tors.group is not self.group:
-            raise SpecError("degree lives in the wrong grading group")
-        return self._lattice.contains(deg.as_int_vector())
 
     def congruent(self, a: ADegree, b: ADegree) -> bool:
         return self.contains(a * b.inverse())

@@ -12,11 +12,11 @@ letter to 1 (x) g, extended multiplicatively.  Delta of a monomial is
 memoized on its spec and built from its prefix, Delta(w v_j) =
 Delta(w) Delta(v_j), so each monomial's value is computed once per spec;
 Delta(v_j) is stored as it stands, and Delta(w g) is Delta(w) with the
-letter of its last slot moved by g.  Braided products and antipodes read
-per-spec normal forms of bare words (``algebra.word_normal_form``)
-shifted by G: ``normal_form`` commutes with right multiplication by a
-group letter, so c * v_w * g reduces to c times the memoized normal form
-of v_w with every letter moved by g.
+letter of its last slot moved by g.  Braided products read per-spec
+normal forms of bare words (``algebra.word_normal_form``) shifted by G:
+``normal_form`` commutes with right multiplication by a group letter, so
+c * v_w * g reduces to c times the memoized normal form of v_w with
+every letter moved by g.  The antipode calls ``normal_form`` itself.
 
 ``check_hopf_axioms`` decides the laws under the paper's hypotheses
 (``colorlie.require_hypotheses``), which make the rewriting confluent,
@@ -36,8 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 
-from .algebra import AlgebraSpec, NCElement, SpecCombination, word_normal_form
-from .algebra import normal_form  # noqa: F401  (bench/tracing.py patches this binding)
+from .algebra import AlgebraSpec, NCElement, SpecCombination, normal_form, word_normal_form
 from .colorlie import require_hypotheses
 from .errors import SpecError
 from .groups import GroupElement
@@ -102,7 +101,8 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
     eps(g, e_b) = chi_b(g) (``colorlie.Bicharacter.from_spec``), so the
     twist of |v_ar g| past |v_bl| is prod_{a in ar, b in bl} q_ab times
     prod_{b in bl} chi_b(g), which is ``spec.word_char(bl, g)``.  The
-    q-product is kept on the spec per (ar, bl).
+    q_ab are multiplied in per pair of terms: each is a unit, one term,
+    and a product of two +-zeta^k is a sum of table indices.
 
     Both slots are read from ``word_normal_form``.  The left slot is the
     normal form of v_al v_bl.  The right slot, v_ar ag v_br bg =
@@ -116,20 +116,15 @@ def braided_product(x: BraidedTensorElement, y: BraidedTensorElement) -> Braided
     """
     spec = x.spec
     x._check(y)
-    twists = spec._twist_cache
     word_char = spec.word_char
     one = spec.ctx._one_terms
     result: dict = {}
     for (al, ar, ag), ac in x.terms.items():
         for (bl, br, bg), bc in y.terms.items():
-            crossing = twists.get((ar, bl))
-            if crossing is None:
-                crossing = Scalar.one(spec.ctx)
-                for a in ar:
-                    for b in bl:
-                        crossing = crossing * spec.q_scalar(a, b)
-                twists[(ar, bl)] = crossing
-            base = ac * bc * word_char(bl + br, ag) * crossing
+            base = ac * bc * word_char(bl + br, ag)
+            for a in ar:
+                for b in bl:
+                    base = base * spec.q_scalar(a, b)
             shift = ag * bg
             right = word_normal_form(spec, ar + br)
             for (lw, lg), lc in word_normal_form(spec, al + bl).items():
@@ -219,22 +214,7 @@ def antipode(x: NCElement) -> NCElement:
                 factor = factor * spec.q_scalar(word[a], word[b])
             factor = -factor
         terms[(word[::-1], g)] = factor
-    return _reduced(x._like(terms))
-
-
-def _reduced(x: NCElement) -> NCElement:
-    """``normal_form(x)`` read from the spec's memo of bare words.
-
-    ``normal_form`` is linear and commutes with right multiplication by a
-    group letter, so x = sum c * v_w * g reduces to the sum of c times
-    ``word_normal_form(w)`` with every letter multiplied by g.
-    """
-    spec = x.spec
-    terms: dict = {}
-    for (word, g), coeff in x.terms.items():
-        for (w, h), c in word_normal_form(spec, word).items():
-            accumulate(terms, (w, h * g), coeff * c)
-    return x._like(terms)
+    return normal_form(x._like(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,8 @@ class Scalar(LinearCombination):
             return other
         if other.terms is other.ctx._one_terms:
             return self
-        # the root indices are read inline, as in CyclotomicNumber.__mul__:
-        # most factors of a PBW decision are +-zeta^k
+        # a kept root index is read inline, and _root_index runs only on
+        # first use: most factors of a PBW decision are +-zeta^k
         a = self.root
         if a is None:
             a = self._root_index()

@@ -324,14 +324,16 @@ def test_an_undefined_instantiation_names_the_entry_and_the_point(tmp_path):
 
 
 def test_a_malformed_degree_is_an_input_error():
-    for value, echo in (
-        ("x", "'x'"),
-        ("2.5", "'2.5'"),
-        ("9" * 5000, "'" + "9" * 40 + "'... (5000 characters)"),
+    # a message past cli.MAX_MESSAGE characters is cut to its head and length
+    long = "--degree wants an integer, got '" + "9" * 5000 + "'"
+    for value, message in (
+        ("x", "--degree wants an integer, got 'x'"),
+        ("2.5", "--degree wants an integer, got '2.5'"),
+        ("9" * 5000, long[: cli.MAX_MESSAGE] + "... (5033 characters)"),
     ):
         code, out, err = run(["uea", "ex1", "--degree", value])
         assert (code, out) == (1, ""), value[:10]
-        assert err == f"input error: --degree wants an integer, got {echo}\n", value[:10]
+        assert err == f"input error: {message}\n", value[:10]
     # what int() reads is still a degree
     for value in (" 2 ", "0_2", "+2"):
         code, out, err = run(["uea", "ex1", "--degree", value, "--json"])
@@ -586,6 +588,60 @@ def test_deep_nesting_is_an_input_error(tmp_path):
         assert code == 1 and not out, argv[:2]
         assert err.startswith("input error:") and message in err, argv[:2]
         assert "Traceback" not in err
+
+
+def test_a_refusal_echoes_at_most_the_message_bound(tmp_path):
+    # each refusal quotes its whole input; stderr shows the message's first
+    # cli.MAX_MESSAGE characters and its length
+    text = format_spec(load_fixture("ex2"))
+    deep_row = "[" * 100000 + "]" * 100000
+    parens = "(" * 10000 + "q" + ")" * 10000
+    expr = "q+" * 2999 + "zz"
+    assert len(expr) == 6000
+    for name, old, new, message in (
+        ("characters", "characters = [[1], [1], [0]]\n", f"characters = {deep_row}\n", "JSON list"),
+        ("parens", "2 3 = -q\n", f"2 3 = {parens}\n", "bound 100"),
+        ("unknown", "2 3 = -q\n", f"2 3 = {expr}\n", "unknown identifier"),
+    ):
+        path = tmp_path / f"{name}.qdo"
+        path.write_text(text.replace(old, new))
+        started = time.monotonic()
+        code, out, err = run(["check", str(path)])
+        assert time.monotonic() - started < 1, name
+        assert (code, out) == (1, ""), name
+        assert err.startswith("input error: line ") and message in err, name
+        line, rest = err.split("\n", 1)
+        head, cut, suffix = line.rpartition("... (")
+        assert rest == "" and cut and suffix.endswith(" characters)"), name
+        assert len(head) == len("input error: ") + cli.MAX_MESSAGE, name
+        assert int(suffix.split()[0]) > cli.MAX_MESSAGE, name
+
+
+def test_structural_refusals_are_input_errors(tmp_path):
+    ex2 = fixture_path("ex2").read_text()
+    gl11 = fixture_path("gl11").read_text()
+    epsilon = (
+        "[field]\nconductor = 2\n[generic-lie]\nfree_rank = 0\norders = [2, 2]\n"
+        "basis = A, B\ndegrees = [[1, 0], [0, 1]]\nepsilon 1 2 = -1\nepsilon 2 1 = 1\n"
+    )
+    for name, text, command, message in (
+        ("q", ex2.replace("1 2 = q^-1\n", "1 2 = q^-1\n2 1 = q^2\n"), "check", "q_12 and q_21 are not inverse"),
+        (
+            "kappa",
+            ex2 + "2 1 -> 3 (1) lam\n",
+            "check",
+            "kappa(1,2) given twice with values that violate quantum antisymmetry",
+        ),
+        ("epsilon", epsilon, "lie", "epsilon(1,2) and epsilon(2,1) are not inverse to each other"),
+        ("bracket", gl11 + "bracket E12 E11 = E12\n", "lie", "brackets for (E12, E11) violate antisymmetry"),
+    ):
+        path = tmp_path / f"{name}.qdo"
+        path.write_text(text)
+        code, out, err = run([command, str(path)])
+        assert (code, out, err) == (1, "", f"input error: {message}\n"), name
+    code, out, err = run(["uea", "ex2", "--instantiate", "lam=q"])
+    message = "instantiation for 'lam' is q, which still has free parameters"
+    assert (code, out, err) == (1, "", f"input error: {message}\n")
 
 
 def test_check_on_a_large_group_answers_quickly(tmp_path):

@@ -17,8 +17,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from qdrinfeld.cli import main
-from qdrinfeld.colorlie import generic_color_lie_ring
+from qdrinfeld.colorlie import (
+    build_color_lie_ring,
+    build_N_and_quotient,
+    check_color_axioms,
+    generic_color_lie_ring,
+)
 from qdrinfeld.errors import HypothesisNotMet
+from qdrinfeld.groups import SubgroupN
 from qdrinfeld.hopf import check_hopf_axioms
 from qdrinfeld.pbw import check_pbw
 from qdrinfeld.scalar import Scalar
@@ -183,6 +189,30 @@ def test_all_json_outputs_match_golden():
     assert len(outputs) == len(fixture_names())
     for case, text in outputs.items():
         _assert_golden(f"cli/{case}.txt", text)
+
+
+def test_lie_quotient_builds_no_echelon_basis(monkeypatch):
+    # lie --quotient takes the grading from N's construction and tests no
+    # membership in N; check_color_axioms with a quotient, the reference,
+    # builds N's echelon basis on its first membership test
+    built = []
+    echelon = SubgroupN._echelon
+
+    def counted(self):
+        built.append(self)
+        return echelon(self)
+
+    monkeypatch.setattr(SubgroupN, "_echelon", counted)
+    fixtures = [name for name in fixture_names() if name != "gl11"]
+    assert len(fixtures) == 5
+    for fixture in fixtures:
+        text = _run(["lie", fixture, "--quotient", "--json"])
+        _assert_golden(f"cli/lie-quotient__{fixture}.txt", text)
+    assert built == []
+    spec = load_fixture("ex2")
+    quotient = build_N_and_quotient(spec)[0]
+    assert check_color_axioms(build_color_lie_ring(spec), quotient).grading is True
+    assert built == [quotient]
 
 
 def test_degree_three_hopf_sweeps_match_golden():

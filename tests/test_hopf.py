@@ -430,7 +430,7 @@ def test_the_memo_dies_with_its_spec():
     spec = load_fixture("ex4")
     coproduct(mono(spec, (3, 2, 1), spec.group.generator(0)))
     antipode(mono(spec, (2, 0), spec.group.generator(0)))
-    assert spec._delta_cache and spec._nf_cache and spec._twist_cache
+    assert spec._delta_cache and spec._nf_cache
     # the PBW report, which holds both strengths of vanishing
     assert spec._pbw is None
     assert check_pbw(spec) is spec._pbw
